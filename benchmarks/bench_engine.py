@@ -1,17 +1,14 @@
 """Experiment-engine benchmarks.
 
 Times the single-pass multi-configuration replay against N serial
-:func:`simulate_trace` calls (and the hierarchy counterpart), plus the
-parallel ``Session.warm`` stage against the serial path, and records
-the measured speedups in ``BENCH_engine.json`` at the repository root
-so the numbers ride with the commit that produced them.
+:func:`simulate_trace` calls (and the hierarchy counterpart), and
+records the measured speedups in ``BENCH_engine.json`` at the
+repository root so the numbers ride with the commit that produced them.
 
 The multi-config speedup comes from sharing the trace decode, kind
 dispatch, block division and per-PC access counting across configs —
-it is expected on any machine.  The warm-stage speedup needs real
-parallel hardware; on a single-core box the process fan-out can only
-add overhead, so that assertion is gated on ``os.cpu_count() > 1`` and
-the honest number is recorded either way.
+it is expected on any machine.  Parallel fan-out is measured where it
+lives: the campaign engine (``BENCH_campaign.json``) and ``perfbench``.
 """
 
 import json
@@ -31,12 +28,10 @@ from repro.cache.hierarchy import (DEFAULT_HIERARCHY, HierarchyConfig,
 from repro.cache.model import simulate_trace, simulate_trace_multi
 from repro.compiler.driver import compile_source
 from repro.machine.simulator import Machine
-from repro.pipeline.session import Session
 from repro.workloads.registry import get
 
 WORKLOAD = "129.compress"
 SCALE = float(os.environ.get("REPRO_SCALE", "0.15"))
-WARM_SCALE = SCALE / 3
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_PATH = REPO_ROOT / "BENCH_engine.json"
 
@@ -52,10 +47,6 @@ HIERARCHIES = [
     HierarchyConfig(l1=CacheConfig(16 * 1024, 4, 32),
                     l2=CacheConfig(256 * 1024, 8, 64)),
 ]
-
-WARM_PLAN = [(name, "input1", False, (BASELINE_CONFIG, TRAINING_CONFIG))
-             for name in ("129.compress", "181.mcf", "099.go",
-                          "164.gzip")]
 
 _results: dict = {}
 
@@ -124,35 +115,3 @@ def test_hierarchy_multi_replay_speedup(trace):
     _flush()
     assert speedup > 1.2
 
-
-def test_warm_parallel_speedup(tmp_path):
-    def timed_warm(jobs: int, cache_dir: Path) -> float:
-        session = Session(scale=WARM_SCALE, cache_dir=cache_dir)
-        start = time.perf_counter()
-        report = session.warm(WARM_PLAN, jobs=jobs)
-        elapsed = time.perf_counter() - start
-        assert report.simulated == len(WARM_PLAN)
-        return elapsed
-
-    cores = os.cpu_count() or 1
-    # Size the fan-out to the hardware: oversubscribing (the old fixed
-    # jobs=4) turns a 1-CPU "speedup" into pure fork/IPC overhead.
-    jobs = min(cores, len(WARM_PLAN))
-    serial = timed_warm(1, tmp_path / "serial")
-    parallel = timed_warm(jobs, tmp_path / "parallel")
-    speedup = serial / parallel
-    informational = cores < 2
-    _results["warm_parallel"] = {
-        "runs": len(WARM_PLAN),
-        "jobs": jobs,
-        "serial_s": round(serial, 4),
-        "parallel_s": round(parallel, 4),
-        "speedup": round(speedup, 2),
-        # without a second core there is nothing to fan out over, so
-        # the number is recorded for the machine report but not gated
-        "informational": informational,
-    }
-    _flush()
-    if not informational:
-        # with real cores the fan-out must beat the serial loop
-        assert speedup > 1.0

@@ -10,16 +10,16 @@ Environment knobs:
 * ``REPRO_SCALE``  — workload size multiplier (default 0.25; use 1.0 for
   the full-size runs recorded in EXPERIMENTS.md),
 * ``REPRO_NO_DISK_CACHE=1`` — force re-simulation,
-* ``REPRO_JOBS`` — worker processes for the pre-warm stage (default:
+* ``REPRO_JOBS`` — worker processes for the pre-warm campaign (default:
   CPU count),
 * ``REPRO_WARM=0`` — skip the pre-warm stage.
 
-Before the first bench runs, the shared session is *warmed*: every
-(workload, input, optimize, cache-config) combination the tables need is
-executed and cache-simulated up front — in parallel across
-``REPRO_JOBS`` processes, one single-pass multi-config trace replay per
-run — so the table benches measure analysis time, not redundant
-simulation.
+Before the first bench runs, the shared session is *warmed* by a
+:class:`~repro.campaign.Campaign` over every table: each (workload,
+input, optimize) run the tables need is executed and cache-simulated up
+front under the union of its cache geometries — in parallel across
+``REPRO_JOBS`` processes, one trace replay per run — so the table
+benches measure analysis time, not redundant simulation.
 
 After the run, every produced table is written to
 ``benchmarks/results/`` and a consolidated paper-vs-measured report to
@@ -86,9 +86,9 @@ def session() -> Session:
         use_disk_cache=os.environ.get("REPRO_NO_DISK_CACHE") != "1",
     )
     if os.environ.get("REPRO_WARM", "1") != "0":
-        from repro.pipeline.session import standard_warm_plan
-        report = shared.warm(standard_warm_plan())
-        print(f"\n[repro] pre-warm: {report.describe()}")
+        from repro.campaign import Campaign
+        result = Campaign(shared).run()
+        print(f"\n[repro] pre-warm: {result.describe()}")
     return shared
 
 

@@ -8,10 +8,9 @@
     python -m repro disasm PROG.c [--optimize]
     python -m repro asm PROG.c [--optimize]
     python -m repro verify PROG.c [--optimize]
-    python -m repro warm [--jobs N] [--scale S] [--workloads W,...]
     python -m repro tables [--tables 1,7,11] [--scale S] [--report F]
     python -m repro campaign [--tables 1,7] [--jobs N | --remote H:P]
-                             [--resume] [--status]
+                             [--resume] [--status]    (alias: warm)
     python -m repro cache gc [--limit SIZE] [--dry-run]
     python -m repro serve [--port P] [--workers N] [--stats]
     python -m repro cluster --workers N [--spawn] [--port P]
@@ -21,11 +20,12 @@ the paper's delinquent-load identification and prints the flagged loads
 with their address patterns (``--json`` emits the ``repro.export``
 schema, ``--remote`` sends the request to a running service instead of
 analyzing in-process); ``disasm``/``asm`` show the generated code.
-``warm`` pre-executes the experiment suite across worker processes and
-fills the on-disk result cache; ``tables`` forwards to the experiment
-runner; ``serve`` starts the long-lived delinquency-analysis service
-(see :mod:`repro.service`); ``cluster`` fronts N such servers with a
-cache-aware consistent-hash router (see :mod:`repro.cluster`).
+``campaign`` (alias ``warm``) regenerates the experiment grid across
+worker processes and fills the on-disk caches; ``tables`` forwards to
+the experiment runner; ``serve`` starts the long-lived
+delinquency-analysis service (see :mod:`repro.service`); ``cluster``
+fronts N such servers with a cache-aware consistent-hash router (see
+:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
@@ -398,25 +398,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if issues else 0
 
 
-def cmd_warm(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.pipeline.session import Session, standard_warm_plan
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    session = Session(scale=args.scale, cache_dir=cache_dir)
-    plan = standard_warm_plan()
-    if args.workloads != "all":
-        wanted = {name.strip() for name in args.workloads.split(",")}
-        plan = [run for run in plan if run[0] in wanted]
-        missing = wanted - {run[0] for run in plan}
-        if missing:
-            print(f"unknown workload(s): {', '.join(sorted(missing))}")
-            return 2
-    report = session.warm(plan, jobs=args.jobs)
-    print(f"warm: {report.describe()}")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -724,23 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_warm = sub.add_parser(
-        "warm",
-        help="pre-execute and cache-simulate the experiment suite "
-             "in parallel (fills .repro_cache)")
-    p_warm.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes (default: $REPRO_JOBS, "
-                             "then the CPU count)")
-    p_warm.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    p_warm.add_argument("--workloads", default="all",
-                        help="comma-separated workload names "
-                             "(default: all 18)")
-    p_warm.add_argument("--cache-dir", default=None,
-                        help="result-cache directory "
-                             "(default: .repro_cache)")
-    p_warm.set_defaults(func=cmd_warm)
-
     p_cache = sub.add_parser(
         "cache", help="manage the on-disk result/trace cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command",
@@ -767,10 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_tables)
 
     p_camp = sub.add_parser(
-        "campaign",
+        "campaign", aliases=["warm"],
         help="regenerate the experiment grid through the DAG-aware "
              "campaign engine (parallel, resumable, provenance-"
-             "recorded; see repro.campaign)")
+             "recorded; see repro.campaign); fills .repro_cache")
     p_camp.add_argument("--tables", default="all",
                         help="comma-separated table numbers "
                              "(default: all)")
@@ -825,10 +789,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="in-memory result-cache capacity "
                             "(default 256)")
     p_srv.add_argument("--cache-dir", default=None,
-                       help="disk result-cache directory (default: "
-                            ".repro_cache/service)")
+                       help="disk cache directory: results in DIR, "
+                            "traces and stack-distance profiles in "
+                            "DIR/traces and DIR/stackdist (default: "
+                            ".repro_cache/service, .repro_cache/traces "
+                            "and .repro_cache/stackdist)")
     p_srv.add_argument("--no-disk-cache", action="store_true",
-                       help="disable the disk cache tier")
+                       help="disable every disk cache tier (results, "
+                            "traces, profiles)")
     p_srv.add_argument("--stats", action="store_true",
                        help="dump the final metrics snapshot as JSON "
                             "on shutdown")

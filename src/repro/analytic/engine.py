@@ -20,6 +20,7 @@ ProfileStore`.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -222,3 +223,63 @@ def predict_profile(program, block_size: int = 32,
         else:
             group[pred.pc] = pred
     return profile
+
+
+# -- the predict core shared by the pipeline and the service ----------
+
+def program_digest(source: str, optimize: bool) -> str:
+    """Content key of analytic profiles: the *program*, not the trace,
+    since predictions never see an execution."""
+    text = "|".join(("analytic-1", source, str(optimize)))
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def cached_profile(program, digest: str, block_size: int,
+                   store) -> AnalyticProfile:
+    """The profile for one block size, through the store's analytic
+    keyspace (memory tier + ``an-`` disk entries)."""
+    profile = store.get_analytic(digest, block_size)
+    if profile is None:
+        profile = predict_profile(program, block_size=block_size)
+        store.put_analytic(digest, block_size, profile)
+    return profile
+
+
+@dataclass
+class AnalyticAnswer:
+    """One profile per block size a config set needs, and its honesty."""
+
+    profiles: dict[int, AnalyticProfile]
+    coverage: float                # worst access-weighted HIGH share
+    confident: bool                # every config LRU, every profile sure
+    low_confidence_pcs: dict[int, tuple[str, ...]]
+
+    def evaluate(self, configs: list[CacheConfig]) -> list[CacheStats]:
+        return [self.profiles[c.block_size].evaluate(c) for c in configs]
+
+
+def analytic_answer(program, digest: str, configs: list[CacheConfig],
+                    store) -> AnalyticAnswer:
+    """Profiles for ``configs`` and whether they may answer them.
+
+    The answer is confident only when every config is LRU and every
+    profile's static coverage reaches :data:`CONFIDENCE_THRESHOLD`;
+    otherwise callers fall back to the measured sweep or report the
+    low coverage alongside the prediction.
+    """
+    profiles: dict[int, AnalyticProfile] = {}
+    for config in configs:
+        if config.block_size not in profiles:
+            profiles[config.block_size] = cached_profile(
+                program, digest, config.block_size, store)
+    low: dict[int, tuple[str, ...]] = {}
+    for profile in profiles.values():
+        low.update(profile.low_confidence_pcs())
+    supported = all(c.replacement == "lru" for c in configs)
+    return AnalyticAnswer(
+        profiles=profiles,
+        coverage=min((p.coverage for p in profiles.values()),
+                     default=0.0),
+        confident=supported and all(p.confident
+                                    for p in profiles.values()),
+        low_confidence_pcs=low)

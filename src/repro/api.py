@@ -3,7 +3,9 @@
 ``analyze_program`` runs the whole pipeline on one MiniC source string:
 compile, statically classify every load, optionally execute under a cache
 model, and report precision/coverage — the one-call version of what the
-table experiments do per benchmark.
+table experiments do per benchmark.  The trace comes from the same
+:class:`~repro.store.handle.TraceHandle` the pipeline session and the
+service use, and the coverage from the same sweep engine.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ from typing import Optional
 
 from repro.asm.program import Program
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
-from repro.cache.model import CacheStats, simulate_trace
+from repro.cache.model import CacheStats
+from repro.cache.stackdist import simulate_sweep
 from repro.compiler.driver import compile_source
 from repro.heuristic.classes import DEFAULT_DELTA, PAPER_WEIGHTS, Weights
 from repro.heuristic.classifier import DelinquencyClassifier, \
     HeuristicResult
-from repro.machine.simulator import ExecutionResult, Machine
+from repro.machine.simulator import ExecutionResult
 from repro.metrics.measures import coverage, precision
 from repro.patterns.builder import LoadInfo, build_load_infos
 from repro.profiling.profile import BlockProfile
+from repro.store.handle import TraceHandle
+from repro.store.tracestore import TraceStore, trace_key
 
 
 @dataclass
@@ -88,13 +93,20 @@ def analyze_program(source: str, *,
                     weights: Weights = PAPER_WEIGHTS,
                     delta: float = DEFAULT_DELTA,
                     use_frequency: Optional[bool] = None,
-                    max_steps: int = 300_000_000) -> AnalysisReport:
+                    max_steps: int = 300_000_000,
+                    store: Optional[TraceStore] = None) -> AnalysisReport:
     """Compile and analyze one MiniC program.
 
     With ``execute=True`` (default) the program runs under the cache
     model, enabling coverage (rho) and the frequency classes AG8/AG9;
     with ``execute=False`` the classification is purely static (the
     paper's "without AG8 and AG9" configuration).
+
+    ``store`` is a deployment setting: the trace store to read and fill
+    (the service passes its shared one).  With a store, a program traced
+    before executes nothing, and ``execution.trace`` is None unless the
+    trace had to be materialized; without one (the default) the trace
+    is materialized.
     """
     program = compile_source(source, optimize=optimize)
     load_infos = build_load_infos(program)
@@ -105,10 +117,14 @@ def analyze_program(source: str, *,
     exec_counts = None
     hotspots = None
     if execute:
-        machine = Machine(program, trace_memory=True, max_steps=max_steps)
-        execution = machine.run()
-        cache_stats = simulate_trace(execution.trace, cache)
-        profile = BlockProfile.from_execution(program, execution)
+        handle = TraceHandle(program,
+                             trace_key(source, optimize, max_steps),
+                             store, max_steps)
+        cache_stats = handle.replay(
+            lambda trace: simulate_sweep(trace, [cache]))[0]
+        execution = handle.execution()
+        profile = BlockProfile.from_block_counts(program,
+                                                 handle.block_counts)
         exec_counts = profile.load_exec_counts()
         hotspots = profile.hotspot_loads()
 

@@ -40,7 +40,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.cache.config import CacheConfig
 from repro.campaign.manifest import Manifest, campaign_dir
 from repro.experiments.grid import GridCell, campaign_cells, table_specs
-from repro.pipeline.session import RunKey, Session
+from repro.pipeline.session import RunKey, Session, _resolve_jobs
 
 #: Block size of the analytic profiles the tables read (Table 15 uses
 #: the baseline geometry's blocks).
@@ -340,10 +340,7 @@ class Campaign:
                    render_ready: Callable[[], None],
                    say: Callable[[str], None]) -> None:
         session = self.session
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS",
-                                      os.cpu_count() or 1))
-        jobs = max(1, min(jobs, len(compute) or 1))
+        jobs = min(_resolve_jobs(jobs), len(compute) or 1)
         if jobs == 1:
             for plan in compute:
                 wall, tier = _compute_inline(session, plan)

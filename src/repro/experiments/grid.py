@@ -3,10 +3,9 @@
 Each table module declares ``SPEC = TableSpec(...)`` — the exact
 workload × input × optimize × cache-geometry grid its formatter reads —
 instead of hard-coding the combinations in its ``run`` body.  The
-campaign engine (:mod:`repro.campaign`), the warm-up plan
-(:func:`repro.pipeline.session.standard_warm_plan`) and the serial
-runner all consume the same specs, so there is exactly one place where
-"what does Table N need?" is answered.
+campaign engine (:mod:`repro.campaign`, also behind ``repro warm``) and
+the serial runner both consume the same specs, so there is exactly one
+place where "what does Table N need?" is answered.
 
 A :class:`GridCell` is the unit of work: one ``(workload, input,
 optimize)`` run plus the set of cache geometries simulated over its
@@ -121,15 +120,3 @@ def campaign_cells(numbers: Sequence[int] | None = None
         cells.extend(specs[number].cells())
     return merge_cells(cells)
 
-
-def warm_plan() -> list[tuple[str, str, bool, tuple[CacheConfig, ...]]]:
-    """The full-suite warm plan, derived from the table specs.
-
-    Reproduces the historical hand-written plan exactly: eighteen
-    workloads at the baseline+training caches, the training set on its
-    second input, and the training set optimized under the geometry
-    sweep union — 40 entries.
-    """
-    return [(cell.workload, cell.input_name, cell.optimize,
-             cell.configs)
-            for cell in campaign_cells()]

@@ -6,8 +6,9 @@ experiments can share work:
 * **compile** — (workload, input, optimize) -> Program (cheap, memoized);
 * **analyze** — static address patterns per program (cheap, memoized);
 * **execute** — instruction-level run producing the block profile and the
-  memory trace (expensive; traces are held in a small LRU because they
-  dominate memory);
+  memory trace, acquired through a :class:`~repro.store.handle.TraceHandle`
+  (expensive; a trace-store hit executes nothing, and materialized traces
+  are held in a small LRU because they dominate memory);
 * **cache-simulate** — trace x cache-config -> per-load miss counts
   (moderately expensive; results are also persisted to a JSON disk cache
   keyed by a content hash, so re-running a bench suite skips simulation
@@ -19,12 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.asm.program import Program
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
@@ -32,20 +31,17 @@ from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
 from repro.cache.model import CacheStats, TraceSource
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
-from repro.machine.simulator import Machine
 from repro.patterns.builder import LoadInfo, build_load_infos
 from repro.profiling.profile import BlockProfile
-from repro.store.tracestore import (TraceStore, TraceStoreCorrupt,
-                                    trace_key)
+from repro.store.handle import TraceHandle
+from repro.store.tracestore import TraceStore, trace_key
 from repro.workloads.base import Workload
 from repro.workloads.registry import get as get_workload
 
 _SCHEMA_VERSION = 4
 _TRACE_LRU = 2
 
-#: A warm() work item: a RunKey, a (workload, input, optimize) triple, or
-#: the same triple plus an explicit cache-config sequence.
-WarmRun = Union["RunKey", tuple]
+T = TypeVar("T")
 
 
 def default_cache_dir() -> Path:
@@ -61,7 +57,7 @@ def default_cache_dir() -> Path:
 def atomic_write_json(path: Path, payload: dict) -> None:
     """Best-effort atomic JSON write (temp file + ``os.replace``).
 
-    Concurrent writers (warm workers, service instances) may race on
+    Concurrent writers (campaign workers, service instances) may race on
     the same entry: each writes a per-PID temp file and atomically
     renames it into place so a reader can never observe a partially
     written entry.  I/O failures are swallowed — caching is an
@@ -190,104 +186,40 @@ class Session:
         return trace_key(self.source(key.workload, key.input_name),
                          key.optimize, self.max_steps)
 
-    def _execute(self, key: RunKey, streaming: bool = True) -> None:
-        """Run the workload once, streaming into the trace store.
+    def _replay(self, key: RunKey,
+                compute: Callable[[TraceSource], T]) -> T:
+        """``compute`` over the run's trace, via one :class:`TraceHandle`.
 
-        With the store available the access trace goes straight to disk
-        in compressed chunks (bounded RSS, reusable by later sessions
-        and the service); without it — or with ``streaming=False`` as
-        the last-resort fallback when the store misbehaves — the trace
-        is materialized into the in-memory LRU as before.
+        A handle holding a materialized trace is reused from the
+        two-entry LRU; otherwise a fresh handle acquires the trace
+        store-first (see :mod:`repro.store.handle`).  The handle's
+        execution facts become the run's block profile and step count.
         """
-        program = self.program(key.workload, key.input_name, key.optimize)
-        machine = Machine(program, trace_memory=True,
-                          max_steps=self.max_steps, engine=self.engine)
-        writer = None
-        if streaming and self._trace_store is not None:
-            try:
-                writer = self._trace_store.writer(self._trace_key(key))
-            except OSError:
-                writer = None
-        if writer is not None:
-            try:
-                result = machine.run_streaming(writer)
-            except BaseException:
-                writer.abort()
-                raise
-            try:
-                writer.close(block_counts=result.block_counts,
-                             steps=result.steps,
-                             exit_code=result.exit_code,
-                             output=result.output)
-            except OSError:
-                self._trace_store.delete(self._trace_key(key))
+        handle = self._traces.get(key)
+        if handle is None:
+            handle = TraceHandle(
+                self.program(key.workload, key.input_name, key.optimize),
+                self._trace_key(key), self._trace_store, self.max_steps,
+                self.engine)
         else:
-            result = machine.run()
-            self._traces[key] = result.trace
+            self._traces.move_to_end(key)
+        result = handle.replay(compute)
+        if key not in self._profiles:
+            self._profiles[key] = BlockProfile.from_block_counts(
+                handle.program, handle.block_counts)
+            self._steps[key] = handle.steps
+        if handle.trace is not None:
+            self._traces[key] = handle
             while len(self._traces) > _TRACE_LRU:
                 self._traces.popitem(last=False)
-        self._profiles[key] = BlockProfile.from_execution(program, result)
-        self._steps[key] = result.steps
-
-    def _absorb_trace_meta(self, key: RunKey) -> bool:
-        """Adopt profile facts from a trace store hit (no execution)."""
-        if self._trace_store is None:
-            return False
-        meta = self._trace_store.meta(self._trace_key(key))
-        if not meta or not meta.get("block_counts"):
-            return False
-        try:
-            block_counts = {int(a): int(c) for a, c
-                            in meta["block_counts"].items()}
-            steps = int(meta.get("steps", 0))
-        except (AttributeError, TypeError, ValueError):
-            return False
-        program = self.program(key.workload, key.input_name, key.optimize)
-        self._profiles[key] = BlockProfile.from_block_counts(
-            program, block_counts)
-        self._steps[key] = steps
-        return True
-
-    def _trace_source(self, key: RunKey) -> TraceSource:
-        """The cheapest available access stream for one run.
-
-        Preference order: the in-memory trace LRU, then a chunked
-        stream from the on-disk trace store (absorbing the stored block
-        profile on the way), then execution — which streams into the
-        store when possible, so the next call is a store hit.
-        """
-        trace = self._traces.get(key)
-        if trace is not None:
-            self._traces.move_to_end(key)
-            return trace
-        if self._trace_store is not None:
-            stream = self._trace_store.open(self._trace_key(key))
-            if stream is not None:
-                if key not in self._profiles:
-                    self._absorb_trace_meta(key)
-                return stream
-        self._execute(key)
-        trace = self._traces.get(key)
-        if trace is not None:
-            return trace
-        stream = self._trace_store.open(self._trace_key(key))
-        if stream is not None:
-            return stream
-        # The store swallowed the streamed trace (e.g. a failed close):
-        # re-execute materialized so the caller always gets a source.
-        self._execute(key, streaming=False)
-        return self._traces[key]
+        return result
 
     def profile(self, workload: str, input_name: str = "input1",
                 optimize: bool = False) -> BlockProfile:
         key = RunKey(workload, input_name, optimize)
-        if key not in self._profiles:
-            loaded = self._load_disk(key, BASELINE_CONFIG,
-                                     profile_only=True)
-            if not loaded:
-                loaded = self._absorb_trace_meta(key)
-            if not loaded:
-                self._execute(key)
+        if key not in self._profiles and not self._load_disk(
+                key, BASELINE_CONFIG, profile_only=True):
+            self._replay(key, lambda source: None)   # acquire only
         return self._profiles[key]
 
     def stats_multi(self, workload: str, input_name: str = "input1",
@@ -308,18 +240,9 @@ class Session:
             if config not in missing:
                 missing.append(config)
         if missing:
-            source = self._trace_source(key)
-            try:
-                stats_list = simulate_sweep(source, missing,
-                                            store=self._profile_store)
-            except TraceStoreCorrupt:
-                # A stored trace failed to decode mid-replay: drop the
-                # entry and re-execute materialized (guaranteed to
-                # produce a source even if the disk is misbehaving).
-                self._trace_store.delete(self._trace_key(key))
-                self._execute(key, streaming=False)
-                stats_list = simulate_sweep(self._traces[key], missing,
-                                            store=self._profile_store)
+            stats_list = self._replay(
+                key, lambda source: simulate_sweep(
+                    source, missing, store=self._profile_store))
             for config, stats in zip(missing, stats_list):
                 self._stats[(key, config)] = stats
                 if self.use_disk_cache:
@@ -333,19 +256,6 @@ class Session:
                                 (cache_config,))[0]
 
     # -- scenario families (TLB, PCAX, redundancy) --------------------
-    def _over_trace(self, key: RunKey, compute):
-        """Run ``compute(source)`` with the corrupt-store fallback
-        stats_multi uses: a stored trace that fails to decode
-        mid-stream is dropped and the workload re-executed
-        materialized."""
-        source = self._trace_source(key)
-        try:
-            return compute(source)
-        except TraceStoreCorrupt:
-            self._trace_store.delete(self._trace_key(key))
-            self._execute(key, streaming=False)
-            return compute(self._traces[key])
-
     def tlb_stats(self, workload: str, input_name: str = "input1",
                   optimize: bool = False,
                   configs: Sequence["TlbConfig"] = ()
@@ -360,7 +270,7 @@ class Session:
         from repro.tlb import TlbConfig, simulate_tlb
         configs = list(configs) or [TlbConfig()]
         key = RunKey(workload, input_name, optimize)
-        return self._over_trace(
+        return self._replay(
             key, lambda source: simulate_tlb(
                 source, configs, store=self._profile_store))
 
@@ -374,7 +284,7 @@ class Session:
         key = RunKey(workload, input_name, optimize)
         memo = (key, page_size, threshold)
         if memo not in self._pcax:
-            self._pcax[memo] = self._over_trace(
+            self._pcax[memo] = self._replay(
                 key, lambda source: pcax_profile(
                     source, page_size=page_size, threshold=threshold))
         return self._pcax[memo]
@@ -385,33 +295,25 @@ class Session:
         from repro.redundancy import analyze_redundancy
         key = RunKey(workload, input_name, optimize)
         if key not in self._redundancy:
-            self._redundancy[key] = self._over_trace(
+            self._redundancy[key] = self._replay(
                 key, analyze_redundancy)
         return self._redundancy[key]
 
     # -- analytic (trace-free) prediction -----------------------------
     def _program_digest(self, key: RunKey) -> str:
-        """Content key for analytic profiles: the *program*, not the
-        trace — predictions never see an execution."""
-        text = "|".join(("analytic-1",
-                         self.source(key.workload, key.input_name),
-                         str(key.optimize)))
-        return hashlib.sha1(text.encode()).hexdigest()
+        from repro.analytic import program_digest
+        return program_digest(self.source(key.workload, key.input_name),
+                              key.optimize)
 
     def analytic_profile(self, workload: str, input_name: str = "input1",
                          optimize: bool = False, block_size: int = 32):
         """Predicted reuse profile, cached in the profile store's
         analytic keyspace (memory tier + ``an-`` disk entries)."""
-        from repro.analytic import predict_profile
+        from repro.analytic.engine import cached_profile
         key = RunKey(workload, input_name, optimize)
-        digest = self._program_digest(key)
-        profile = self._profile_store.get_analytic(digest, block_size)
-        if profile is None:
-            profile = predict_profile(
-                self.program(workload, input_name, optimize),
-                block_size=block_size)
-            self._profile_store.put_analytic(digest, block_size, profile)
-        return profile
+        return cached_profile(self.program(workload, input_name, optimize),
+                              self._program_digest(key), block_size,
+                              self._profile_store)
 
     def predict_stats(self, workload: str, input_name: str = "input1",
                       optimize: bool = False,
@@ -427,28 +329,19 @@ class Session:
         the default) or is answered anyway with ``analytic=True`` and
         the low coverage reported (``fallback=False``).
         """
+        from repro.analytic import analytic_answer
         configs = list(configs)
-        profiles: dict[int, object] = {}
-        for config in configs:
-            if config.block_size not in profiles:
-                profiles[config.block_size] = self.analytic_profile(
-                    workload, input_name, optimize, config.block_size)
-        coverage = min((p.coverage for p in profiles.values()),
-                       default=0.0)
-        low: dict[int, tuple] = {}
-        for p in profiles.values():
-            low.update(p.low_confidence_pcs())
-        supported = all(c.replacement == "lru" for c in configs)
-        confident = supported and all(p.confident
-                                      for p in profiles.values())
-        if not confident and fallback:
-            stats = self.stats_multi(workload, input_name, optimize,
-                                     configs)
-            return Prediction(stats=list(stats), analytic=False,
-                              coverage=coverage, low_confidence_pcs=low)
-        stats = [profiles[c.block_size].evaluate(c) for c in configs]
-        return Prediction(stats=stats, analytic=True, coverage=coverage,
-                          low_confidence_pcs=low)
+        key = RunKey(workload, input_name, optimize)
+        answer = analytic_answer(
+            self.program(workload, input_name, optimize),
+            self._program_digest(key), configs, self._profile_store)
+        measured = not answer.confident and fallback
+        stats = self.stats_multi(workload, input_name, optimize,
+                                 configs) if measured \
+            else answer.evaluate(configs)
+        return Prediction(stats=list(stats), analytic=not measured,
+                          coverage=answer.coverage,
+                          low_confidence_pcs=answer.low_confidence_pcs)
 
     def measurement(self, workload: str, input_name: str = "input1",
                     optimize: bool = False,
@@ -583,70 +476,11 @@ class Session:
         return self._absorb(key, config, payload,
                             profile_only=profile_only)
 
-    # -- the warm stage ----------------------------------------------
     def _is_warm(self, key: RunKey, config: CacheConfig) -> bool:
         if (key, config) in self._stats:
             return True
         return self.use_disk_cache \
             and self._disk_path(key, config).exists()
-
-    def warm(self, runs: Iterable[WarmRun],
-             configs: Sequence[CacheConfig] = (BASELINE_CONFIG,),
-             jobs: Optional[int] = None) -> "WarmReport":
-        """Execute + cache-simulate ``runs`` ahead of time, in parallel.
-
-        Each run is a :class:`RunKey`, a ``(workload, input, optimize)``
-        triple (simulated under ``configs``), or the same triple plus an
-        explicit config sequence.  Independent runs fan out across a
-        ``ProcessPoolExecutor`` (``jobs`` defaults to ``$REPRO_JOBS``,
-        then the CPU count); every run replays its trace once for all
-        of its configs.  Results merge through the content-hashed disk
-        cache and the in-memory caches, so subsequent ``stats`` /
-        ``measurement`` calls are cache hits.
-        """
-        start = time.perf_counter()
-        plan: list[tuple[RunKey, tuple[CacheConfig, ...]]] = []
-        for item in runs:
-            if isinstance(item, RunKey):
-                plan.append((item, tuple(configs)))
-                continue
-            item = tuple(item)
-            if len(item) == 4:
-                plan.append((RunKey(*item[:3]), tuple(item[3])))
-            else:
-                plan.append((RunKey(*item), tuple(configs)))
-        pending: list[tuple[RunKey, tuple[CacheConfig, ...]]] = []
-        cached = 0
-        for key, run_configs in plan:
-            missing = tuple(c for c in run_configs
-                            if not self._is_warm(key, c))
-            if missing:
-                pending.append((key, missing))
-            else:
-                cached += 1
-        jobs = max(1, min(_resolve_jobs(jobs), len(pending)))
-        if jobs > 1:
-            tasks = [(self.scale, self.max_steps, self.use_disk_cache,
-                      str(self.cache_dir), self.engine,
-                      (key.workload, key.input_name, key.optimize),
-                      run_configs)
-                     for key, run_configs in pending]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for (key, run_configs), payloads in zip(
-                        pending, pool.map(_warm_worker, tasks)):
-                    for config, payload in zip(run_configs, payloads):
-                        self._absorb(key, config, payload)
-        else:
-            for key, run_configs in pending:
-                self.stats_multi(key.workload, key.input_name,
-                                 key.optimize, run_configs)
-        return WarmReport(
-            runs=len(plan),
-            simulated=len(pending),
-            cached=cached,
-            jobs=jobs,
-            elapsed=time.perf_counter() - start,
-        )
 
 
 @dataclass
@@ -657,54 +491,3 @@ class Prediction:
     analytic: bool                 # False: served by the measured sweep
     coverage: float                # access-weighted HIGH-confidence share
     low_confidence_pcs: dict[int, tuple]
-
-
-@dataclass(frozen=True)
-class WarmReport:
-    """Summary of one :meth:`Session.warm` invocation."""
-
-    runs: int          # work items in the plan
-    simulated: int     # items that needed execution/simulation
-    cached: int        # items fully satisfied by existing caches
-    jobs: int          # worker processes actually used
-    elapsed: float     # wall-clock seconds
-
-    def describe(self) -> str:
-        return (f"{self.simulated} run(s) simulated, "
-                f"{self.cached} already cached, "
-                f"{self.jobs} job(s), {self.elapsed:.1f}s")
-
-
-def _warm_worker(task: tuple) -> list[Optional[dict]]:
-    """Executed in a worker process: one run, all of its configs.
-
-    Builds a private :class:`Session` (sharing the on-disk cache
-    directory), runs the pipeline through :meth:`Session.stats_multi`
-    — one trace replay for all configs — and returns the JSON-able
-    cache payloads so the parent can merge them without re-reading
-    the disk.
-    """
-    (scale, max_steps, use_disk_cache, cache_dir, engine,
-     key_tuple, configs) = task
-    session = Session(scale=scale, cache_dir=Path(cache_dir),
-                      use_disk_cache=use_disk_cache, max_steps=max_steps,
-                      engine=engine)
-    key = RunKey(*key_tuple)
-    stats_list = session.stats_multi(key.workload, key.input_name,
-                                     key.optimize, configs)
-    return [session._payload(key, stats) for stats in stats_list]
-
-
-def standard_warm_plan() -> list[tuple[str, str, bool, tuple]]:
-    """Every (run, cache-config) combination the table suite consumes.
-
-    Derived from the table modules' declarative ``SPEC`` grids (see
-    :mod:`repro.experiments.grid`): all eighteen workloads at the
-    baseline and training caches (unoptimized, input 1), the training
-    set on its second input, and the training set optimized under the
-    associativity and size sweeps (which include Table 13's 16KB
-    cache).
-    """
-    # Imported here: the experiments package imports this module.
-    from repro.experiments.grid import warm_plan
-    return warm_plan()

@@ -12,7 +12,7 @@ interchangeable.
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Optional
 
 from repro.api import analyze_program
 from repro.cache.config import CacheConfig
@@ -20,11 +20,13 @@ from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
 from repro.export import report_to_dict
 from repro.heuristic.classes import Weights
-from repro.machine.simulator import Machine
 from repro.pipeline.session import default_cache_dir
 from repro.service import protocol
-from repro.store.tracestore import (TraceStore, TraceStoreCorrupt,
-                                    trace_key)
+from repro.store.handle import TraceHandle
+from repro.store.tracestore import TraceStore, trace_key
+
+# Both stores are read at call time: the server rebinds them from its
+# ``cache_dir`` / ``use_disk_cache`` config before its pool forks.
 
 #: Stack-distance profiles for the merged ``simulate`` op, sharing the
 #: pipeline/service warm directory: a re-sweep of a known program with
@@ -32,11 +34,12 @@ from repro.store.tracestore import (TraceStore, TraceStoreCorrupt,
 _PROFILE_STORE = ProfileStore(disk_dir=default_cache_dir() / "stackdist")
 
 #: Chunked trace store shared with the pipeline session (same content
-#: keys): a ``simulate`` request for a known program skips execution
-#: entirely and streams the stored trace; a cold request streams its
-#: execution into the store, so the server never holds a whole trace
-#: per request.
-_TRACE_STORE = TraceStore(default_cache_dir() / "traces")
+#: keys): a request for a known program skips execution entirely and
+#: streams the stored trace; a cold request streams its execution into
+#: the store, so the server never holds a whole trace per request.
+#: None (``serve --no-disk-cache``): every trace is materialized.
+_TRACE_STORE: Optional[TraceStore] = TraceStore(default_cache_dir()
+                                                / "traces")
 
 
 def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
@@ -53,96 +56,20 @@ def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
         weights=Weights.from_dict(params["weights"]),
         delta=params["delta"],
         max_steps=params["max_steps"],
+        store=_TRACE_STORE,
     )
     return report_to_dict(report)
 
 
-class _TraceHandle:
-    """One workload's trace, acquired store-first, replayed many ways.
-
-    Shared by every op that needs an access trace (``simulate``,
-    ``tlb``, ``redundancy``): a repeat request for the same (source,
-    optimize, max_steps) skips execution and streams the stored
-    chunks, a cold request streams its execution into the store, and a
-    corrupt entry is dropped and re-executed materialized.  The
-    ``block_counts`` come from the stored meta on a store hit and from
-    the execution itself otherwise, so callers see identical profile
-    facts either way.
-    """
-
-    def __init__(self, params: dict[str, Any]):
-        self.program = compile_source(params["source"],
-                                      optimize=params["optimize"])
-        self._params = params
-        self._key = trace_key(params["source"], params["optimize"],
-                              params["max_steps"])
-        self.steps = 0
-        self.block_counts: dict[int, int] = {}
-        self._source = None
-
-    def _execute(self, streaming: bool):
-        """One execution; streamed into the store when possible."""
-        # The engine knob is an operator-side switch (params may carry
-        # it, e.g. from $REPRO_ENGINE on the server); it is absent from
-        # request/cache/store keys because both engines are
-        # bit-identical.
-        machine = Machine(self.program, trace_memory=True,
-                          max_steps=self._params["max_steps"],
-                          engine=self._params.get("engine"))
-        writer = None
-        if streaming:
-            try:
-                writer = _TRACE_STORE.writer(self._key)
-            except OSError:
-                writer = None
-        if writer is None:
-            execution = machine.run()
-            self._adopt(execution)
-            return execution.trace
-        try:
-            execution = machine.run_streaming(writer)
-        except BaseException:
-            writer.abort()
-            raise
-        try:
-            writer.close(block_counts=execution.block_counts,
-                         steps=execution.steps,
-                         exit_code=execution.exit_code,
-                         output=execution.output)
-        except OSError:
-            _TRACE_STORE.delete(self._key)
-        self._adopt(execution)
-        return _TRACE_STORE.open(self._key)
-
-    def _adopt(self, execution) -> None:
-        self.steps = execution.steps
-        self.block_counts = dict(execution.block_counts)
-
-    def source(self):
-        """The cheapest replayable trace source (store stream first)."""
-        if self._source is None:
-            self._source = _TRACE_STORE.open(self._key)
-            if self._source is not None:
-                meta = _TRACE_STORE.meta(self._key)
-                self.steps = int(meta["steps"])
-                self.block_counts = {
-                    int(a): int(c)
-                    for a, c in (meta.get("block_counts")
-                                 or {}).items()}
-            else:
-                self._source = self._execute(streaming=True)
-                if self._source is None:
-                    self._source = self._execute(streaming=False)
-        return self._source
-
-    def replay(self, compute):
-        """``compute(source)`` with the corrupt-store fallback."""
-        try:
-            return compute(self.source())
-        except TraceStoreCorrupt:
-            _TRACE_STORE.delete(self._key)
-            self._source = self._execute(streaming=False)
-            return compute(self._source)
+def _trace(params: dict[str, Any]) -> TraceHandle:
+    """The request's trace handle over the shared trace store."""
+    # ``engine`` is an operator-side switch (e.g. $REPRO_ENGINE on the
+    # server), absent from request keys: both engines are bit-identical.
+    return TraceHandle(
+        compile_source(params["source"], optimize=params["optimize"]),
+        trace_key(params["source"], params["optimize"],
+                  params["max_steps"]),
+        _TRACE_STORE, params["max_steps"], params.get("engine"))
 
 
 def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
@@ -153,11 +80,11 @@ def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
     configs — or N batched requests for one config each — costs at most
     one trace pass, and LRU geometry sweeps collapse to one pass per
     set mapping with the per-PC distance profile cached on disk.  The
-    trace itself comes from the shared :class:`_TraceHandle` (chunked
-    trace store, one execution ever).
+    trace itself comes from a :class:`~repro.store.handle.TraceHandle`
+    (chunked trace store, one execution ever).
     """
     configs = [CacheConfig(**entry) for entry in params["configs"]]
-    handle = _TraceHandle(params)
+    handle = _trace(params)
     program = handle.program
     sweep = handle.replay(
         lambda source: simulate_sweep(source, configs,
@@ -208,42 +135,21 @@ def run_predict(params: dict[str, Any]) -> dict[str, Any]:
     confidence reported.  Either way the per-config result rows mirror
     ``simulate``'s schema, plus the analytic provenance fields.
     """
-    import hashlib
-
-    from repro.analytic import predict_profile
+    from repro.analytic import analytic_answer, program_digest
 
     program = compile_source(params["source"],
                              optimize=params["optimize"])
     configs = [CacheConfig(**entry) for entry in params["configs"]]
-    digest = hashlib.sha1("|".join(
-        ("analytic-1", params["source"],
-         str(params["optimize"]))).encode()).hexdigest()
-    profiles: dict[int, Any] = {}
-    for config in configs:
-        if config.block_size in profiles:
-            continue
-        profile = _PROFILE_STORE.get_analytic(digest, config.block_size)
-        if profile is None:
-            profile = predict_profile(program,
-                                      block_size=config.block_size)
-            _PROFILE_STORE.put_analytic(digest, config.block_size,
-                                        profile)
-        profiles[config.block_size] = profile
-    coverage = min((p.coverage for p in profiles.values()), default=0.0)
-    supported = all(c.replacement == "lru" for c in configs)
-    confident = supported and all(p.confident
-                                  for p in profiles.values())
-    if not confident and params["fallback"]:
+    answer = analytic_answer(
+        program, program_digest(params["source"], params["optimize"]),
+        configs, _PROFILE_STORE)
+    if not answer.confident and params["fallback"]:
         response = run_simulate(params)
         response["analytic"] = False
-        response["coverage"] = coverage
+        response["coverage"] = answer.coverage
         return response
-    low: dict[int, tuple] = {}
-    for profile in profiles.values():
-        low.update(profile.low_confidence_pcs())
     results = []
-    for config in configs:
-        stats = profiles[config.block_size].evaluate(config)
+    for config, stats in zip(configs, answer.evaluate(configs)):
         results.append({
             "config": protocol.cache_config_to_dict(config),
             "description": config.describe(),
@@ -259,18 +165,19 @@ def run_predict(params: dict[str, Any]) -> dict[str, Any]:
         "num_loads": program.num_loads(),
         "results": results,
         "analytic": True,
-        "coverage": coverage,
-        "low_confidence_pcs": {f"{pc:#x}": list(reasons)
-                               for pc, reasons in sorted(low.items())},
+        "coverage": answer.coverage,
+        "low_confidence_pcs": {
+            f"{pc:#x}": list(reasons)
+            for pc, reasons in sorted(answer.low_confidence_pcs.items())},
     }
 
 
-def _delinquent_set(handle: _TraceHandle) -> set[int]:
+def _delinquent_set(handle: TraceHandle) -> set[int]:
     """The heuristic's delinquent set for one traced workload.
 
-    Exec counts and hotspots come from the block profile the
-    :class:`_TraceHandle` guarantees (stored meta or the execution
-    itself), so the set is identical on cold and store-warmed paths.
+    Exec counts and hotspots come from the block profile the trace
+    handle guarantees (stored meta or the execution itself), so the set
+    is identical on cold and store-warmed paths.
     """
     from repro.heuristic.classifier import DelinquencyClassifier
     from repro.patterns.builder import build_load_infos
@@ -300,7 +207,7 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
     from repro.tlb import (TlbConfig, pcax_crosstab, pcax_profile,
                            simulate_tlb)
     configs = [TlbConfig(**entry) for entry in params["geometries"]]
-    handle = _TraceHandle(params)
+    handle = _trace(params)
     sweep = handle.replay(
         lambda source: simulate_tlb(source, configs,
                                     store=_PROFILE_STORE))
@@ -356,7 +263,7 @@ def run_redundancy(params: dict[str, Any]) -> dict[str, Any]:
     from repro.patterns.builder import build_load_infos
     from repro.profiling.profile import BlockProfile
     from repro.redundancy import ag_crosstab, analyze_redundancy
-    handle = _TraceHandle(params)
+    handle = _trace(params)
     stats = handle.replay(analyze_redundancy)
     load_infos = build_load_infos(handle.program)
     load_exec: dict[int, int] = {}

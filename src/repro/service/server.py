@@ -41,7 +41,10 @@ class ServerConfig:
     batch_max: int = 8              # max requests per batch
     timeout: float = 120.0          # default per-request seconds
     cache_entries: int = 256        # memory-tier LRU capacity
-    cache_dir: Optional[Path] = None    # disk tier (None: shared dir)
+    # Results go to cache_dir itself, traces and stack-distance profiles
+    # to its traces/ and stackdist/ subdirectories.  None: the shared
+    # .repro_cache layout.  use_disk_cache=False: no disk tier at all.
+    cache_dir: Optional[Path] = None
     use_disk_cache: bool = True
 
 
@@ -68,10 +71,36 @@ class AnalysisServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown = None
         self._connections: set = set()
+        self._saved_stores: Optional[tuple] = None
+        self.profile_store = None       # bound at start()
 
     # -- lifecycle ---------------------------------------------------
+    def _bind_stores(self) -> None:
+        """Point the ops' trace and profile stores at the configured
+        cache, before the worker pool forks so the workers inherit
+        them.  The default config leaves the shared stores alone."""
+        from repro.cache.stackdist import ProfileStore
+        from repro.service import ops
+        from repro.store.tracestore import TraceStore
+        self._saved_stores = (ops._TRACE_STORE, ops._PROFILE_STORE)
+        if not self.config.use_disk_cache:
+            ops._TRACE_STORE = None
+            ops._PROFILE_STORE = ProfileStore()
+        elif self.config.cache_dir is not None:
+            root = Path(self.config.cache_dir)
+            ops._TRACE_STORE = TraceStore(root / "traces")
+            ops._PROFILE_STORE = ProfileStore(disk_dir=root / "stackdist")
+        self.profile_store = ops._PROFILE_STORE
+
+    def _restore_stores(self) -> None:
+        if self._saved_stores is not None:
+            from repro.service import ops
+            ops._TRACE_STORE, ops._PROFILE_STORE = self._saved_stores
+            self._saved_stores = None
+
     async def start(self) -> None:
         self._shutdown = asyncio.Event()
+        self._bind_stores()
         self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
@@ -93,6 +122,7 @@ class AnalysisServer:
                 await asyncio.gather(*self._connections,
                                      return_exceptions=True)
         await self.scheduler.stop()
+        self._restore_stores()
 
     def request_stop(self) -> None:
         if self._shutdown is not None:
@@ -165,14 +195,13 @@ class AnalysisServer:
             # The profile-store counters are exact under the thread
             # pool; under a process pool they cover only lookups made
             # in this process (each worker owns its own store).
-            from repro.service import ops
             return self.metrics.snapshot(
                 cache_stats=self.cache.stats(),
                 queue_depth=self.scheduler.queue_depth,
                 queue_capacity=self.config.queue_size,
                 workers=self.scheduler.workers,
                 pool_mode=self.scheduler.pool_mode,
-                profile_store=ops._PROFILE_STORE.stats()), None
+                profile_store=self.profile_store.stats()), None
         if request.op == "shutdown":
             self.request_stop()
             return {"stopping": True}, None
@@ -214,13 +243,12 @@ def run_server(config: Optional[ServerConfig] = None,
         try:
             await server.serve_until_shutdown()
         finally:
-            from repro.service import ops
             holder["snapshot"] = server.metrics.snapshot(
                 cache_stats=server.cache.stats(),
                 queue_capacity=config.queue_size,
                 workers=server.scheduler.workers,
                 pool_mode=server.scheduler.pool_mode,
-                profile_store=ops._PROFILE_STORE.stats())
+                profile_store=server.profile_store.stats())
 
     try:
         asyncio.run(main())

@@ -1,14 +1,17 @@
 """Persistent, content-addressed storage for execution artifacts.
 
-The package currently holds one store: the chunked columnar trace store
+The package holds the chunked columnar trace store
 (:mod:`repro.store.tracestore`), which persists memory-access streams so
 a workload is executed at most once per (source, input, optimize,
-engine-contract) key, plus the cache garbage collector
-(:mod:`repro.store.gc`) that bounds every on-disk cache tier by size.
+engine-contract) key; the one trace handle every consumer acquires a
+trace through (:mod:`repro.store.handle`); and the cache garbage
+collector (:mod:`repro.store.gc`) that bounds every on-disk cache tier
+by size.
 """
 
+from repro.store.handle import TraceHandle
 from repro.store.tracestore import (TraceStore, TraceStoreCorrupt,
                                     TraceStoreWriter, trace_key)
 
-__all__ = ["TraceStore", "TraceStoreCorrupt", "TraceStoreWriter",
-           "trace_key"]
+__all__ = ["TraceHandle", "TraceStore", "TraceStoreCorrupt",
+           "TraceStoreWriter", "trace_key"]

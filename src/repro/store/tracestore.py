@@ -30,7 +30,8 @@ Write protocol: frames go to a per-PID temp file, the bin is published
 with ``os.replace``, and the meta sidecar is written (atomically) last
 — so a meta file's existence implies a complete bin, and concurrent
 writers of the same key are safe (last writer wins with identical
-content).  Readers decode lazily; any mismatch (short frame, bad zlib
+content).  A sidecar missing or mistyping a field is a miss, not an
+error.  Readers decode lazily; any mismatch (short frame, bad zlib
 stream, row-count drift) raises :class:`TraceStoreCorrupt` so the
 caller can delete the entry and fall back to re-execution.
 """
@@ -112,6 +113,23 @@ def _undelta_blob(blob: bytes, rows: int) -> array:
     # Masked prefix sum inverts the delta encoding; ``accumulate`` and
     # ``map`` keep the reconstruction at C speed.
     return array("I", map(_MASK32.__and__, accumulate(deltas)))
+
+
+def _sound(meta: dict) -> bool:
+    """Does ``meta`` carry every field readers convert, well-typed?"""
+    try:
+        int(meta["rows"])
+        int(meta["prefetch_count"])
+        int(meta["steps"])
+        int(meta["exit_code"])
+        for name in ("load_accesses", "store_accesses", "block_counts"):
+            for pc, count in meta[name].items():
+                int(pc), int(count)
+        for value in meta["output"]:
+            int(value)
+        return isinstance(meta["digest"], str)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
 
 
 class TraceStoreWriter:
@@ -218,13 +236,19 @@ class TraceStore:
         return self._meta(key).exists() and self._bin(key).exists()
 
     def meta(self, key: str) -> Optional[dict]:
-        """The meta sidecar, or None if absent/undecodable."""
+        """The meta sidecar, or None if absent, undecodable or torn.
+
+        A sidecar of the right schema that lacks or mistypes any field
+        a reader relies on is torn: it counts as a miss, so the caller
+        re-executes instead of crashing on the entry.
+        """
         try:
             payload = json.loads(self._meta(key).read_text())
         except (OSError, ValueError):
             return None
         if (not isinstance(payload, dict)
                 or payload.get("schema") != _SCHEMA
+                or not _sound(payload)
                 or not self._bin(key).exists()):
             return None
         return payload

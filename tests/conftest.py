@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 
 import pytest
@@ -21,6 +23,21 @@ TIME_SCALE = float(os.environ.get("REPRO_TEST_TIMEOUT", "1") or "1")
 def time_scaled(seconds: float) -> float:
     """``seconds`` stretched by the ``$REPRO_TEST_TIMEOUT`` factor."""
     return seconds * TIME_SCALE
+
+
+#: Table 10 cut down to two workloads: a campaign over it has exactly
+#: two run cells, which keeps warm-stage tests fast.
+SMALL_GRID_NAMES = ("129.compress", "181.mcf")
+
+
+@pytest.fixture
+def small_grid(monkeypatch):
+    """Restrict Table 10 to :data:`SMALL_GRID_NAMES` for one test."""
+    from repro.experiments import runner, table10
+    monkeypatch.setattr(table10, "SPEC", dataclasses.replace(
+        table10.SPEC, names=SMALL_GRID_NAMES))
+    monkeypatch.setitem(runner.EXPERIMENTS, 10, functools.partial(
+        table10.run, names=SMALL_GRID_NAMES))
 
 #: A program exercising arrays, structs, pointers, loops and calls —
 #: the common subject for integration-level assertions.

@@ -27,10 +27,9 @@ from repro.campaign import Campaign, Manifest, campaign_dir, code_digest
 from repro.cluster.metrics import aggregate_worker_metrics
 from repro.experiments.grid import (CACHE_16K, GridCell, TableSpec,
                                     campaign_cells, merge_cells,
-                                    sweep_configs, table_specs,
-                                    warm_plan)
+                                    sweep_configs, table_specs)
 from repro.experiments.runner import run_tables
-from repro.pipeline.session import Session, standard_warm_plan
+from repro.pipeline.session import Session
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,9 +46,15 @@ def _session(tmp_path: Path) -> Session:
 # ---------------------------------------------------------------------
 class TestGrid:
     def test_warm_plan_is_the_historical_forty(self):
-        plan = warm_plan()
-        assert len(plan) == 40
-        assert plan == standard_warm_plan()
+        # ``repro warm`` runs the campaign: its run cells are the
+        # historical forty-entry warm plan.
+        cells = campaign_cells()
+        assert len(cells) == 40
+        assert len({cell.run_key for cell in cells}) == 40
+        for cell in cells:
+            assert cell.input_name in ("input1", "input2")
+            assert isinstance(cell.optimize, bool)
+            assert cell.configs  # never an empty config tuple
 
     def test_cache_16k_dedups_into_sweep_union(self):
         assert CACHE_16K == size_sweep()[1]
@@ -203,6 +208,12 @@ class TestCampaign:
         result = fresh.run(jobs=1)   # no resume: replans every cell
         assert result.skipped == 0
         assert result.cached > 0     # but the disk caches are warm
+
+    def test_empty_repro_jobs_means_the_default(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "")
+        result = Campaign(_session(tmp_path), numbers=[6]).run()
+        assert sorted(result.tables) == [6]
 
     def test_unknown_table_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):

@@ -121,22 +121,28 @@ class TestTables:
 
 
 class TestWarm:
+    """``warm`` is an alias of ``campaign``."""
+
     def test_warm_filtered(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        code = main(["warm", "--workloads", "129.compress",
-                     "--scale", "0.03", "--jobs", "2",
-                     "--cache-dir", str(cache_dir)])
+        code = main(["warm", "--tables", "6", "--scale", "0.03",
+                     "--jobs", "2", "--cache-dir", str(cache_dir)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "warm:" in out
-        assert "job(s)" in out
-        assert list(cache_dir.glob("*.json"))
+        assert "campaign:" in out
+        assert "1 table(s)" in out
+        assert (cache_dir / "campaign" / "tables" / "table06.txt").exists()
 
-    def test_warm_unknown_workload(self, tmp_path, capsys):
-        code = main(["warm", "--workloads", "999.nope",
+    def test_warm_unknown_table(self, tmp_path, capsys):
+        code = main(["warm", "--tables", "99",
                      "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
-        assert "unknown workload" in capsys.readouterr().out
+        assert "unknown tables" in capsys.readouterr().err
+
+    def test_warm_has_no_workloads_filter(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["warm", "--workloads", "129.compress",
+                  "--cache-dir", str(tmp_path / "cache")])
 
 
 class TestJsonExport:

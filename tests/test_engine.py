@@ -2,8 +2,8 @@
 
 Covers the single-pass multi-configuration replay
 (:func:`simulate_trace_multi`, :func:`simulate_trace_hierarchy_multi`),
-the :meth:`Session.warm` fan-out, and the disk-cache hardening against
-concurrent or corrupt writers.
+the warm stage (a campaign fanned out over worker processes), and the
+disk-cache hardening against concurrent or corrupt writers.
 """
 
 import json
@@ -20,9 +20,13 @@ from repro.cache.hierarchy import (DEFAULT_HIERARCHY, HierarchyConfig,
                                    simulate_trace_hierarchy,
                                    simulate_trace_hierarchy_multi)
 from repro.cache.model import simulate_trace, simulate_trace_multi
+from repro.campaign import Campaign
+from repro.experiments.grid import campaign_cells
+from repro.machine.simulator import Machine
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
-from repro.pipeline.session import (RunKey, Session, WarmReport,
-                                    _resolve_jobs, standard_warm_plan)
+from repro.pipeline.session import RunKey, Session, _resolve_jobs
+from repro.store.handle import TraceHandle
+from tests.conftest import SMALL_GRID_NAMES
 
 WL = "129.compress"
 SCALE = 0.03
@@ -63,8 +67,8 @@ def workload_trace():
     """A real (execution-produced) memory trace, once per module."""
     session = Session(scale=SCALE, use_disk_cache=False)
     key = RunKey(WL, "input1", False)
-    session._execute(key)
-    return session._traces[key]
+    handle = TraceHandle(session.program(WL), session._trace_key(key))
+    return handle.source()      # no store: materialized
 
 
 # -- simulate_trace_multi ---------------------------------------------
@@ -164,41 +168,41 @@ class TestHierarchyMultiEquivalence:
                 simulate_trace_hierarchy(workload_trace, config))
 
 
-# -- Session.warm ------------------------------------------------------
+# -- the warm stage: a campaign ----------------------------------------
 
-PLAN = [
-    (WL, "input1", False, (BASELINE_CONFIG, TRAINING_CONFIG)),
-    ("181.mcf", "input1", False, (BASELINE_CONFIG,)),
-]
+def _warm(session, jobs, directory=None):
+    return Campaign(session, numbers=[10], directory=directory).run(
+        jobs=jobs)
 
 
 def _measurements(session):
     return [
         (m.load_misses, m.load_exec, m.steps)
-        for workload, input_name, optimize, configs in PLAN
-        for m in [session.measurement(workload, input_name, optimize,
-                                      configs[0])]
+        for name in SMALL_GRID_NAMES
+        for m in [session.measurement(name,
+                                      cache_config=TRAINING_CONFIG)]
     ]
 
 
+@pytest.mark.usefixtures("small_grid")
 class TestWarm:
     def test_parallel_matches_serial(self, tmp_path):
         serial = Session(scale=SCALE, cache_dir=tmp_path / "a")
-        report = serial.warm(PLAN, jobs=1)
-        assert (report.runs, report.simulated, report.jobs) == (2, 2, 1)
+        report = _warm(serial, jobs=1)
+        assert (report.computed, report.cached) == (3, 0)
 
         fanned = Session(scale=SCALE, cache_dir=tmp_path / "b")
-        report = fanned.warm(PLAN, jobs=4)
-        assert report.simulated == 2
-        assert report.jobs == 2      # clamped to the pending run count
+        parallel = _warm(fanned, jobs=4)  # clamped to the two run cells
+        assert (parallel.computed, parallel.cached) == (3, 0)
 
+        assert parallel.tables == report.tables
         assert _measurements(serial) == _measurements(fanned)
 
     def test_warm_fills_memory_without_disk(self, tmp_path):
         session = Session(scale=SCALE, cache_dir=tmp_path / "c",
                           use_disk_cache=False)
-        session.warm(PLAN, jobs=4)
-        # everything needed is already in memory: no trace executions
+        _warm(session, jobs=2, directory=tmp_path / "campaign")
+        # the workers' payloads filled the parent: no trace executions
         assert not session._traces
         baseline = _measurements(session)
         assert not session._traces
@@ -210,42 +214,42 @@ class TestWarm:
 
     def test_rewarm_is_all_cache_hits(self, tmp_path):
         session = Session(scale=SCALE, cache_dir=tmp_path / "e")
-        session.warm(PLAN, jobs=1)
-        report = session.warm(PLAN, jobs=4)
-        assert isinstance(report, WarmReport)
-        assert (report.simulated, report.cached) == (0, 2)
-        assert "already cached" in report.describe()
+        _warm(session, jobs=1)
+        report = _warm(session, jobs=4)
+        assert (report.computed, report.cached) == (1, 2)  # the table
+        assert "2 cached" in report.describe()
 
-    def test_fresh_session_reads_warmed_disk(self, tmp_path):
+    def test_fresh_session_reads_warmed_disk(self, tmp_path,
+                                             monkeypatch):
         cache_dir = tmp_path / "f"
-        Session(scale=SCALE, cache_dir=cache_dir).warm(PLAN, jobs=4)
+        _warm(Session(scale=SCALE, cache_dir=cache_dir), jobs=4)
         fresh = Session(scale=SCALE, cache_dir=cache_dir)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("fresh session executed a workload")
+        monkeypatch.setattr(Machine, "run", boom)
+        monkeypatch.setattr(Machine, "run_streaming", boom)
         _measurements(fresh)
         assert not fresh._traces  # served from disk, never executed
 
-    def test_run_key_and_triple_forms(self, tmp_path):
-        session = Session(scale=SCALE, cache_dir=tmp_path / "g")
-        report = session.warm(
-            [RunKey(WL, "input1", False), (WL, "input1", False)],
-            configs=(BASELINE_CONFIG,), jobs=1)
-        assert report.runs == 2
+    def test_standard_plan_shape(self):
+        # the plan the warm stage runs: one cell per Table 10 run
+        plan = campaign_cells([10])
+        assert [cell.workload for cell in plan] == list(SMALL_GRID_NAMES)
+        for cell in plan:
+            assert cell.input_name in ("input1", "input2")
+            assert isinstance(cell.optimize, bool)
+            assert cell.configs  # never an empty config tuple
 
     def test_resolve_jobs(self, monkeypatch):
         assert _resolve_jobs(3) == 3
         assert _resolve_jobs(0) == 1
         monkeypatch.setenv("REPRO_JOBS", "5")
         assert _resolve_jobs(None) == 5
+        monkeypatch.setenv("REPRO_JOBS", "")
+        assert _resolve_jobs(None) >= 1
         monkeypatch.delenv("REPRO_JOBS")
         assert _resolve_jobs(None) >= 1
-
-    def test_standard_plan_shape(self):
-        plan = standard_warm_plan()
-        assert len(plan) == 40
-        for workload, input_name, optimize, configs in plan:
-            assert isinstance(workload, str)
-            assert input_name in ("input1", "input2")
-            assert isinstance(optimize, bool)
-            assert configs  # never an empty config tuple
 
 
 # -- disk-cache hardening ---------------------------------------------

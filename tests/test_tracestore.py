@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache.config import BASELINE_CONFIG, CacheConfig
-from repro.cache.model import simulate_trace, simulate_trace_multi
+from repro.cache.config import CacheConfig
+from repro.cache.model import simulate_trace_multi
 from repro.cache.stackdist import ProfileStore, simulate_sweep
+from repro.campaign import Campaign
 from repro.compiler.driver import compile_source
 from repro.machine.simulator import Machine
 from repro.machine.trace import (LOAD, PREFETCH, STORE, MemoryTrace,
@@ -223,20 +224,38 @@ class TestCorruption:
         store._bin("k").unlink()
         assert store.open("k") is None
 
-    def test_session_falls_back_to_reexecution(self, tmp_path):
-        session = Session(scale=0.2, cache_dir=tmp_path)
+    @pytest.mark.parametrize("field,value", [
+        ("rows", None), ("digest", None), ("prefetch_count", None),
+        ("load_accesses", None), ("store_accesses", None),
+        ("block_counts", None), ("steps", None), ("output", None),
+        ("rows", "many"), ("digest", 7), ("load_accesses", [1, 2]),
+        ("store_accesses", {"0x10": 1}), ("block_counts", "none")])
+    def test_torn_meta_is_a_miss(self, tmp_path, field, value):
+        """A sidecar of the right schema that lacks (None here) or
+        mistypes a field is a miss, never a crash."""
+        store = TraceStore(tmp_path / "traces")
+        store.put_trace("k", sawtooth_trace(100))
+        meta = json.loads(store._meta("k").read_text())
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        store._meta("k").write_text(json.dumps(meta))
+        assert store.meta("k") is None
+        assert store.open("k") is None
+
+    def test_session_reexecutes_past_a_torn_meta(self, tmp_path):
+        session = Session(scale=0.03, cache_dir=tmp_path)
         first = session.stats("129.compress")
-        bin_path = next((tmp_path / "traces").glob("tr-*.bin"))
-        bin_path.write_bytes(bin_path.read_bytes()[:64])
-        # fresh session, fresh config: the sweep hits the corrupt
-        # entry mid-stream, drops it and re-executes
-        fresh = Session(scale=0.2, cache_dir=tmp_path)
-        odd = CacheConfig(size=2048, assoc=2, block_size=16)
-        stats = fresh.stats("129.compress", cache_config=odd)
-        reference = Session(scale=0.2, use_disk_cache=False).stats(
-            "129.compress", cache_config=odd)
-        assert stats.load_misses == reference.load_misses
-        assert first.load_misses  # sanity: the workload misses at all
+        (meta_path,) = (tmp_path / "traces").glob("tr-*.json")
+        meta = json.loads(meta_path.read_text())
+        del meta["rows"]
+        meta_path.write_text(json.dumps(meta))
+        for entry in tmp_path.glob("*.json"):   # the JSON result tier
+            entry.unlink()
+        again = Session(scale=0.03, cache_dir=tmp_path)
+        assert again.stats("129.compress").load_misses \
+            == first.load_misses
 
 
 # -- session / store integration ---------------------------------------
@@ -275,13 +294,11 @@ class TestSessionStore:
         key = trace_key(source, False, session.max_steps)
         assert TraceStore(tmp_path / "traces").contains(key)
 
+    @pytest.mark.usefixtures("small_grid")
     def test_concurrent_warm_writers_share_store(self, tmp_path):
         session = Session(scale=0.2, cache_dir=tmp_path)
-        report = session.warm(
-            [("129.compress", "input1", False),
-             ("181.mcf", "input1", False)],
-            configs=(BASELINE_CONFIG,), jobs=2)
-        assert report.simulated == 2 and report.jobs == 2
+        report = Campaign(session, numbers=[10]).run(jobs=2)
+        assert report.computed == 3     # two run cells + the table
         store = TraceStore(tmp_path / "traces")
         keys = store.keys()
         assert len(keys) == 2
