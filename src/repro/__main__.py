@@ -188,44 +188,28 @@ def cmd_predict(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    request = {"source": source, "optimize": args.optimize,
+               "configs": [cache_config_to_dict(c) for c in configs],
+               "fallback": not args.no_fallback}
     if args.remote:
         from repro.service.client import ServiceClient, ServiceError
         try:
             with ServiceClient.connect(args.remote) as client:
-                payload = client.predict(
-                    source, optimize=args.optimize,
-                    configs=[cache_config_to_dict(c) for c in configs],
-                    fallback=not args.no_fallback)
+                payload = client.predict(**request)
         except (ValueError, ServiceError, ConnectionError,
                 OSError) as exc:
             print(f"repro: service error: {exc}", file=sys.stderr)
             return 3
     else:
-        from repro.pipeline.session import Session
-        session = Session()
-        session.add_source("cli-predict", source)
-        pred = session.predict_stats("cli-predict",
-                                     optimize=args.optimize,
-                                     configs=configs,
-                                     fallback=not args.no_fallback)
-        payload = {
-            "analytic": pred.analytic,
-            "coverage": pred.coverage,
-            "low_confidence_pcs": {f"{pc:#x}": list(r) for pc, r
-                                   in sorted(
-                                       pred.low_confidence_pcs.items())},
-            "results": [{
-                "config": cache_config_to_dict(stats.config),
-                "description": stats.config.describe(),
-                "total_load_misses": stats.total_load_misses,
-                "total_load_accesses": sum(
-                    stats.load_accesses.values()),
-                "load_misses": {f"{a:#x}": m for a, m in
-                                sorted(stats.load_misses.items())},
-                "load_accesses": {f"{a:#x}": m for a, m in
-                                  sorted(stats.load_accesses.items())},
-            } for stats in pred.stats],
-        }
+        # the served compute path, so local and remote answers match
+        from repro.service.ops import run_predict
+        from repro.service.protocol import (ProtocolError,
+                                            _normalize_predict)
+        try:
+            payload = run_predict(_normalize_predict(request))
+        except ProtocolError as exc:
+            print(f"repro: error: {exc.message}", file=sys.stderr)
+            return 2
     if args.json is not None:
         _emit_json(json.dumps(payload, indent=2), args.json)
         return 0

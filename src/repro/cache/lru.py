@@ -1,8 +1,8 @@
 """Bounded mapping with ordered LRU eviction.
 
 Shared by the compiled-replay caches (:mod:`repro.cache.model`,
-:mod:`repro.cache.hierarchy`) and the stack-distance profile store
-(:mod:`repro.cache.stackdist`).  Lookups refresh the entry and inserts
+:mod:`repro.cache.hierarchy`) and the memory side of every keyed JSON
+cache tier (:mod:`repro.store.tier`).  Lookups refresh the entry and inserts
 evict only the least-recently-used entry once ``capacity`` is exceeded
 — replacing the earlier wholesale ``clear()`` backstop, which threw
 away every compiled replay function the moment the cache filled.
@@ -15,10 +15,13 @@ from typing import Any, Hashable, Optional
 
 
 class BoundedCache:
-    """An ordered dict that keeps at most ``capacity`` entries."""
+    """An ordered dict that keeps at most ``capacity`` entries.
 
-    def __init__(self, capacity: int):
-        self.capacity = max(1, capacity)
+    ``capacity=None`` keeps every entry; ``capacity=0`` keeps none.
+    """
+
+    def __init__(self, capacity: Optional[int]):
+        self.capacity = None if capacity is None else max(0, capacity)
         self.evictions = 0
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
@@ -36,10 +39,13 @@ class BoundedCache:
         return entries[key]
 
     def put(self, key: Hashable, value: Any) -> None:
+        if self.capacity == 0:
+            return
         entries = self._entries
         entries[key] = value
         entries.move_to_end(key)
-        while len(entries) > self.capacity:
+        while self.capacity is not None \
+                and len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 from repro.cache.config import CacheConfig
 from repro.cache.lru import BoundedCache
@@ -82,6 +82,63 @@ class CacheStats:
         """Static loads sorted by descending miss count: (pc, misses)."""
         return sorted(self.load_misses.items(),
                       key=lambda item: (-item[1], item[0]))
+
+
+# -- the per-config record ---------------------------------------------
+#
+# One encoding of a CacheStats: the ``simulate`` op's result row, the
+# ``predict`` op's row, a campaign worker's reply and the pipeline's
+# disk entry.  Per-PC columns are keyed by hex PC, in PC order.
+
+def cache_config_to_dict(config: CacheConfig) -> dict[str, Any]:
+    """A config's wire form (the seed of a ``random`` policy is not
+    part of it)."""
+    return {"size": config.size, "assoc": config.assoc,
+            "block_size": config.block_size,
+            "replacement": config.replacement}
+
+
+def _hex_column(counts: dict[int, int]) -> dict[str, int]:
+    return {f"{pc:#x}": n for pc, n in sorted(counts.items())}
+
+
+def stats_to_row(stats: CacheStats,
+                 loads_only: bool = False) -> dict[str, Any]:
+    """The per-config row; ``loads_only`` drops the store and prefetch
+    columns (the analytic ``predict`` rows carry loads only)."""
+    row: dict[str, Any] = {
+        "config": cache_config_to_dict(stats.config),
+        "description": stats.config.describe(),
+        "total_load_misses": stats.total_load_misses,
+        "total_load_accesses": stats.total_load_accesses,
+        "load_misses": _hex_column(stats.load_misses),
+        "load_accesses": _hex_column(stats.load_accesses),
+    }
+    if not loads_only:
+        row["store_misses"] = _hex_column(stats.store_misses)
+        row["store_accesses"] = _hex_column(stats.store_accesses)
+        row["prefetch_ops"] = stats.prefetch_ops
+        row["prefetch_fills"] = stats.prefetch_fills
+    return row
+
+
+def stats_from_row(row: dict[str, Any],
+                   config: CacheConfig) -> CacheStats:
+    """Inverse of :func:`stats_to_row` for a full row simulated under
+    ``config``; raises ``KeyError``/``TypeError``/``ValueError`` on a
+    torn or mistyped row."""
+    def column(name: str) -> dict[int, int]:
+        return {int(pc, 16): int(n) for pc, n in row[name].items()}
+
+    return CacheStats(
+        config=config,
+        load_accesses=column("load_accesses"),
+        load_misses=column("load_misses"),
+        store_accesses=column("store_accesses"),
+        store_misses=column("store_misses"),
+        prefetch_ops=int(row["prefetch_ops"]),
+        prefetch_fills=int(row["prefetch_fills"]),
+    )
 
 
 class Cache:

@@ -33,7 +33,6 @@ again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Counter as CounterType, Optional, Sequence
@@ -47,6 +46,7 @@ from repro.cache.model import (CacheStats, TraceSource, _chunk_columns,
                                source_access_counts)
 from repro.machine.trace import (LOAD, PREFETCH, STORE, ChunkStream,
                                  MemoryTrace)
+from repro.store.tier import ANALYTIC, SWEEP, JsonTier
 
 #: Distances are tracked exactly at least up to this associativity.
 DEFAULT_CAPACITY = 16
@@ -59,7 +59,9 @@ _DISTANCE_MASK = (1 << _DISTANCE_BITS) - 1
 #: wider is routed to the replay engine.
 MAX_SWEEP_ASSOC = _DISTANCE_MASK
 
+#: Versions of the ``sd-`` (measured) and ``an-`` (analytic) entries.
 _PROFILE_SCHEMA = 1
+_ANALYTIC_SCHEMA = 1
 
 
 # -- profiles ----------------------------------------------------------
@@ -251,28 +253,34 @@ def compute_groups(source: TraceSource,
 class ProfileStore:
     """Bounded in-memory profiles over an optional JSON disk tier.
 
-    Entries are keyed by ``(trace digest, block size)``; the disk tier
-    lives beside the pipeline's content-hashed result cache (the
-    ``stackdist/`` subdirectory) and uses the same atomic-rename,
-    corruption-tolerant discipline, so concurrent warm workers and a
-    long-lived service can share one warm directory.
+    Two keyspaces share one memory LRU and one directory (the
+    ``stackdist/`` subdirectory beside the pipeline's result cache):
+    measured sweep profiles, keyed by ``(trace digest, block size)``
+    under the ``sd-`` prefix, and predicted (trace-free) analytic
+    profiles, keyed by *program* digest under ``an-``.  Each is a
+    :class:`~repro.store.tier.JsonTier` with its own payload schema, so
+    a predicted profile never shadows a measured one.
     """
 
     def __init__(self, capacity: int = 8,
                  disk_dir: Optional[Path] = None):
         self._memory = BoundedCache(capacity)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        # Tier-attributed lookup counters, split between the measured
-        # sweep (``sd-``) and analytic (``an-``) keyspaces.  Surfaced
-        # through the service ``metrics`` op and the campaign engine so
-        # cache effectiveness is observable without instrumenting
-        # callers.
-        self.counters: dict[str, int] = {
-            "sweep_memory_hits": 0, "sweep_disk_hits": 0,
-            "sweep_misses": 0, "sweep_puts": 0,
-            "analytic_memory_hits": 0, "analytic_disk_hits": 0,
-            "analytic_misses": 0, "analytic_puts": 0,
-        }
+        self._sweep = JsonTier(SWEEP, _PROFILE_SCHEMA, self.disk_dir,
+                               self._memory)
+        self._analytic = JsonTier(ANALYTIC, _ANALYTIC_SCHEMA,
+                                  self.disk_dir, self._memory)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Tier-attributed lookup counters, split between the sweep and
+        analytic keyspaces.  Surfaced through the service ``metrics``
+        op and the campaign engine so cache effectiveness is observable
+        without instrumenting callers."""
+        return {f"{space}_{name}": count
+                for space, tier in (("sweep", self._sweep),
+                                    ("analytic", self._analytic))
+                for name, count in tier.counters.items()}
 
     def stats(self) -> dict[str, object]:
         """Counter snapshot plus overall hit rate (JSON-able)."""
@@ -285,112 +293,54 @@ class ProfileStore:
             else 0.0
         return snapshot
 
-    def _path(self, digest: str, block_size: int) -> Path:
-        return self.disk_dir / f"sd-{digest}-bs{block_size}.json"
-
-    def _analytic_path(self, digest: str, block_size: int) -> Path:
-        return self.disk_dir / f"an-{digest}-bs{block_size}.json"
-
     def get(self, digest: str, block_size: int
             ) -> Optional[SweepProfile]:
-        profile = self._memory.get((digest, block_size))
-        if profile is not None:
-            self.counters["sweep_memory_hits"] += 1
-            return profile
-        if self.disk_dir is not None:
-            profile = self._load_disk(digest, block_size)
-            if profile is not None:
-                self.counters["sweep_disk_hits"] += 1
-                self._memory.put((digest, block_size), profile)
-                return profile
-        self.counters["sweep_misses"] += 1
-        return None
+        return self._sweep.get(f"{digest}-bs{block_size}",
+                               _decode_sweep)[0]
 
     def put(self, digest: str, block_size: int,
             profile: SweepProfile) -> None:
-        self.counters["sweep_puts"] += 1
-        self._memory.put((digest, block_size), profile)
-        if self.disk_dir is not None:
-            from repro.pipeline.session import atomic_write_json
-            atomic_write_json(self._path(digest, block_size), {
-                "version": _PROFILE_SCHEMA,
-                "block_size": profile.block_size,
-                "capacity": profile.capacity,
-                "groups": {
-                    str(g.num_sets): {
-                        "load": {str(pc): tail for pc, tail
-                                 in g.load_tail.items()},
-                        "store": {str(pc): tail for pc, tail
-                                  in g.store_tail.items()},
-                        "prefetch": g.prefetch_tail,
-                    }
-                    for g in profile.groups.values()
-                },
-            })
-
-    # -- the analytic keyspace -----------------------------------------
-    #
-    # Predicted (trace-free) profiles share the store's memory tier and
-    # disk directory but live under their own ``an-`` prefix and their
-    # own payload schema: entries are keyed by *program* digest, carry
-    # real-valued predicted histograms, and must never shadow or be
-    # mistaken for measured ``sd-`` sweep profiles.
+        self._sweep.put(f"{digest}-bs{block_size}", profile, {
+            "block_size": profile.block_size,
+            "capacity": profile.capacity,
+            "groups": {
+                str(g.num_sets): {
+                    "load": {str(pc): tail for pc, tail
+                             in g.load_tail.items()},
+                    "store": {str(pc): tail for pc, tail
+                              in g.store_tail.items()},
+                    "prefetch": g.prefetch_tail,
+                }
+                for g in profile.groups.values()
+            },
+        })
 
     def get_analytic(self, digest: str, block_size: int):
         """A cached :class:`~repro.analytic.engine.AnalyticProfile`."""
-        profile = self._memory.get(("analytic", digest, block_size))
-        if profile is not None:
-            self.counters["analytic_memory_hits"] += 1
-            return profile
-        if self.disk_dir is not None:
-            from repro.analytic.engine import AnalyticProfile
-            try:
-                payload = json.loads(self._analytic_path(
-                    digest, block_size).read_text())
-                profile = AnalyticProfile.from_payload(payload)
-            except (AttributeError, KeyError, OSError, TypeError,
-                    ValueError):
-                self.counters["analytic_misses"] += 1
-                return None
-            self.counters["analytic_disk_hits"] += 1
-            self._memory.put(("analytic", digest, block_size), profile)
-            return profile
-        self.counters["analytic_misses"] += 1
-        return None
+        from repro.analytic.engine import AnalyticProfile
+        return self._analytic.get(f"{digest}-bs{block_size}",
+                                  AnalyticProfile.from_payload)[0]
 
     def put_analytic(self, digest: str, block_size: int,
                      profile) -> None:
-        self.counters["analytic_puts"] += 1
-        self._memory.put(("analytic", digest, block_size), profile)
-        if self.disk_dir is not None:
-            from repro.pipeline.session import atomic_write_json
-            atomic_write_json(self._analytic_path(digest, block_size),
-                              profile.to_payload())
+        self._analytic.put(f"{digest}-bs{block_size}", profile,
+                           profile.to_payload())
 
-    def _load_disk(self, digest: str,
-                   block_size: int) -> Optional[SweepProfile]:
-        try:
-            payload = json.loads(self._path(digest,
-                                            block_size).read_text())
-            if payload.get("version") != _PROFILE_SCHEMA:
-                return None
-            capacity = int(payload["capacity"])
-            groups = {}
-            for sets_text, entry in payload["groups"].items():
-                num_sets = int(sets_text)
-                groups[num_sets] = GroupProfile(
-                    num_sets=num_sets,
-                    load_tail={int(pc): [int(n) for n in tail]
-                               for pc, tail in entry["load"].items()},
-                    store_tail={int(pc): [int(n) for n in tail]
-                                for pc, tail in entry["store"].items()},
-                    prefetch_tail=[int(n) for n in entry["prefetch"]],
-                )
-            return SweepProfile(block_size=int(payload["block_size"]),
-                                capacity=capacity, groups=groups)
-        except (AttributeError, KeyError, OSError, TypeError,
-                ValueError):
-            return None  # absent or corrupt entry: recompute
+
+def _decode_sweep(payload: dict) -> SweepProfile:
+    groups = {}
+    for sets_text, entry in payload["groups"].items():
+        num_sets = int(sets_text)
+        groups[num_sets] = GroupProfile(
+            num_sets=num_sets,
+            load_tail={int(pc): [int(n) for n in tail]
+                       for pc, tail in entry["load"].items()},
+            store_tail={int(pc): [int(n) for n in tail]
+                        for pc, tail in entry["store"].items()},
+            prefetch_tail=[int(n) for n in entry["prefetch"]],
+        )
+    return SweepProfile(block_size=int(payload["block_size"]),
+                        capacity=int(payload["capacity"]), groups=groups)
 
 
 #: Default store for callers without their own cache directory policy

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import DEFAULT_RNG_SEED
+from repro.cache.model import cache_config_to_dict
 from repro.campaign.manifest import Manifest, campaign_dir
 from repro.experiments.grid import GridCell, campaign_cells, table_specs
 from repro.pipeline.session import RunKey, Session, _resolve_jobs
@@ -350,8 +351,7 @@ class Campaign:
         tasks = {
             plan.id: (session.scale, session.max_steps,
                       session.use_disk_cache, str(session.cache_dir),
-                      session.engine, plan.kind,
-                      plan.cell.run_key, plan.cell.configs)
+                      plan.kind, plan.cell.run_key, plan.cell.configs)
             for plan in compute
         }
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -365,16 +365,13 @@ class Campaign:
                                          return_when=FIRST_COMPLETED)
                 for future in finished:
                     plan = futures[future]
-                    wall, tier, payloads, counters = future.result()
+                    wall, tier, response, counters = future.result()
                     for name, count in counters.items():
                         self._store_counters[name] = \
                             self._store_counters.get(name, 0) + count
-                    if plan.kind == "run":
-                        key = RunKey(*plan.cell.run_key)
-                        for config, payload in zip(plan.cell.configs,
-                                                   payloads):
-                            if payload is not None:
-                                session._absorb(key, config, payload)
+                    if response is not None:
+                        session.absorb(RunKey(*plan.cell.run_key),
+                                       plan.cell.configs, response)
                     finish_cell(plan, wall, tier)
                 render_ready()
 
@@ -390,12 +387,25 @@ class Campaign:
         response's full per-PC columns and block profile rebuild the
         local session state.  Analytic cells are computed locally —
         they are static analysis, cheaper than a round trip.
+
+        The wire form of a config carries no ``random`` seed, so a cell
+        holding a seeded ``random`` config is refused before anything
+        is dispatched: the service would simulate it under the default
+        seed.
         """
         from repro.service.client import ServiceClient
 
         session = self.session
         run_cells = [plan for plan in compute if plan.kind == "run"]
         other = [plan for plan in compute if plan.kind != "run"]
+        for plan in run_cells:
+            seeded = [config.describe() for config in plan.cell.configs
+                      if config.replacement == "random"
+                      and config.rng_seed != DEFAULT_RNG_SEED]
+            if seeded:
+                raise ValueError(
+                    f"cell {plan.id} cannot run remotely: the service "
+                    f"protocol carries no rng_seed for {seeded}")
         say(f"[campaign] dispatching {len(run_cells)} run cell(s) "
             f"to {address}")
 
@@ -407,11 +417,10 @@ class Campaign:
                     session.source(key.workload, key.input_name),
                     optimize=key.optimize,
                     max_steps=session.max_steps,
-                    configs=[_config_params(c)
+                    configs=[cache_config_to_dict(c)
                              for c in plan.cell.configs],
                 )
-            _absorb_simulate_response(session, key, plan.cell.configs,
-                                      response)
+            session.absorb(key, plan.cell.configs, response)
             return time.perf_counter() - started, "computed"
 
         with ThreadPoolExecutor(max_workers=min(8, len(run_cells)
@@ -431,13 +440,6 @@ class Campaign:
             wall, tier = _compute_inline(session, plan)
             finish_cell(plan, wall, tier)
             render_ready()
-
-
-def _config_params(config: CacheConfig) -> dict[str, Any]:
-    params = {"size": config.size, "assoc": config.assoc,
-              "block_size": config.block_size,
-              "replacement": config.replacement}
-    return params
 
 
 def _compute_inline(session: Session,
@@ -461,20 +463,22 @@ def _compute_inline(session: Session,
     return time.perf_counter() - started, tier
 
 
-def _cell_worker(task: tuple) -> tuple[float, str, list, dict]:
+def _cell_worker(task: tuple
+                 ) -> tuple[float, str, Optional[dict], dict]:
     """Process-pool worker: one cell in a private session.
 
     Shares the on-disk caches with the parent; run cells return the
-    JSON-able payloads so the parent merges them without re-reading
-    the disk (analytic profiles travel via the shared profile store),
-    plus the worker's ProfileStore counters for aggregation.
+    ``simulate``-shaped response a remote service would, so the parent
+    absorbs both the same way (analytic profiles travel via the shared
+    profile store), plus the worker's ProfileStore counters for
+    aggregation.
     """
-    (scale, max_steps, use_disk_cache, cache_dir, engine, kind,
+    (scale, max_steps, use_disk_cache, cache_dir, kind,
      key_tuple, configs) = task
     started = time.perf_counter()
     session = Session(scale=scale, cache_dir=Path(cache_dir),
                       use_disk_cache=use_disk_cache,
-                      max_steps=max_steps, engine=engine)
+                      max_steps=max_steps)
     key = RunKey(*key_tuple)
     if kind == "analytic":
         tier = "disk" if session._profile_store.get_analytic(
@@ -483,48 +487,10 @@ def _cell_worker(task: tuple) -> tuple[float, str, list, dict]:
         session.analytic_profile(key.workload, key.input_name,
                                  key.optimize,
                                  block_size=_ANALYTIC_BLOCK_SIZE)
-        return (time.perf_counter() - started, tier, [],
-                dict(session._profile_store.counters))
+        return (time.perf_counter() - started, tier, None,
+                session._profile_store.counters)
     tier = "disk" if all(session._is_warm(key, c) for c in configs) \
         else "computed"
-    stats_list = session.stats_multi(key.workload, key.input_name,
-                                     key.optimize, configs)
-    payloads = [session._payload(key, stats) for stats in stats_list]
-    return (time.perf_counter() - started, tier, payloads,
-            dict(session._profile_store.counters))
-
-
-def _absorb_simulate_response(session: Session, key: RunKey,
-                              configs: Sequence[CacheConfig],
-                              response: dict[str, Any]) -> None:
-    """Rebuild local session state from a remote simulate response."""
-    from repro.profiling.profile import BlockProfile
-
-    program = session.program(key.workload, key.input_name,
-                              key.optimize)
-    steps = int(response.get("steps", 0))
-    block_counts = {int(a): int(c) for a, c in
-                    (response.get("block_counts") or {}).items()}
-    if block_counts:
-        session._profiles[key] = BlockProfile.from_block_counts(
-            program, block_counts)
-        session._steps[key] = steps
-    for config, entry in zip(configs, response["results"]):
-        from repro.cache.model import CacheStats
-
-        def hexmap(name: str) -> dict[int, int]:
-            return {int(a, 16): int(m) for a, m in
-                    (entry.get(name) or {}).items()}
-
-        stats = CacheStats(
-            config=config,
-            load_accesses=hexmap("load_accesses"),
-            load_misses=hexmap("load_misses"),
-            store_accesses=hexmap("store_accesses"),
-            store_misses=hexmap("store_misses"),
-            prefetch_ops=int(entry.get("prefetch_ops", 0)),
-            prefetch_fills=int(entry.get("prefetch_fills", 0)),
-        )
-        session._stats[(key, config)] = stats
-        if session.use_disk_cache and block_counts:
-            session._store_disk(key, config, stats)
+    response = session.simulate_response(key, configs)
+    return (time.perf_counter() - started, tier, response,
+            session._profile_store.counters)

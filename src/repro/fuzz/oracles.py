@@ -369,7 +369,7 @@ def check_pipeline(case, ctx: OracleContext) -> None:
     key = cold.add_source("fuzzcase", source)
     cold_stats = cold.stats("fuzzcase", cache_config=config)
     cold_profile = cold.profile("fuzzcase")
-    if not cold._disk_path(key, config).exists():
+    if not cold._results.path(cold._entry_key(key, config)).exists():
         raise DivergenceError(name, "cold session wrote no disk entry")
 
     warm = Session(cache_dir=cache_dir, max_steps=MAX_STEPS)

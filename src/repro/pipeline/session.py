@@ -10,35 +10,37 @@ experiments can share work:
   (expensive; a trace-store hit executes nothing, and materialized traces
   are held in a small LRU because they dominate memory);
 * **cache-simulate** — trace x cache-config -> per-load miss counts
-  (moderately expensive; results are also persisted to a JSON disk cache
-  keyed by a content hash, so re-running a bench suite skips simulation
-  entirely).
+  (moderately expensive; results are also persisted through a
+  :class:`~repro.store.tier.JsonTier` keyed by a content hash, so
+  re-running a bench suite skips simulation entirely).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from repro.asm.program import Program
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
                                 CacheConfig)
-from repro.cache.model import CacheStats, TraceSource
+from repro.cache.lru import BoundedCache
+from repro.cache.model import (CacheStats, TraceSource, stats_from_row,
+                               stats_to_row)
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
 from repro.patterns.builder import LoadInfo, build_load_infos
 from repro.profiling.profile import BlockProfile
 from repro.store.handle import TraceHandle
+from repro.store.tier import PIPELINE, JsonTier
 from repro.store.tracestore import TraceStore, trace_key
 from repro.workloads.base import Workload
 from repro.workloads.registry import get as get_workload
 
-_SCHEMA_VERSION = 4
+_SCHEMA_VERSION = 5
 _TRACE_LRU = 2
 
 T = TypeVar("T")
@@ -48,28 +50,10 @@ def default_cache_dir() -> Path:
     """The shared on-disk result cache (``<repo>/.repro_cache``).
 
     Shared by :class:`Session`'s simulation cache and the service's
-    tiered result cache (:mod:`repro.service.cache`), so one warm
-    directory serves both the bench suite and a long-lived server.
+    result tier, so one warm directory serves both the bench suite and
+    a long-lived server.
     """
     return Path(__file__).resolve().parents[3] / ".repro_cache"
-
-
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Best-effort atomic JSON write (temp file + ``os.replace``).
-
-    Concurrent writers (campaign workers, service instances) may race on
-    the same entry: each writes a per-PID temp file and atomically
-    renames it into place so a reader can never observe a partially
-    written entry.  I/O failures are swallowed — caching is an
-    optimization, never a correctness requirement.
-    """
-    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp.write_text(json.dumps(payload))
-        os.replace(temp, path)
-    except OSError:
-        pass
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
@@ -115,11 +99,9 @@ class Session:
     def __init__(self, scale: float = 1.0,
                  cache_dir: Optional[Path] = None,
                  use_disk_cache: bool = True,
-                 max_steps: int = 300_000_000,
-                 engine: Optional[str] = None):
+                 max_steps: int = 300_000_000):
         self.scale = scale
         self.max_steps = max_steps
-        self.engine = engine
         self.use_disk_cache = use_disk_cache
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
@@ -129,7 +111,13 @@ class Session:
         self._profiles: dict[RunKey, BlockProfile] = {}
         self._steps: dict[RunKey, int] = {}
         self._traces: OrderedDict = OrderedDict()
-        self._stats: dict[tuple[RunKey, CacheConfig], CacheStats] = {}
+        # Per-(run, config) stats: every one stays in memory, and each
+        # is persisted as the simulate row plus the run's block counts
+        # and steps, so a disk hit restores the profile too.
+        self._results = JsonTier(
+            PIPELINE, _SCHEMA_VERSION,
+            self.cache_dir if use_disk_cache else None,
+            BoundedCache(None))
         self._pcax: dict[tuple, object] = {}
         self._redundancy: dict[RunKey, object] = {}
         # Stack-distance profiles (see cache.stackdist) share the
@@ -199,15 +187,11 @@ class Session:
         if handle is None:
             handle = TraceHandle(
                 self.program(key.workload, key.input_name, key.optimize),
-                self._trace_key(key), self._trace_store, self.max_steps,
-                self.engine)
+                self._trace_key(key), self._trace_store, self.max_steps)
         else:
             self._traces.move_to_end(key)
         result = handle.replay(compute)
-        if key not in self._profiles:
-            self._profiles[key] = BlockProfile.from_block_counts(
-                handle.program, handle.block_counts)
-            self._steps[key] = handle.steps
+        self._adopt(key, handle.steps, handle.block_counts)
         if handle.trace is not None:
             self._traces[key] = handle
             while len(self._traces) > _TRACE_LRU:
@@ -217,8 +201,9 @@ class Session:
     def profile(self, workload: str, input_name: str = "input1",
                 optimize: bool = False) -> BlockProfile:
         key = RunKey(workload, input_name, optimize)
-        if key not in self._profiles and not self._load_disk(
-                key, BASELINE_CONFIG, profile_only=True):
+        if key not in self._profiles:
+            self._lookup(key, BASELINE_CONFIG)   # a disk hit adopts it
+        if key not in self._profiles:
             self._replay(key, lambda source: None)   # acquire only
         return self._profiles[key]
 
@@ -231,23 +216,22 @@ class Session:
         stack-distance engine (see :func:`simulate_sweep`), everything
         else through the single-pass multi-config replay."""
         key = RunKey(workload, input_name, optimize)
+        found: dict[CacheConfig, CacheStats] = {}
         missing: list[CacheConfig] = []
-        for config in configs:
-            if (key, config) in self._stats:
-                continue
-            if self.use_disk_cache and self._load_disk(key, config):
-                continue
-            if config not in missing:
+        for config in dict.fromkeys(configs):
+            stats = self._lookup(key, config)
+            if stats is None:
                 missing.append(config)
+            else:
+                found[config] = stats
         if missing:
             stats_list = self._replay(
                 key, lambda source: simulate_sweep(
                     source, missing, store=self._profile_store))
             for config, stats in zip(missing, stats_list):
-                self._stats[(key, config)] = stats
-                if self.use_disk_cache:
-                    self._store_disk(key, config, stats)
-        return [self._stats[(key, config)] for config in configs]
+                self._put(key, config, stats)
+                found[config] = stats
+        return [found[config] for config in configs]
 
     def stats(self, workload: str, input_name: str = "input1",
               optimize: bool = False,
@@ -361,7 +345,7 @@ class Session:
             steps=self._steps.get(key, profile.total_cycles),
         )
 
-    # -- disk cache ------------------------------------------------------
+    # -- the result tier -----------------------------------------------
     def _digest(self, key: RunKey, config: CacheConfig) -> str:
         # The execution engine is deliberately NOT part of the digest:
         # both engines are bit-identical (same trace, same profile), so
@@ -375,112 +359,67 @@ class Session:
         ))
         return hashlib.sha1(text.encode()).hexdigest()
 
-    def _disk_path(self, key: RunKey, config: CacheConfig) -> Path:
+    def _entry_key(self, key: RunKey, config: CacheConfig) -> str:
         safe = key.workload.replace(".", "_")
-        return self.cache_dir / f"{safe}-{self._digest(key, config)}.json"
+        return f"{safe}-{self._digest(key, config)}"
 
-    def _payload(self, key: RunKey,
-                 stats: CacheStats) -> Optional[dict]:
-        """The JSON-able cache entry for one (run, config) pair."""
-        profile = self._profiles.get(key)
-        if profile is None:
-            return None
-        return {
-            "version": _SCHEMA_VERSION,
-            "steps": self._steps.get(key, 0),
-            "load_misses": {str(a): m for a, m in
-                            stats.load_misses.items()},
-            "load_accesses": {str(a): m for a, m in
-                              stats.load_accesses.items()},
-            # Store and prefetch columns round-trip per PC (schema 4):
-            # earlier schemas persisted only their sums and absorbed
-            # neither, so a disk-warm session silently lost store
-            # misses — Table 2 rendered differently warm vs. cold.
-            "store_misses": {str(a): m for a, m in
-                             stats.store_misses.items()},
-            "store_accesses": {str(a): m for a, m in
-                               stats.store_accesses.items()},
-            "prefetch_ops": stats.prefetch_ops,
-            "prefetch_fills": stats.prefetch_fills,
-            "block_counts": {str(a): c for a, c in
-                             profile.block_counts.items()},
-            "block_sizes": {str(a): s for a, s in
-                            profile.block_sizes.items()},
-        }
+    def _adopt(self, key: RunKey, steps: int,
+               block_counts: dict[int, int]) -> None:
+        """Record the run's execution facts, once."""
+        if key not in self._profiles:
+            self._profiles[key] = BlockProfile.from_block_counts(
+                self.program(key.workload, key.input_name, key.optimize),
+                block_counts)
+            self._steps[key] = steps
 
-    def _store_disk(self, key: RunKey, config: CacheConfig,
-                    stats: CacheStats) -> None:
-        payload = self._payload(key, stats)
-        if payload is None:
-            return
-        atomic_write_json(self._disk_path(key, config), payload)
+    def _lookup(self, key: RunKey,
+                config: CacheConfig) -> Optional[CacheStats]:
+        def decode(entry: dict) -> CacheStats:
+            stats = stats_from_row(entry, config)
+            steps = int(entry["steps"])
+            block_counts = {int(a): int(c) for a, c in
+                            entry["block_counts"].items()}
+            self._adopt(key, steps, block_counts)
+            return stats
 
-    def _absorb(self, key: RunKey, config: CacheConfig, payload: dict,
-                profile_only: bool = False) -> bool:
-        """Merge one cache entry into the in-memory caches.
+        return self._results.get(self._entry_key(key, config),
+                                 decode)[0]
 
-        Tolerates corrupt or truncated payloads (wrong version, missing
-        keys, malformed values) by reporting failure — the caller then
-        re-simulates instead of raising.
-        """
-        try:
-            if payload.get("version") != _SCHEMA_VERSION:
-                return False
-            block_counts = {int(a): c for a, c in
-                            payload["block_counts"].items()}
-            block_sizes = {int(a): s for a, s in
-                           payload["block_sizes"].items()}
-            steps = int(payload.get("steps", 0))
-            if not profile_only:
-                load_accesses = {int(a): m for a, m in
-                                 payload["load_accesses"].items()}
-                load_misses = {int(a): m for a, m in
-                               payload["load_misses"].items()}
-                store_accesses = {int(a): m for a, m in
-                                  payload["store_accesses"].items()}
-                store_misses = {int(a): m for a, m in
-                                payload["store_misses"].items()}
-                prefetch_ops = int(payload["prefetch_ops"])
-                prefetch_fills = int(payload["prefetch_fills"])
-        except (AttributeError, KeyError, TypeError, ValueError):
-            return False
-        program = self.program(key.workload, key.input_name, key.optimize)
-        self._profiles[key] = BlockProfile(
-            program=program,
-            block_counts=block_counts,
-            block_sizes=block_sizes,
-        )
-        self._steps[key] = steps
-        if profile_only:
-            return True
-        self._stats[(key, config)] = CacheStats(
-            config=config,
-            load_accesses=load_accesses,
-            load_misses=load_misses,
-            store_accesses=store_accesses,
-            store_misses=store_misses,
-            prefetch_ops=prefetch_ops,
-            prefetch_fills=prefetch_fills,
-        )
-        return True
-
-    def _load_disk(self, key: RunKey, config: CacheConfig,
-                   profile_only: bool = False) -> bool:
-        if not self.use_disk_cache:
-            return False
-        path = self._disk_path(key, config)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return False
-        return self._absorb(key, config, payload,
-                            profile_only=profile_only)
+    def _put(self, key: RunKey, config: CacheConfig,
+             stats: CacheStats) -> None:
+        entry = stats_to_row(stats)
+        entry["steps"] = self._steps[key]
+        entry["block_counts"] = {str(a): c for a, c in
+                                 self._profiles[key].block_counts.items()}
+        self._results.put(self._entry_key(key, config), stats, entry)
 
     def _is_warm(self, key: RunKey, config: CacheConfig) -> bool:
-        if (key, config) in self._stats:
-            return True
-        return self.use_disk_cache \
-            and self._disk_path(key, config).exists()
+        return self._results.contains(self._entry_key(key, config))
+
+    def simulate_response(self, key: RunKey,
+                          configs: Sequence[CacheConfig]
+                          ) -> dict[str, Any]:
+        """:meth:`stats_multi` for one run, shaped like the service's
+        ``simulate`` response (the rows, steps and block counts)."""
+        stats_list = self.stats_multi(key.workload, key.input_name,
+                                      key.optimize, configs)
+        return {
+            "steps": self._steps[key],
+            "results": [stats_to_row(stats) for stats in stats_list],
+            "block_counts": {str(a): c for a, c in
+                             self._profiles[key].block_counts.items()},
+        }
+
+    def absorb(self, key: RunKey, configs: Sequence[CacheConfig],
+               response: dict[str, Any]) -> None:
+        """Adopt a ``simulate`` response for ``configs`` of one run —
+        from a campaign worker or a remote service — into the result
+        tier, as if this session had simulated them."""
+        self._adopt(key, int(response["steps"]),
+                    {int(a): int(c) for a, c in
+                     response.get("block_counts", {}).items()})
+        for config, row in zip(configs, response["results"]):
+            self._put(key, config, stats_from_row(row, config))
 
 
 @dataclass

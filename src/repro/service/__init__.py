@@ -12,13 +12,12 @@ requests:
   wire format and content-hash request keys;
 * :mod:`repro.service.ops` — the pure, picklable compute functions
   behind the ``analyze`` / ``classify`` / ``simulate`` operations;
-* :mod:`repro.service.cache` — tiered result cache: in-memory LRU over
-  the shared on-disk cache directory;
 * :mod:`repro.service.metrics` — request counters, latency percentiles,
   cache hit rates, batching statistics;
-* :mod:`repro.service.scheduler` — bounded request queue with overload
-  responses, request coalescing, simulate-batch merging, and a
-  persistent worker pool;
+* :mod:`repro.service.scheduler` — the result cache (a
+  :class:`~repro.store.tier.JsonTier` over the shared on-disk cache
+  directory), bounded request queue with overload responses, request
+  coalescing, simulate-batch merging, and a persistent worker pool;
 * :mod:`repro.service.server` — the asyncio TCP front end
   (``python -m repro serve``);
 * :mod:`repro.service.client` — a small blocking client

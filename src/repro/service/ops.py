@@ -16,12 +16,12 @@ from typing import Any, Optional
 
 from repro.api import analyze_program
 from repro.cache.config import CacheConfig
+from repro.cache.model import stats_to_row
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
 from repro.export import report_to_dict
 from repro.heuristic.classes import Weights
 from repro.pipeline.session import default_cache_dir
-from repro.service import protocol
 from repro.store.handle import TraceHandle
 from repro.store.tracestore import TraceStore, trace_key
 
@@ -63,13 +63,11 @@ def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
 
 def _trace(params: dict[str, Any]) -> TraceHandle:
     """The request's trace handle over the shared trace store."""
-    # ``engine`` is an operator-side switch (e.g. $REPRO_ENGINE on the
-    # server), absent from request keys: both engines are bit-identical.
     return TraceHandle(
         compile_source(params["source"], optimize=params["optimize"]),
         trace_key(params["source"], params["optimize"],
                   params["max_steps"]),
-        _TRACE_STORE, params["max_steps"], params.get("engine"))
+        _TRACE_STORE, params["max_steps"])
 
 
 def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
@@ -85,35 +83,15 @@ def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
     """
     configs = [CacheConfig(**entry) for entry in params["configs"]]
     handle = _trace(params)
-    program = handle.program
     sweep = handle.replay(
         lambda source: simulate_sweep(source, configs,
                                       store=_PROFILE_STORE))
-    steps = handle.steps
-    results = []
-    for config, stats in zip(configs, sweep):
-        results.append({
-            "config": protocol.cache_config_to_dict(config),
-            "description": config.describe(),
-            "total_load_misses": stats.total_load_misses,
-            "total_load_accesses": sum(stats.load_accesses.values()),
-            "load_misses": {f"{a:#x}": m for a, m in
-                            sorted(stats.load_misses.items())},
-            "load_accesses": {f"{a:#x}": m for a, m in
-                              sorted(stats.load_accesses.items())},
-            # Full per-PC store and prefetch columns: remote campaign
-            # cells rebuild a complete CacheStats from this response.
-            "store_misses": {f"{a:#x}": m for a, m in
-                             sorted(stats.store_misses.items())},
-            "store_accesses": {f"{a:#x}": m for a, m in
-                               sorted(stats.store_accesses.items())},
-            "prefetch_ops": stats.prefetch_ops,
-            "prefetch_fills": stats.prefetch_fills,
-        })
     response = {
-        "steps": steps,
-        "num_loads": program.num_loads(),
-        "results": results,
+        "steps": handle.steps,
+        "num_loads": handle.program.num_loads(),
+        # Full per-PC store and prefetch columns: remote campaign
+        # cells rebuild a complete CacheStats from this response.
+        "results": [stats_to_row(stats) for stats in sweep],
     }
     # The block profile lets remote callers reconstruct the
     # BlockProfile (hotspot loads, exec counts) without executing.
@@ -148,22 +126,11 @@ def run_predict(params: dict[str, Any]) -> dict[str, Any]:
         response["analytic"] = False
         response["coverage"] = answer.coverage
         return response
-    results = []
-    for config, stats in zip(configs, answer.evaluate(configs)):
-        results.append({
-            "config": protocol.cache_config_to_dict(config),
-            "description": config.describe(),
-            "total_load_misses": stats.total_load_misses,
-            "total_load_accesses": sum(stats.load_accesses.values()),
-            "load_misses": {f"{a:#x}": m for a, m in
-                            sorted(stats.load_misses.items())},
-            "load_accesses": {f"{a:#x}": m for a, m in
-                              sorted(stats.load_accesses.items())},
-        })
     return {
         "steps": 0,                       # no machine execution
         "num_loads": program.num_loads(),
-        "results": results,
+        "results": [stats_to_row(stats, loads_only=True)
+                    for stats in answer.evaluate(configs)],
         "analytic": True,
         "coverage": answer.coverage,
         "low_confidence_pcs": {

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
+from repro.cache.model import cache_config_to_dict
 from repro.export import SCHEMA_VERSION, canonical_json
 from repro.heuristic.classes import (DEFAULT_DELTA, PAPER_WEIGHTS, Weights)
 
@@ -148,12 +149,6 @@ def _cache_config(params: dict) -> CacheConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(BAD_REQUEST, f"bad cache config: {exc}")
-
-
-def cache_config_to_dict(config: CacheConfig) -> dict[str, Any]:
-    return {"size": config.size, "assoc": config.assoc,
-            "block_size": config.block_size,
-            "replacement": config.replacement}
 
 
 def _normalize_analysis(params: dict, *, execute: bool) -> dict[str, Any]:

@@ -35,10 +35,17 @@ from typing import Any, Optional
 
 from repro.export import canonical_json
 from repro.service import protocol
-from repro.service.cache import TieredResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.ops import execute_op
 from repro.service.protocol import ProtocolError, Request
+from repro.store.tier import JsonTier
+
+#: Version of the served-response entries, ``{"version", "result"}``.
+RESULT_VERSION = 1
+
+
+def _served(entry: dict) -> Any:
+    return entry["result"]
 
 
 class OverloadedError(Exception):
@@ -55,12 +62,12 @@ class BatchScheduler:
     """Owns the queue, the worker pool and the result cache."""
 
     def __init__(self, *,
+                 cache: JsonTier,
                  workers: Optional[int] = None,
                  queue_size: int = 64,
                  batch_window: float = 0.002,
                  batch_max: int = 8,
                  default_timeout: float = 120.0,
-                 cache: Optional[TieredResultCache] = None,
                  metrics: Optional[ServiceMetrics] = None):
         if workers is None:
             workers = os.cpu_count() or 1
@@ -70,7 +77,7 @@ class BatchScheduler:
         self.batch_window = batch_window
         self.batch_max = max(1, batch_max)
         self.default_timeout = default_timeout
-        self.cache = cache if cache is not None else TieredResultCache()
+        self.cache = cache
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._queue: "asyncio.Queue[_Job]" = \
             asyncio.Queue(maxsize=max(1, queue_size))
@@ -121,7 +128,7 @@ class BatchScheduler:
                                 "server is shutting down")
         key = request.key
         if key is not None:
-            result, tier = self.cache.get(key)
+            result, tier = self.cache.get(key, _served)
             if tier is not None:
                 return result, tier
             existing = self._inflight.get(key)
@@ -242,7 +249,7 @@ class BatchScheduler:
         if key is not None and self._inflight.get(key) is job.future:
             del self._inflight[key]
         if error is None and key is not None:
-            self.cache.put(key, result)
+            self.cache.put(key, result, {"result": result})
         if job.future.done():
             return  # waiter gone and future externally resolved
         if error is not None:

@@ -21,12 +21,15 @@ from typing import Any, Optional
 
 from repro import __version__
 from repro.service import protocol
-from repro.service.cache import TieredResultCache
+from repro.cache.lru import BoundedCache
+from repro.pipeline.session import default_cache_dir
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (MAX_REQUEST_BYTES, ProtocolError,
                                     Request, encode, error_response,
                                     ok_response)
-from repro.service.scheduler import BatchScheduler, OverloadedError
+from repro.service.scheduler import (RESULT_VERSION, BatchScheduler,
+                                     OverloadedError)
+from repro.store.tier import SERVICE, JsonTier
 
 
 @dataclass
@@ -54,10 +57,13 @@ class AnalysisServer:
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
         self.metrics = ServiceMetrics()
-        self.cache = TieredResultCache(
-            capacity=self.config.cache_entries,
-            disk_dir=self.config.cache_dir,
-            use_disk=self.config.use_disk_cache)
+        disk_dir = None
+        if self.config.use_disk_cache:
+            disk_dir = self.config.cache_dir \
+                if self.config.cache_dir is not None \
+                else default_cache_dir() / "service"
+        self.cache = JsonTier(SERVICE, RESULT_VERSION, disk_dir,
+                              BoundedCache(self.config.cache_entries))
         self.scheduler = BatchScheduler(
             workers=self.config.workers,
             queue_size=self.config.queue_size,

@@ -1,12 +1,15 @@
 """Size-bounded garbage collection for the on-disk cache directory.
 
-``.repro_cache/`` accumulates four tiers of content-addressed entries,
-none of which ever expire on their own:
+``.repro_cache/`` accumulates content-addressed entries that never
+expire on their own:
 
-* ``pipeline`` — per-(run, config) simulation payloads in the root
-  (``<workload>-<digest>.json``);
-* ``service`` — served responses (``svc-<key>.json``, also root);
-* ``stackdist`` — stack-distance profiles (``stackdist/sd-*.json``);
+* the keyed JSON tiers of :data:`repro.store.tier.LAYOUTS`, each found
+  by its directories and file prefix there — ``pipeline`` results
+  (``<workload>-<digest>.json`` in the root), ``service`` responses
+  (``service/svc-*.json``, or ``svc-*.json`` in the root of a
+  ``serve --cache-dir``), ``stackdist`` sweep profiles
+  (``stackdist/sd-*.json``) and ``analytic`` profiles
+  (``stackdist/an-*.json``);
 * ``traces`` — the chunked trace store (``traces/tr-*.json`` meta +
   ``traces/tr-*.bin`` columns, evicted as a pair).
 
@@ -25,6 +28,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.store.tier import LAYOUTS
 
 #: Minimum age (seconds) before a ``*.tmp`` file counts as stale.
 #: Writers publish via per-PID temp files renamed into place; a gc
@@ -92,6 +97,21 @@ def _json_ok(path: Path) -> bool:
         return False
 
 
+def _tier_files(root: Path, pattern: str):
+    """``(path, tier name)`` of every file matching ``pattern`` in the
+    JSON tiers' directories, each claimed by the longest prefix."""
+    layouts = sorted(LAYOUTS, key=lambda layout: -len(layout.prefix))
+    directories = dict.fromkeys(d for layout in layouts
+                                for d in layout.dirs)
+    for directory in directories:
+        for path in sorted((root / directory).glob(pattern)):
+            for layout in layouts:
+                if directory in layout.dirs \
+                        and path.name.startswith(layout.prefix):
+                    yield path, layout.name
+                    break
+
+
 def scan_entries(root: Path, tmp_grace: float = TMP_GRACE_SECONDS
                  ) -> tuple[list[GcEntry],
                             list[tuple[str, str, str, tuple]]]:
@@ -115,21 +135,11 @@ def scan_entries(root: Path, tmp_grace: float = TMP_GRACE_SECONDS
             return                   # vanished mid-scan: nothing to do
         entries.append(GcEntry(tier, name, paths, size, mtime))
 
-    for path in root.glob("*.json"):
-        tier = "service" if path.name.startswith("svc-") else "pipeline"
+    for path, tier in _tier_files(root, "*.json"):
         if _json_ok(path):
             add(tier, path.name, (path,))
         else:
             corrupt.append((tier, path.name, "malformed JSON", (path,)))
-
-    stackdist = root / "stackdist"
-    if stackdist.is_dir():
-        for path in stackdist.glob("sd-*.json"):
-            if _json_ok(path):
-                add("stackdist", path.name, (path,))
-            else:
-                corrupt.append(("stackdist", path.name,
-                                "malformed JSON", (path,)))
 
     traces = root / "traces"
     if traces.is_dir():
@@ -150,16 +160,15 @@ def scan_entries(root: Path, tmp_grace: float = TMP_GRACE_SECONDS
                             (bin_path,)))
 
     fresh_after = time.time() - tmp_grace
-    for pattern in ("*.tmp", "stackdist/*.tmp", "traces/*.tmp"):
-        for path in root.glob(pattern):
-            try:
-                if path.stat().st_mtime > fresh_after:
-                    continue         # a live writer's work in progress
-            except OSError:
-                continue             # renamed/removed mid-scan
-            corrupt.append((path.parent.name if path.parent != root
-                            else "pipeline", path.name,
-                            "stale temp file", (path,)))
+    stale = list(_tier_files(root, "*.tmp"))
+    stale += [(path, "traces") for path in traces.glob("*.tmp")]
+    for path, tier in stale:
+        try:
+            if path.stat().st_mtime > fresh_after:
+                continue         # a live writer's work in progress
+        except OSError:
+            continue             # renamed/removed mid-scan
+        corrupt.append((tier, path.name, "stale temp file", (path,)))
     return entries, corrupt
 
 

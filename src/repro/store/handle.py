@@ -37,15 +37,11 @@ class TraceHandle:
 
     def __init__(self, program: Program, key: str,
                  store: Optional[TraceStore] = None,
-                 max_steps: int = 300_000_000,
-                 engine: Optional[str] = None):
+                 max_steps: int = 300_000_000):
         self.program = program
         self.key = key
         self.store = store
         self.max_steps = max_steps
-        # Both engines are bit-identical, so the engine is a knob of
-        # the handle, not part of the content key.
-        self.engine = engine
         #: The materialized trace; None while the trace is streamed.
         self.trace: Optional[MemoryTrace] = None
         self.steps = 0
@@ -96,7 +92,7 @@ class TraceHandle:
 
     def _machine(self) -> Machine:
         return Machine(self.program, trace_memory=True,
-                       max_steps=self.max_steps, engine=self.engine)
+                       max_steps=self.max_steps)
 
     def _adopt(self, result: ExecutionResult) -> None:
         self.steps = result.steps

@@ -349,6 +349,26 @@ class TestCLI:
         assert payload["coverage"] < CONFIDENCE_THRESHOLD
         assert payload["low_confidence_pcs"]
 
+    @pytest.mark.parametrize("source,extra", [
+        (SINGLE_PASS, ()), (CHASE, ()), (CHASE, ("--no-fallback",))],
+        ids=["analytic", "measured_fallback", "no_fallback"])
+    def test_local_json_is_the_served_response(self, tmp_path, capsys,
+                                               monkeypatch, source,
+                                               extra):
+        from repro.cache.stackdist import ProfileStore
+        from repro.service import ops, protocol
+        from repro.store import TraceStore
+        monkeypatch.setattr(ops, "_TRACE_STORE",
+                            TraceStore(tmp_path / "traces"))
+        monkeypatch.setattr(ops, "_PROFILE_STORE", ProfileStore(
+            disk_dir=tmp_path / "stackdist"))
+        payload = self._predict_json(tmp_path, capsys, source,
+                                     "--config", "1024,2,32", *extra)
+        served = ops.execute_op("predict", protocol._normalize_predict({
+            "source": source, "fallback": not extra,
+            "configs": [{"size": 1024, "assoc": 2, "block_size": 32}]}))
+        assert payload == served
+
     def test_predict_sweep_grid(self, tmp_path, capsys):
         payload = self._predict_json(
             tmp_path, capsys, SINGLE_PASS, "--sweep")

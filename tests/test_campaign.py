@@ -10,6 +10,7 @@ an uninterrupted campaign in a separate cache directory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -208,6 +209,35 @@ class TestCampaign:
         result = fresh.run(jobs=1)   # no resume: replans every cell
         assert result.skipped == 0
         assert result.cached > 0     # but the disk caches are warm
+
+    @pytest.mark.usefixtures("small_grid")
+    def test_remote_matches_local_byte_for_byte(self, tmp_path):
+        from repro.service.server import ServerConfig, serve_in_thread
+        local = Campaign(_session(tmp_path), numbers=TABLES).run(jobs=1)
+        config = ServerConfig(port=0, workers=0,
+                              cache_dir=tmp_path / "served")
+        with serve_in_thread(config) as handle:
+            session = Session(scale=SCALE, cache_dir=tmp_path / "remote")
+            remote = Campaign(session, numbers=TABLES).run(
+                remote=handle.address)
+        assert remote.tables == local.tables
+        assert remote.computed == local.computed
+
+    def test_remote_refuses_a_seeded_random_cell(self, tmp_path,
+                                                 monkeypatch):
+        # The wire form of a config has no seed: the service would
+        # simulate this cell under the default one.
+        from repro.experiments import table10
+        seeded = CacheConfig(4096, 4, 32, replacement="random",
+                             rng_seed=7)
+        monkeypatch.setattr(table10, "SPEC", dataclasses.replace(
+            table10.SPEC, names=("129.compress",),
+            configs=table10.SPEC.configs + (seeded,)))
+        campaign = Campaign(_session(tmp_path), numbers=[10])
+        with pytest.raises(ValueError, match=r"run:129\.compress:input1"
+                                             r":base .*rng_seed"):
+            campaign.run(remote="127.0.0.1:1")   # nothing listens
+        assert not campaign.manifest.latest()
 
     def test_empty_repro_jobs_means_the_default(self, tmp_path,
                                                 monkeypatch):

@@ -258,8 +258,8 @@ class TestDiskCacheHardening:
     def _seed_cache(self, cache_dir):
         session = Session(scale=SCALE, cache_dir=cache_dir)
         stats = session.stats(WL)
-        path = session._disk_path(RunKey(WL, "input1", False),
-                                  BASELINE_CONFIG)
+        path = session._results.path(session._entry_key(
+            RunKey(WL, "input1", False), BASELINE_CONFIG))
         assert path.exists()
         return stats, path
 
@@ -267,12 +267,6 @@ class TestDiskCacheHardening:
         _, path = self._seed_cache(tmp_path / "c")
         assert not list(path.parent.glob("*.tmp"))
         assert f".{os.getpid()}." not in path.name
-
-    def test_corrupt_entry_resimulated(self, tmp_path):
-        stats, path = self._seed_cache(tmp_path / "c")
-        path.write_text("{not json")
-        again = Session(scale=SCALE, cache_dir=tmp_path / "c").stats(WL)
-        assert again.load_misses == stats.load_misses
 
     def test_partial_entry_resimulated(self, tmp_path):
         stats, path = self._seed_cache(tmp_path / "c")

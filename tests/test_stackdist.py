@@ -221,14 +221,6 @@ class TestProfileStore:
         assert_sweep_matches(workload_trace, self.GRID, store=reader)
         assert not calls            # served entirely from disk
 
-    def test_corrupt_entry_recomputed(self, workload_trace, tmp_path):
-        store = ProfileStore(disk_dir=tmp_path)
-        assert_sweep_matches(workload_trace, self.GRID, store=store)
-        [path] = tmp_path.glob("sd-*-bs32.json")
-        path.write_text("{not json")
-        fresh = ProfileStore(disk_dir=tmp_path)
-        assert_sweep_matches(workload_trace, self.GRID, store=fresh)
-
     def test_wrong_schema_version_recomputed(self, workload_trace,
                                              tmp_path):
         store = ProfileStore(disk_dir=tmp_path)

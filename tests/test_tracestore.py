@@ -268,7 +268,7 @@ class TestSessionStore:
         assert not cold._traces, "session materialized despite store"
         expected = cold.stats("129.compress", cache_config=odd)
         # drop the JSON result entry so only the trace store can answer
-        cold._disk_path(baseline.key, odd).unlink()
+        cold._results.path(cold._entry_key(baseline.key, odd)).unlink()
         warm = Session(scale=0.2, cache_dir=tmp_path)
 
         def boom(*args, **kwargs):
