@@ -42,6 +42,13 @@ class Program:
         self._func_starts = sorted(
             (info.start, name) for name, info in self.symtab.functions.items()
         )
+        #: Block-engine code, compiled on first dispatch and shared by
+        #: every Machine over this program (see repro.machine.codegen).
+        self._block_code: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Generated code does not pickle; a copy recompiles on demand.
+        return {**self.__dict__, "_block_code": {}}
 
     # -- geometry ------------------------------------------------------
     @property

@@ -52,12 +52,24 @@ closure engine's error messages.  Three details matter for equivalence:
   path (the paths are mutually exclusive, so each dynamic access is
   appended exactly once, in program order) and writes back exactly the
   registers assigned on that path;
-* a computed jump (``jr``/``jalr``) may land in the *middle* of a fused
-  block.  Every non-leader index therefore holds a lazy stub that, on
-  first entry, splits the block — compiling a tail function covering
-  ``[index, block end)`` without the leader preamble (mid-block entries
-  are not block entries, matching the closure engine's uninstrumented
-  interior closures) — installs it, and runs it.
+* every index holds a lazy stub that compiles on first entry, installs
+  the result in its slot and runs it.  At a leader it compiles the
+  chain rooted there, preamble included; most leaders of a run are
+  never dispatched, so nothing is compiled for them.  Elsewhere the
+  entry is a computed jump (``jr``/``jalr``) into the *middle* of a
+  fused block, and the stub splits the block, compiling a tail function
+  covering ``[index, block end)`` without the leader preamble
+  (mid-block entries are not block entries, matching the closure
+  engine's uninstrumented interior closures).
+
+Compiled code is program-scoped.  The generated text depends only on
+the program, on whether the machine traces and on the step limit, so
+the factories are memoized on the :class:`~repro.asm.program.Program`
+under those two keys and carry their own constant pc/kind arrays.  A
+machine binds a factory to its own register file, memory and trace by
+calling it, and every later machine over the same program (a replay
+fallback, a fuzz oracle's second engine, a benchmark round) reuses the
+code without compiling.
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ from __future__ import annotations
 from array import array
 import re
 from bisect import bisect_right
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.isa.registers import RA, V0
 from repro.machine.errors import MachineError, StepLimitExceeded
@@ -175,7 +187,9 @@ class _Emitter:
         self.lines: List[str] = []
         #: deferred trace appends: (pc, kind, address expression)
         self.pending: List[Tuple[int, int, str]] = []
-        self.used_segments: List[int] = []
+        #: constant (pc column, kind column) runs of this function's
+        #: multi-access flushes; ``_p{i}``/``_k{i}`` in its source
+        self.segments: List[Tuple[array, array]] = []
         self._n_addr = 0
         self._emitted = {start}
         self._chain_budget = _CHAIN_BLOCKS
@@ -357,9 +371,9 @@ class _Emitter:
             return [f"{indent}tpa({pc})",
                     f"{indent}taa({addr})",
                     f"{indent}tka({kind})"]
-        segment = self.engine._add_segment(
-            [pc for pc, _, _ in pending], [kind for _, kind, _ in pending])
-        self.used_segments.append(segment)
+        segment = len(self.segments)
+        self.segments.append((array("I", [pc for pc, _, _ in pending]),
+                              array("B", [kind for _, kind, _ in pending])))
         addresses = ", ".join(addr for _, _, addr in pending)
         return [f"{indent}tpe(_p{segment})",
                 f"{indent}tae(({addresses}))",
@@ -651,16 +665,24 @@ class _Emitter:
 
 
 class BlockEngine:
-    """Per-program compiled block functions plus their dispatch table.
+    """One machine's dispatch table over its program's block code.
 
-    ``funcs`` is index-aligned with ``program.instructions``: leader
-    indices hold block-chain functions, every other index holds a lazy
-    mid-block-entry stub (see module docstring).  The table is what
-    :meth:`Machine.run` threads its dispatch loop over.
+    ``funcs`` is index-aligned with ``program.instructions``.  Every
+    index starts as a stub that compiles on first entry: a leader's
+    chain function (with the block-entry preamble) or a mid-block tail
+    (without it).  The stub installs the compiled function in its slot
+    and runs it, so later dispatches go straight to the function.  The
+    table is what :meth:`Machine.run` threads its dispatch loop over.
+
+    The generated text depends only on the program, on whether the
+    machine traces, and on the step limit folded into the budget check,
+    so the compiled factories live on the :class:`Program`, keyed by
+    ``(traced, limit)`` and then ``(index, preamble)``.  A machine binds
+    them to its own register file, memory and trace by calling the
+    factory; a second machine over the same program compiles nothing.
     """
 
     def __init__(self, machine) -> None:
-        self._machine = machine
         program = machine.program
         self._program = program
         self._traced = machine.trace is not None
@@ -668,20 +690,19 @@ class BlockEngine:
         self._leader_indices = [program.index_of(address)
                                 for address in machine._leaders]
         self._leader_set = frozenset(self._leader_indices)
-        self._segments: List[Tuple[array, array]] = []
-        self._env = self._build_env()
-        count = len(program.instructions)
-        self.funcs: List[Callable[[], int]] = [None] * count  # type: ignore
-        for index in range(count):
-            if index not in self._leader_set:
-                self.funcs[index] = self._make_stub(index)
+        self._code: Dict[Tuple[int, bool], tuple] = \
+            program._block_code.setdefault((self._traced, self._limit), {})
+        self._env = self._build_env(machine)
+        leaders = self._leader_set
+        self.funcs: List[Callable[[], int]] = [
+            self._stub(index, index in leaders)
+            for index in range(len(program.instructions))]
         # Seed every leader's entry count, as _instrument_leader does.
         for address in machine._leaders:
             machine._block_counts[address] = 0
-        self._compile_blocks()
 
-    def _build_env(self) -> tuple:
-        machine = self._machine
+    @staticmethod
+    def _build_env(machine) -> tuple:
         trace = machine.trace
         if trace is not None:
             tpa, taa, tka = (trace.pcs.append, trace.addresses.append,
@@ -707,17 +728,14 @@ class BlockEngine:
                 if position < len(self._leader_indices)
                 else len(self._program.instructions))
 
-    def _add_segment(self, pcs: List[int], kinds: List[int]) -> int:
-        self._segments.append((array("I", pcs), array("B", kinds)))
-        return len(self._segments) - 1
-
-    def _factory_source(self, name: str, start: int, end: int, *,
-                        preamble: bool) -> str:
-        emitter = _Emitter(self, start, end, preamble=preamble)
+    def _factory_source(self, start: int, *, preamble: bool
+                        ) -> Tuple[str, List[Tuple[array, array]]]:
+        emitter = _Emitter(self, start, self._block_end(start),
+                           preamble=preamble)
         body = emitter.emit()
-        lines = [f"def {name}(E, S):",
+        lines = ["def factory(E, S):",
                  f"    ({_ENV_NAMES}) = E"]
-        for segment in sorted(set(emitter.used_segments)):
+        for segment in range(len(emitter.segments)):
             lines.append(f"    _p{segment}, _k{segment} = S[{segment}]")
         lines.append("    def block():")
         prefix = "        "
@@ -740,45 +758,35 @@ class BlockEngine:
         for line in body:
             lines.append(prefix + line)
         lines.append("    return block")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n", emitter.segments
 
-    def _compile_blocks(self) -> None:
-        indices = self._leader_indices
-        chunks: List[str] = []
-        for position, start in enumerate(indices):
-            chunks.append(self._factory_source(
-                f"_f{position}", start, self._block_end(start),
-                preamble=True))
-        self.source = "\n".join(chunks)
-        namespace: dict = {}
-        exec(compile(self.source, "<repro-block-codegen>", "exec"),
-             namespace)
-        for position, start in enumerate(indices):
-            self.funcs[start] = namespace[f"_f{position}"](self._env,
-                                                           self._segments)
+    def _function(self, index: int, preamble: bool) -> Callable[[], int]:
+        """The function entered at ``index``, bound to this machine.
 
-    # -- mid-block entries ---------------------------------------------
-    def _make_stub(self, index: int) -> Callable[[], int]:
-        funcs = self.funcs
-
-        def enter_mid_block() -> int:
-            tail = self._compile_tail(index)
-            funcs[index] = tail
-            return tail()
-
-        return enter_mid_block
-
-    def _compile_tail(self, index: int) -> Callable[[], int]:
-        """Split the containing block: compile ``[index, block end)``.
-
-        No leader preamble — a mid-block entry is not a block entry, so
-        it contributes to neither ``block_counts`` nor the step budget
-        (exactly like the closure engine's uninstrumented interior
-        closures).
+        With ``preamble`` it is the chain rooted at leader ``index``;
+        without, the tail ``[index, block end)`` of a split block.  A
+        tail has no leader preamble: a mid-block entry is not a block
+        entry, so it contributes to neither ``block_counts`` nor the
+        step budget (exactly like the closure engine's uninstrumented
+        interior closures).
         """
-        end = self._block_end(index)
-        source = self._factory_source("_tail", index, end, preamble=False)
-        namespace: dict = {}
-        exec(compile(source, "<repro-block-codegen-tail>", "exec"),
-             namespace)
-        return namespace["_tail"](self._env, self._segments)
+        key = (index, preamble)
+        code = self._code.get(key)
+        if code is None:
+            # Two machines racing here compile the same text twice;
+            # either result is correct to keep.
+            source, segments = self._factory_source(index,
+                                                    preamble=preamble)
+            namespace: dict = {}
+            exec(compile(source, "<repro-block-codegen>", "exec"),
+                 namespace)
+            code = self._code[key] = (namespace["factory"], segments)
+        factory, segments = code
+        return factory(self._env, segments)
+
+    def _stub(self, index: int, preamble: bool) -> Callable[[], int]:
+        def compile_on_entry() -> int:
+            function = self.funcs[index] = self._function(index, preamble)
+            return function()
+
+        return compile_on_entry

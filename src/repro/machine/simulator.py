@@ -13,10 +13,10 @@ Implementation notes
   - ``"closures"`` — every instruction pre-compiled to a Python closure
     returning the index of the next instruction (the reference engine;
     the debugger single-steps it);
-  - ``"blocks"`` (default) — every basic block compiled to one
-    ``exec``-generated superinstruction function with constants folded
-    into the source and trace columns appended in bulk
-    (:mod:`repro.machine.codegen`).
+  - ``"blocks"`` (default) — every basic block compiled, on its first
+    dispatch, to one ``exec``-generated superinstruction function with
+    constants folded into the source and trace columns appended in
+    bulk (:mod:`repro.machine.codegen`).
 
   Results are bit-identical by contract; pick with the ``engine``
   keyword or the ``REPRO_ENGINE`` environment variable.
@@ -39,6 +39,7 @@ Syscall convention (code in ``$v0``):
 
 from __future__ import annotations
 
+import logging
 import os
 import struct
 from dataclasses import dataclass, field
@@ -66,6 +67,8 @@ SYS_PRINT_INT = 1
 SYS_READ_INT = 5
 SYS_EXIT = 10
 SYS_PRINT_CHAR = 11
+
+_log = logging.getLogger("repro.machine")
 
 ENGINE_BLOCKS = "blocks"
 ENGINE_CLOSURES = "closures"
@@ -163,11 +166,13 @@ class Machine:
             try:
                 from repro.machine.codegen import BlockEngine
                 self._block_engine = BlockEngine(self)
-            except Exception:
-                # Hardening: any program the block compiler cannot
-                # handle falls back to the reference engine, so errors
-                # (if the program is genuinely bad) surface exactly as
-                # they always have.
+            except Exception as error:
+                # Hardening: a program the block engine cannot set up
+                # falls back to the reference engine, so errors (if the
+                # program is genuinely bad) surface exactly as they
+                # always have.  The fallback is logged, never silent.
+                _log.warning("block engine unavailable, falling back "
+                             "to closures: %r", error)
                 self._block_engine = None
                 self._block_counts.clear()
                 self.engine = ENGINE_CLOSURES

@@ -76,9 +76,10 @@ class TraceHandle:
     def _acquire(self) -> TraceSource:
         if self.store is not None:
             stream = self.store.open(self.key)
-            meta = self.store.meta(self.key) if stream is not None \
-                else None
-            if meta is not None:
+            if stream is not None:
+                # The sidecar the stream was opened from: one read, so
+                # the facts and the stream come from the same entry.
+                meta = stream.meta
                 self.steps = int(meta["steps"])
                 self.exit_code = int(meta["exit_code"])
                 self.output = [int(value) for value in meta["output"]]

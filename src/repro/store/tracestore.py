@@ -295,6 +295,8 @@ class TraceStore:
     def open(self, key: str) -> Optional[ChunkStream]:
         """A re-openable stream over a stored entry, or None on miss.
 
+        The stream's ``meta`` is the sidecar read here, so a caller
+        that needs the execution facts does not read it again.
         Decoding is lazy, so corruption surfaces as
         :class:`TraceStoreCorrupt` during iteration, not here.  Reading
         touches the entry's mtime, which is the LRU signal the cache
@@ -317,6 +319,7 @@ class TraceStore:
                            in meta["load_accesses"].items()},
             store_accesses={int(pc): n for pc, n
                             in meta["store_accesses"].items()},
+            meta=meta,
         )
 
     def delete(self, key: str) -> None:

@@ -5,19 +5,25 @@ closure reference engine: same :class:`ExecutionResult`, same profile
 counters, byte-identical trace columns.  These tests pin that contract
 over every registry workload plus targeted corner cases (mid-block jr
 entries, syscalls splitting a block, the step budget, the constructor
-fallback), and cover the :class:`MemoryTrace` column API the engine
-relies on.
+fallback), pin the lazy, program-scoped compilation contract, and cover
+the :class:`MemoryTrace` column API the engine relies on.
 """
+
+import logging
+import pickle
 
 import pytest
 
 from repro.asm.assembler import assemble
 from repro.compiler.driver import compile_source
+from repro.isa.instructions import SPECS, Instruction
+from repro.machine import codegen
 from repro.machine.errors import StepLimitExceeded
 from repro.machine.simulator import (ENGINE_BLOCKS, ENGINE_CLOSURES,
                                      Machine, resolve_engine)
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
 from repro.workloads.registry import get, names
+from tests.conftest import SAMPLE_SOURCE
 
 #: Small but non-trivial: every workload still runs 10^5..10^6+ steps.
 EQUIVALENCE_SCALE = 0.01
@@ -97,14 +103,19 @@ class TestEngineSelection:
             resolve_engine("jit")
 
     def test_compile_failure_falls_back_to_closures(self, sample_program,
-                                                    monkeypatch):
+                                                    monkeypatch, caplog):
         def boom(machine):
             raise RuntimeError("codegen exploded")
 
         monkeypatch.setattr("repro.machine.codegen.BlockEngine", boom)
-        machine = Machine(sample_program, engine=ENGINE_BLOCKS)
+        with caplog.at_level(logging.WARNING, logger="repro.machine"):
+            machine = Machine(sample_program, engine=ENGINE_BLOCKS)
         assert machine.engine == ENGINE_CLOSURES
         assert machine._block_engine is None
+        (record,) = caplog.records
+        assert record.name == "repro.machine"
+        assert record.levelno == logging.WARNING
+        assert "codegen exploded" in record.getMessage()
         result = machine.run()
         assert result.exit_code == 0
 
@@ -112,7 +123,7 @@ class TestEngineSelection:
 class TestEngineCornerCases:
     def test_mid_block_jr_compiles_tail_on_demand(self):
         """A computed jump into the middle of a block hits the
-        ``enter_mid_block`` stub, which compiles the tail once and
+        ``compile_on_entry`` stub, which compiles the tail once and
         replaces itself."""
         program = assemble(
             ".text\n.ent __start\n__start:\n"
@@ -122,7 +133,7 @@ class TestEngineCornerCases:
         machine = Machine(program, engine=ENGINE_BLOCKS)
         index = program.index_of(program.symbols["spot"] + 8)
         assert machine._block_engine.funcs[index].__name__ \
-            == "enter_mid_block"
+            == "compile_on_entry"
         result = machine.run()
         assert result.exit_code == 42
         assert machine._block_engine.funcs[index].__name__ == "block"
@@ -188,6 +199,110 @@ class TestEngineCornerCases:
             Machine(sample_program, engine=ENGINE_BLOCKS,
                     max_steps=200).run()
         assert str(out_exc.value) == str(ref_exc.value)
+
+
+def _counting_compiles(monkeypatch):
+    """Counts ``compile`` calls made by the block engine."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compile(*args, **kwargs)
+    monkeypatch.setattr(codegen, "compile", counting, raising=False)
+    return calls
+
+
+def _outcome(machine, result):
+    trace = machine.trace
+    columns = (None if trace is None else
+               (trace.pcs.tobytes(), trace.addresses.tobytes(),
+                trace.kinds.tobytes()))
+    return (result.steps, result.exit_code, result.output,
+            result.block_counts, columns)
+
+
+def _run(program, engine, **kwargs):
+    machine = Machine(program, engine=engine, **kwargs)
+    return machine, _outcome(machine, machine.run())
+
+
+class TestLazyProgramScopedCode:
+    def test_never_dispatched_leader_keeps_its_stub(self):
+        program = compile_source(
+            "int unused(int x) { return x * 3; }\n"
+            "int main() { print_int(7); return 0; }\n")
+        machine, outcome = _run(program, ENGINE_BLOCKS)
+        _, reference = _run(program, ENGINE_CLOSURES)
+        assert outcome == reference
+        address = program.symbols["unused"]
+        index = program.index_of(address)
+        assert machine._block_engine.funcs[index].__name__ \
+            == "compile_on_entry"
+        assert machine.run().block_counts[address] == 0
+        entry = program.index_of(program.entry)
+        assert machine._block_engine.funcs[entry].__name__ == "block"
+
+    def test_second_machine_compiles_nothing(self, monkeypatch):
+        program = compile_source(SAMPLE_SOURCE)
+        compiles = _counting_compiles(monkeypatch)
+        _, first = _run(program, ENGINE_BLOCKS)
+        assert compiles
+        compiles.clear()
+        second_machine, second = _run(program, ENGINE_BLOCKS)
+        assert compiles == []
+        assert second_machine._block_engine is not None
+        assert second == first
+        assert second == _run(program, ENGINE_CLOSURES)[1]
+
+    def test_traced_untraced_and_limits_do_not_share_code(self):
+        program = compile_source(SAMPLE_SOURCE)
+        variants = [dict(trace_memory=True), dict(trace_memory=False),
+                    dict(trace_memory=True, max_steps=10 ** 7)]
+        for kwargs in variants:
+            assert (_run(program, ENGINE_BLOCKS, **kwargs)[1]
+                    == _run(program, ENGINE_CLOSURES, **kwargs)[1])
+        assert set(program._block_code) == {
+            (True, 500_000_000), (False, 500_000_000), (True, 10 ** 7)}
+        factories = [{factory for factory, _ in code.values()}
+                     for code in program._block_code.values()]
+        for position, mine in enumerate(factories):
+            for other in factories[position + 1:]:
+                assert not mine & other
+        # A tight limit after the generous ones still trips exactly
+        # where the reference engine does: the budget is not shared.
+        with pytest.raises(StepLimitExceeded) as reference:
+            Machine(program, engine=ENGINE_CLOSURES, max_steps=40).run()
+        with pytest.raises(StepLimitExceeded) as blocks:
+            Machine(program, engine=ENGINE_BLOCKS, max_steps=40).run()
+        assert str(blocks.value) == str(reference.value)
+
+    def test_every_mnemonic_emits(self):
+        """Codegen errors surface at first dispatch, so every mnemonic
+        is compiled here, as a tail at each index and as a chain at
+        each leader, traced and untraced."""
+        lines = [".text", ".ent __start", "__start:"]
+        for mnemonic in sorted(SPECS):
+            lines.append(Instruction(mnemonic, rd=8, rs=9, rt=10, imm=4,
+                                     shamt=3, label="__start").text())
+        lines.append(".end __start")
+        program = assemble("\n".join(lines) + "\n")
+        assert {instr.mnemonic for instr in program.instructions} \
+            == set(SPECS)
+        for trace_memory in (True, False):
+            engine = Machine(program, trace_memory=trace_memory,
+                             engine=ENGINE_BLOCKS)._block_engine
+            for index in range(len(program.instructions)):
+                assert callable(engine._function(index, preamble=False))
+            for index in engine._leader_indices:
+                assert callable(engine._function(index, preamble=True))
+
+    def test_program_pickles_after_a_run(self):
+        program = compile_source(SAMPLE_SOURCE)
+        _, outcome = _run(program, ENGINE_BLOCKS)
+        assert program._block_code
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy._block_code == {}
+        assert _run(copy, ENGINE_BLOCKS)[1] == outcome
 
 
 class TestMemoryTraceColumns:

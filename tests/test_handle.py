@@ -148,6 +148,25 @@ class TestAcquisition:
         assert warm.execution() == cold.execution()
         assert executions == [1]
 
+    def test_store_hit_reads_the_sidecar_once(self, tmp_path, monkeypatch,
+                                              executions):
+        store = TraceStore(tmp_path)
+        cold = TraceHandle(_program(), "k", store)
+        cold.source()
+        executions.clear()
+        reads = []
+        original = TraceStore.meta
+
+        def counting(self, key):
+            reads.append(key)
+            return original(self, key)
+        monkeypatch.setattr(TraceStore, "meta", counting)
+        warm = TraceHandle(_program(), "k", store)
+        assert warm.execution() == cold.execution()
+        assert reads == ["k"]
+        assert executions == []
+        assert list(warm.source()) and reads == ["k"]
+
     def test_without_store_materializes(self, executions):
         handle = TraceHandle(_program(), "k")
         execution = handle.execution()
