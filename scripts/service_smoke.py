@@ -4,7 +4,7 @@
 Run from the repository root (CI does)::
 
     PYTHONPATH=src python scripts/service_smoke.py
-    PYTHONPATH=src python scripts/service_smoke.py --cluster
+    PYTHONPATH=src python scripts/service_smoke.py --pool
 
 Spawns ``python -m repro serve`` as a subprocess on an ephemeral port,
 waits for its listening banner, then checks with a client that
@@ -16,18 +16,20 @@ waits for its listening banner, then checks with a client that
 4. ``metrics`` reports the traffic,
 5. the ``shutdown`` op terminates the process cleanly (exit code 0).
 
-``--cluster`` runs the same probe against ``python -m repro cluster``
-fronting two spawned workers, then SIGKILLs one worker mid-run and
-asserts every subsequent request still succeeds (failover) and the
-router reports the ejection.
+``--pool`` serves with two worker processes instead of one thread,
+SIGKILLs one pool process while a request runs on it, and asserts that
+every later request succeeds and that ``metrics`` counts the pool
+restart.
 
 Exits non-zero on the first failed check.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -53,22 +55,49 @@ int main(int n) {
 """
 
 
-def main() -> int:
+def _start(workers: int) -> tuple[subprocess.Popen, str, int]:
+    """Spawn ``repro serve``; returns the process and its address."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "0", "--no-disk-cache"],
+         "--workers", str(workers), "--no-disk-cache"],
         stdout=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT)
-    try:
-        banner = proc.stdout.readline().strip()
-        print(f"smoke: {banner}")
-        prefix = "repro service listening on "
-        assert banner.startswith(prefix), f"unexpected banner: {banner!r}"
-        host, port = banner[len(prefix):].rsplit(":", 1)
+    banner = proc.stdout.readline().strip()
+    print(f"smoke: {banner}")
+    prefix = "repro service listening on "
+    if not banner.startswith(prefix):
+        proc.kill()
+        proc.wait()
+        raise AssertionError(f"unexpected banner: {banner!r}")
+    host, port = banner[len(prefix):].rsplit(":", 1)
+    return proc, host, int(port)
 
-        with ServiceClient(host, int(port), timeout=120.0) as client:
+
+def _stop(proc: subprocess.Popen, client: ServiceClient) -> None:
+    client.shutdown()
+    proc.wait(timeout=30)
+    assert proc.returncode == 0, f"server exited with {proc.returncode}"
+
+
+def _children(pid: int) -> list[int]:
+    """Process ids whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue        # exited while we looked
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def main() -> int:
+    proc, host, port = _start(workers=0)
+    try:
+        with ServiceClient(host, port, timeout=120.0) as client:
             health = client.health()
             assert health["status"] == "ok", health
             print(f"smoke: health ok "
@@ -94,11 +123,7 @@ def main() -> int:
                   f"(p50 analyze "
                   f"{metrics['latency']['analyze']['p50_ms']}ms)")
 
-            client.shutdown()
-
-        proc.wait(timeout=30)
-        assert proc.returncode == 0, \
-            f"server exited with {proc.returncode}"
+            _stop(proc, client)
         print("smoke: clean shutdown — all checks passed")
         return 0
     finally:
@@ -107,88 +132,49 @@ def main() -> int:
             proc.wait()
 
 
-def cluster_main() -> int:
-    import signal
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "cluster", "--port", "0",
-         "--workers", "2", "--spawn", "--no-disk-cache",
-         "--probe-interval", "0.3"],
-        stdout=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT)
+def pool_main() -> int:
+    proc, host, port = _start(workers=2)
     try:
-        banner = proc.stdout.readline().strip()
-        print(f"smoke: {banner}")
-        prefix = "repro cluster listening on "
-        assert banner.startswith(prefix), f"unexpected banner: {banner!r}"
-        address = banner[len(prefix):].split(" ")[0]
-        host, port = address.rsplit(":", 1)
-
-        with ServiceClient(host, int(port), timeout=120.0) as client:
+        with ServiceClient(host, port, timeout=120.0) as client:
             health = client.health()
-            assert health["status"] == "ok", health
-            assert health["role"] == "router", health
-            assert health["workers"]["healthy"] == 2, health["workers"]
-            print(f"smoke: router health ok "
-                  f"({health['workers']['healthy']} healthy workers, "
-                  f"{health['ring']['vnodes']} vnodes)")
+            assert health["pool_mode"] == "process", health
+            client.call("sleep", {"seconds": 0.0})   # forks the pool
+            pool = _children(proc.pid)
+            assert len(pool) == 2, f"expected 2 pool processes: {pool}"
+            print(f"smoke: pool processes {pool}")
 
-            served = client.analyze(SOURCE)
-            local = report_to_dict(analyze_program(SOURCE))
-            assert json.dumps(served) == json.dumps(local), \
-                "routed analyze diverges from in-process pipeline"
-            print("smoke: routed analyze identical to in-process")
+            outcome: list[str] = []
 
-            repeat = client.request("analyze", {"source": SOURCE})
-            assert repeat["cached"] == "memory", repeat.get("cached")
-            print("smoke: repeat request hit the warm worker's cache")
+            def running() -> None:
+                with ServiceClient(host, port, timeout=120.0) as other:
+                    try:
+                        other.call("sleep", {"seconds": 3.0})
+                        outcome.append("ok")
+                    except Exception as exc:   # noqa: BLE001 - report
+                        outcome.append(str(exc))
 
-            status = client.call("cluster", {"action": "status"})
-            pids = [worker["pid"] for worker in status["workers"]]
-            assert all(pid for pid in pids), status["workers"]
-            victim = pids[0]
-            os.kill(victim, signal.SIGKILL)
-            print(f"smoke: killed worker pid {victim}")
+            thread = threading.Thread(target=running)
+            thread.start()
+            time.sleep(0.5)                     # now on the pool
+            os.kill(pool[0], signal.SIGKILL)
+            print(f"smoke: killed pool process {pool[0]}")
+            thread.join()
+            print(f"smoke: request running at the kill: {outcome[0]}")
 
-            errors = 0
+            local = json.dumps(report_to_dict(analyze_program(SOURCE)))
             for index in range(8):
-                variant = SOURCE + "\n" * (index + 1)
-                try:
-                    client.analyze(variant)
-                except Exception as exc:   # noqa: BLE001 - count all
-                    errors += 1
-                    print(f"smoke: request {index} FAILED: {exc}")
-            assert errors == 0, f"{errors} request(s) failed after kill"
-            print("smoke: 8/8 requests succeeded during failover")
+                # trailing newlines: fresh cache keys, same program
+                served = client.analyze(SOURCE + "\n" * (index + 1))
+                assert json.dumps(served) == local, \
+                    f"request {index} diverges after the kill"
+            print("smoke: 8/8 requests after the kill succeeded")
 
-            deadline = time.time() + 30
-            while time.time() < deadline:
-                status = client.call("cluster", {"action": "status"})
-                healthy = sum(1 for worker in status["workers"]
-                              if worker["healthy"])
-                if healthy == 1:
-                    break
-                time.sleep(0.2)
-            assert healthy == 1, status["workers"]
-            print(f"smoke: dead worker ejected "
-                  f"(failovers={status['router']['failovers']}, "
-                  f"ejections={status['router']['ejections']})")
+            restarts = client.metrics()["pool"]["restarts"]
+            assert restarts >= 1, f"pool restarts: {restarts}"
+            print(f"smoke: metrics count {restarts} pool restart(s)")
 
-            metrics = client.metrics()
-            assert metrics["cluster"]["workers"]["reporting"] == 1, \
-                metrics["cluster"]["workers"]
-            assert metrics["cluster"]["requests"]["total"] > 0, \
-                metrics["cluster"]["requests"]
-            print("smoke: cluster metrics aggregation ok")
-
-            client.shutdown()
-
-        proc.wait(timeout=30)
-        assert proc.returncode == 0, \
-            f"router exited with {proc.returncode}"
-        print("smoke: clean cluster shutdown — all checks passed")
+            _stop(proc, client)
+        print("smoke: clean shutdown — all process-pool checks passed")
         return 0
     finally:
         if proc.poll() is None:
@@ -197,4 +183,4 @@ def cluster_main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(cluster_main() if "--cluster" in sys.argv else main())
+    sys.exit(pool_main() if "--pool" in sys.argv else main())

@@ -13,7 +13,6 @@
                              [--resume] [--status]    (alias: warm)
     python -m repro cache gc [--limit SIZE] [--dry-run]
     python -m repro serve [--port P] [--workers N] [--stats]
-    python -m repro cluster --workers N [--spawn] [--port P]
 
 ``run`` executes the program on the bundled simulator; ``analyze`` runs
 the paper's delinquent-load identification and prints the flagged loads
@@ -23,9 +22,7 @@ analyzing in-process); ``disasm``/``asm`` show the generated code.
 ``campaign`` (alias ``warm``) regenerates the experiment grid across
 worker processes and fills the on-disk caches; ``tables`` forwards to
 the experiment runner; ``serve`` starts the long-lived
-delinquency-analysis service (see :mod:`repro.service`); ``cluster``
-fronts N such servers with a cache-aware consistent-hash router (see
-:mod:`repro.cluster`).
+delinquency-analysis service (see :mod:`repro.service`).
 """
 
 from __future__ import annotations
@@ -402,48 +399,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import RouterConfig, run_router, spawn_workers
-
-    config = RouterConfig(
-        host=args.host,
-        port=args.port,
-        replicas=args.replicas,
-        probe_interval=args.probe_interval,
-        upstream_timeout=args.timeout,
-    )
-    spec = args.workers
-    spawned = []
-    processes = {}
-    try:
-        if args.spawn or spec.isdigit():
-            count = int(spec) if spec.isdigit() else 2
-            if count < 1:
-                print("repro: error: --workers must be >= 1",
-                      file=sys.stderr)
-                return 2
-            spawned = spawn_workers(
-                count, pool_workers=args.worker_pool,
-                disk_cache=not args.no_disk_cache,
-                cache_dir=args.cache_dir)
-            upstreams = tuple(worker.address for worker in spawned)
-            processes = {worker.address: worker for worker in spawned}
-        else:
-            upstreams = tuple(address.strip()
-                              for address in spec.split(",")
-                              if address.strip())
-            if not any(":" in address for address in upstreams):
-                print("repro: error: --workers takes a count (with "
-                      "--spawn) or comma-separated HOST:PORT "
-                      "addresses", file=sys.stderr)
-                return 2
-        run_router(config, upstreams, processes, stats=args.stats)
-    finally:
-        for worker in spawned:
-            worker.stop()
-    return 0
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -729,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "then the CPU count)")
     p_camp.add_argument("--remote", default=None, metavar="HOST:PORT",
                         help="dispatch run cells to a running "
-                             "'repro serve'/'repro cluster' endpoint "
-                             "instead of a local process pool")
+                             "'repro serve' endpoint instead of a "
+                             "local process pool")
     p_camp.add_argument("--resume", action="store_true",
                         help="skip cells whose manifest entry matches "
                              "the current code digest and whose "
@@ -785,45 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump the final metrics snapshot as JSON "
                             "on shutdown")
     p_srv.set_defaults(func=cmd_serve)
-
-    p_cl = sub.add_parser(
-        "cluster",
-        help="front N analysis workers with a cache-aware "
-             "consistent-hash router (see repro.cluster)")
-    p_cl.add_argument("--workers", default="2",
-                      help="worker count to spawn locally (a number, "
-                           "default 2) or comma-separated HOST:PORT "
-                           "addresses of already-running servers")
-    p_cl.add_argument("--spawn", action="store_true",
-                      help="spawn the workers as local 'repro serve' "
-                           "subprocesses (implied when --workers is "
-                           "a number)")
-    p_cl.add_argument("--host", default="127.0.0.1")
-    p_cl.add_argument("--port", type=int, default=8652,
-                      help="router TCP port (0: pick an ephemeral "
-                           "port; default 8652)")
-    p_cl.add_argument("--replicas", type=int, default=64,
-                      help="virtual nodes per worker on the hash "
-                           "ring (default 64)")
-    p_cl.add_argument("--probe-interval", type=float, default=1.0,
-                      help="seconds between worker health probes "
-                           "(default 1)")
-    p_cl.add_argument("--worker-pool", type=int, default=0,
-                      help="worker processes per spawned server "
-                           "(default 0: one thread each)")
-    p_cl.add_argument("--cache-dir", default=None,
-                      help="disk result-cache directory for spawned "
-                           "workers (shared across them)")
-    p_cl.add_argument("--no-disk-cache", action="store_true",
-                      help="disable the disk cache tier on spawned "
-                           "workers")
-    p_cl.add_argument("--timeout", type=float, default=120.0,
-                      help="upstream round-trip timeout floor, "
-                           "seconds (default 120)")
-    p_cl.add_argument("--stats", action="store_true",
-                      help="dump the final cluster status snapshot "
-                           "as JSON on shutdown")
-    p_cl.set_defaults(func=cmd_cluster)
 
     p_fuzz = sub.add_parser(
         "fuzz",

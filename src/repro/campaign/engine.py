@@ -380,7 +380,7 @@ class Campaign:
                     finish_cell: Callable[[CellPlan, float, str], None],
                     render_ready: Callable[[], None],
                     say: Callable[[str], None]) -> None:
-        """Dispatch run cells to a running service/cluster endpoint.
+        """Dispatch run cells to a running ``repro serve`` endpoint.
 
         One ``simulate`` request per run cell (the scheduler merges
         concurrent requests for one trace into a single replay); the

@@ -20,9 +20,8 @@ contract, raising :class:`DivergenceError` on any mismatch:
     must all be bit-identical;
 ``service``
     in-process :func:`repro.api.analyze_program` vs. the long-lived
-    service path vs. a 2-worker cluster behind the consistent-hash
-    router, canonical-JSON byte equality for both ``analyze`` and the
-    purely static ``classify``;
+    service path, canonical-JSON byte equality for both ``analyze``
+    and the purely static ``classify``;
 ``pipeline``
     a cold :class:`~repro.pipeline.session.Session` vs. a fresh session
     warmed from the first one's disk cache — stats, block profile and
@@ -87,8 +86,6 @@ class OracleContext:
     def __init__(self):
         self._server = None
         self._client = None
-        self._cluster = None
-        self._cluster_client = None
         self._tmp: Optional[Path] = None
 
     # -- lifecycle ----------------------------------------------------
@@ -105,12 +102,6 @@ class OracleContext:
         if self._server is not None:
             self._server.stop()
             self._server = None
-        if self._cluster_client is not None:
-            self._cluster_client.close()
-            self._cluster_client = None
-        if self._cluster is not None:
-            self._cluster.stop()
-            self._cluster = None
         if self._tmp is not None:
             shutil.rmtree(self._tmp, ignore_errors=True)
             self._tmp = None
@@ -128,23 +119,6 @@ class OracleContext:
             self._client = ServiceClient(self._server.host,
                                          self._server.port, timeout=120.0)
         return self._client
-
-    @property
-    def cluster_client(self):
-        """A client to a lazily started in-thread 2-worker cluster."""
-        if self._cluster is None:
-            from repro.cluster import RouterConfig, cluster_in_thread
-            from repro.service.server import ServerConfig
-            self._cluster = cluster_in_thread(
-                2,
-                router_config=RouterConfig(port=0, probe_interval=0.5),
-                worker_config=ServerConfig(port=0, workers=0,
-                                           use_disk_cache=False))
-        if self._cluster_client is None:
-            from repro.service.client import ServiceClient
-            self._cluster_client = ServiceClient(
-                self._cluster.host, self._cluster.port, timeout=120.0)
-        return self._cluster_client
 
     def scratch_dir(self) -> Path:
         """A fresh empty subdirectory of the run's scratch space."""
@@ -325,34 +299,24 @@ def check_streaming(case, ctx: OracleContext) -> None:
 def check_service(case, ctx: OracleContext) -> None:
     """Served analyze/classify vs. the in-process pipeline.
 
-    Both endpoints — a single server and a 2-worker cluster behind the
-    consistent-hash router — must be canonical-JSON byte-equal to the
-    in-process result, so the routing layer provably adds nothing to
-    the wire.
+    The served payloads must be canonical-JSON byte-equal to the
+    in-process result, so the service provably adds nothing to the
+    wire.
     """
     from repro.api import analyze_program
     from repro.export import canonical_json, report_to_dict
     source = case.source()
     name = "service"
     client = ctx.client
-    clustered = ctx.cluster_client
     local = canonical_json(report_to_dict(analyze_program(source)))
     served = canonical_json(client.analyze(source))
     if served != local:
         _diverge(name, "analyze payload", served[:400], local[:400])
-    routed = canonical_json(clustered.analyze(source))
-    if routed != local:
-        _diverge(name, "cluster analyze payload", routed[:400],
-                 local[:400])
     local = canonical_json(report_to_dict(analyze_program(
         source, execute=False)))
     served = canonical_json(client.classify(source))
     if served != local:
         _diverge(name, "classify payload", served[:400], local[:400])
-    routed = canonical_json(clustered.classify(source))
-    if routed != local:
-        _diverge(name, "cluster classify payload", routed[:400],
-                 local[:400])
 
 
 # -- pipeline-cache oracle ---------------------------------------------
@@ -612,8 +576,7 @@ ORACLES: dict[str, Oracle] = {
                "chunked/store-streamed replay vs. materialized "
                "(stats, digests, stack-distance profiles)"),
         Oracle("service", ("minic",), check_service,
-               "in-process analyze/classify vs. the served path "
-               "(single server and 2-worker cluster)"),
+               "in-process analyze/classify vs. the served path"),
         Oracle("pipeline", ("minic",), check_pipeline,
                "cold Session vs. disk-cache-warmed Session"),
         Oracle("analytic", ("minic",), check_analytic,

@@ -1,7 +1,7 @@
 """Small blocking client for the analysis service.
 
-Used by the test suite, the benchmarks, the CI smoke probe, the cluster
-router's upstream pool, and ``python -m repro analyze --remote
+Used by the test suite, the benchmarks, the CI smoke probe, the
+campaign's ``--remote`` dispatch and ``python -m repro analyze --remote
 HOST:PORT``.  One persistent TCP connection, JSON-lines framing,
 sequential request/response::
 
@@ -12,22 +12,15 @@ sequential request/response::
 Failures come back as :class:`ServiceError` carrying the server's error
 code (``overloaded``, ``timeout``, ``bad_request``, ...) and, for
 transport failures, the upstream ``HOST:PORT`` for diagnosability.
-
-Retries are **opt-in**: with ``retries=N`` the client retries failed
-connects and transport-failed round trips up to N times with
-exponential backoff and jitter, transparently reconnecting between
-attempts.  A resent request re-executes on the server, so only enable
-retries for idempotent traffic (the analysis ops are; the cluster
-router relies on this).  The default ``retries=0`` keeps the historic
-fail-fast behaviour.
+The client fails fast: a refused connect raises :class:`OSError` and a
+broken connection raises on the round trip it broke; nothing is
+retried or resent.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import socket
-import time
 from typing import Any, Optional
 
 from repro.service.protocol import PROTOCOL_VERSION
@@ -59,101 +52,23 @@ class ServiceClient:
     """Blocking JSON-lines client over one TCP connection."""
 
     def __init__(self, host: str, port: int, *,
-                 timeout: float = 300.0,
-                 retries: int = 0,
-                 backoff: float = 0.1,
-                 backoff_max: float = 2.0):
+                 timeout: float = 300.0):
         self.host = host
         self.port = port
         self.address = f"{host}:{port}"
         self.timeout = timeout
-        self.retries = max(0, int(retries))
-        self.backoff = backoff
-        self.backoff_max = backoff_max
-        self._sock: Optional[socket.socket] = None
-        self._file = None
+        self._sock: Optional[socket.socket] = socket.create_connection(
+            (host, port), timeout=timeout)
+        self._file = self._sock.makefile("rwb")
         self._next_id = 0
-        self._connect_with_retry()
 
     @classmethod
     def connect(cls, address: str, *,
-                timeout: float = 300.0, retries: int = 0,
-                backoff: float = 0.1) -> "ServiceClient":
+                timeout: float = 300.0) -> "ServiceClient":
         host, port = parse_address(address)
-        return cls(host, port, timeout=timeout, retries=retries,
-                   backoff=backoff)
-
-    # -- connection management -----------------------------------------
-    def _backoff_delay(self, attempt: int) -> float:
-        base = min(self.backoff_max, self.backoff * (2 ** attempt))
-        return base * (0.5 + random.random() * 0.5)   # jittered
-
-    def _connect(self) -> None:
-        self._sock = socket.create_connection((self.host, self.port),
-                                              timeout=self.timeout)
-        self._file = self._sock.makefile("rwb")
-
-    def _connect_with_retry(self) -> None:
-        for attempt in range(self.retries + 1):
-            try:
-                self._connect()
-                return
-            except OSError:
-                if attempt == self.retries:
-                    raise
-                time.sleep(self._backoff_delay(attempt))
-
-    def _reconnect(self) -> None:
-        self.close()
-        self._connect()
+        return cls(host, port, timeout=timeout)
 
     # -- plumbing ----------------------------------------------------
-    def _roundtrip(self, line: bytes) -> bytes:
-        self._file.write(line)
-        self._file.flush()
-        response = self._file.readline()
-        if not response:
-            raise ServiceError("transport",
-                               "server closed the connection",
-                               address=self.address)
-        return response
-
-    def transact(self, line: bytes, *,
-                 timeout: Optional[float] = None) -> bytes:
-        """One raw line out, one raw line back (byte passthrough).
-
-        The caller owns the request id inside ``line``; the response
-        line is returned verbatim.  With ``retries`` enabled a
-        transport failure reconnects and **resends the same line** —
-        callers must ensure the request is idempotent.  ``timeout``
-        overrides the socket timeout for this round trip only.
-        """
-        if not line.endswith(b"\n"):
-            line += b"\n"
-        last: Exception = ServiceError("transport", "no attempt made",
-                                       address=self.address)
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self._backoff_delay(attempt - 1))
-                try:
-                    self._reconnect()
-                except OSError as exc:
-                    last = exc
-                    continue
-            try:
-                if timeout is not None:
-                    self._sock.settimeout(timeout)
-                try:
-                    return self._roundtrip(line)
-                finally:
-                    if timeout is not None and self._sock is not None:
-                        self._sock.settimeout(self.timeout)
-            except (ServiceError, OSError, ValueError) as exc:
-                last = exc
-        if isinstance(last, ServiceError):
-            raise last
-        raise ServiceError("transport", str(last), address=self.address)
-
     def request(self, op: str,
                 params: Optional[dict[str, Any]] = None, *,
                 timeout: Optional[float] = None) -> dict[str, Any]:
@@ -169,7 +84,17 @@ class ServiceClient:
             message["params"] = params
         if timeout is not None:
             message["timeout"] = timeout
-        line = self.transact((json.dumps(message) + "\n").encode())
+        try:
+            self._file.write((json.dumps(message) + "\n").encode())
+            self._file.flush()
+            line = self._file.readline()
+        except (OSError, ValueError) as exc:
+            raise ServiceError("transport", str(exc),
+                               address=self.address) from exc
+        if not line:
+            raise ServiceError("transport",
+                               "server closed the connection",
+                               address=self.address)
         response = json.loads(line.decode("utf-8"))
         if response.get("id") not in (request_id, None):
             raise ServiceError(

@@ -40,10 +40,11 @@ class ServiceMetrics:
         self.merged_simulate_requests = 0
         self.queue_peak = 0
         self.rejected_connections = 0
+        #: worker pools replaced after a pool process died
+        self.pool_restarts = 0
         #: scheduled requests currently being handled (gauge, not a
         #: counter; health/metrics probes are excluded so they never
-        #: observe themselves): the cluster router aggregates this
-        #: across workers for meaningful live load numbers.
+        #: observe themselves)
         self.in_flight = 0
         self._latency_s: dict[str, deque] = {}
 
@@ -124,5 +125,6 @@ class ServiceMetrics:
                 "capacity": queue_capacity,
                 "peak": self.queue_peak,
             },
-            "pool": {"workers": workers, "mode": pool_mode},
+            "pool": {"workers": workers, "mode": pool_mode,
+                     "restarts": self.pool_restarts},
         }

@@ -54,9 +54,6 @@ OVERLOADED = "overloaded"
 TIMEOUT = "timeout"
 INTERNAL = "internal"
 SHUTTING_DOWN = "shutting_down"
-#: emitted by the cluster router when no healthy worker can take a
-#: request (all ejected/draining, or failover attempts exhausted)
-UNAVAILABLE = "unavailable"
 
 
 class ProtocolError(Exception):

@@ -14,11 +14,16 @@ The flow for one scheduled request (``analyze`` / ``classify`` /
    requests that arrive within ``batch_window`` seconds into one batch.
    ``simulate`` requests for the same (source, optimize, max_steps) are
    *merged* into a single call of the one-pass multi-config engine;
-   everything else fans out across the worker pool.
+   everything else fans out across the worker pool.  Up to ``workers``
+   batches (at least one) run at once, so a slow batch never holds an
+   idle pool process back from the next one.
 5. **Compute** — jobs run on a persistent pool: worker processes
    (``workers >= 1``) so the event loop never blocks on pipeline work,
    or one thread (``workers == 0``, handy for tests and single-core
-   boxes).  Results populate the cache before waiters wake.
+   boxes).  Results populate the cache before waiters wake.  A pool
+   whose process died is replaced (logged, and counted in the
+   ``metrics`` op's ``pool.restarts``); only the jobs that were on it
+   fail.
 
 Per-request timeouts apply to the *wait*, not the computation: a timed
 out or disconnected waiter abandons a shielded future, the computation
@@ -28,8 +33,10 @@ still finishes, and its result still lands in the cache.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -42,6 +49,8 @@ from repro.store.tier import JsonTier
 
 #: Version of the served-response entries, ``{"version", "result"}``.
 RESULT_VERSION = 1
+
+_log = logging.getLogger("repro.service")
 
 
 def _served(entry: dict) -> Any:
@@ -84,27 +93,30 @@ class BatchScheduler:
         self._inflight: dict[str, "asyncio.Future[Any]"] = {}
         self._executor = None
         self._dispatcher: Optional[asyncio.Task] = None
+        self._batches: set[asyncio.Task] = set()
+        self._slots = asyncio.Semaphore(max(1, self.workers))
         self._stopping = False
 
     # -- lifecycle ---------------------------------------------------
-    def start(self) -> None:
+    def _new_executor(self):
         if self.workers:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers)
-        else:
-            self._executor = ThreadPoolExecutor(max_workers=1)
+            return ProcessPoolExecutor(max_workers=self.workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    def start(self) -> None:
+        self._executor = self._new_executor()
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._run())
 
     async def stop(self) -> None:
         self._stopping = True
+        tasks = list(self._batches)
         if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except (asyncio.CancelledError, Exception):
-                pass
+            tasks.append(self._dispatcher)
             self._dispatcher = None
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         while not self._queue.empty():
             job = self._queue.get_nowait()
             if not job.future.done():
@@ -167,7 +179,11 @@ class BatchScheduler:
 
     # -- dispatch ----------------------------------------------------
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
+            # a slot per batch in flight: requests queue up (and merge)
+            # while every slot is busy
+            await self._slots.acquire()
             batch = [await self._queue.get()]
             while len(batch) < self.batch_max:
                 try:
@@ -176,10 +192,18 @@ class BatchScheduler:
                 except asyncio.TimeoutError:
                     break
             self.metrics.record_batch(len(batch))
+            task = loop.create_task(self._run_batch(batch))
+            self._batches.add(task)
+            task.add_done_callback(self._batches.discard)
+
+    async def _run_batch(self, batch: list[_Job]) -> None:
+        try:
             await asyncio.gather(
                 *(self._run_group(jobs, op, params)
                   for jobs, op, params in self._plan(batch)),
                 return_exceptions=True)
+        finally:
+            self._slots.release()
 
     def _plan(self, batch: list[_Job]
               ) -> list[tuple[list[_Job], str, dict]]:
@@ -220,11 +244,14 @@ class BatchScheduler:
     async def _run_group(self, jobs: list[_Job], op: str,
                          params: dict) -> None:
         loop = asyncio.get_running_loop()
+        executor = self._executor
         try:
             result = await loop.run_in_executor(
-                self._executor, execute_op, op, params)
+                executor, execute_op, op, params)
             self.metrics.computations += 1
         except Exception as exc:  # worker/pool failure
+            if isinstance(exc, BrokenProcessPool):
+                self._replace_pool(executor)
             error = ProtocolError(protocol.INTERNAL,
                                   f"{type(exc).__name__}: {exc}")
             for job in jobs:
@@ -242,6 +269,18 @@ class BatchScheduler:
             split["results"] = [by_config[canonical_json(c)] for c in
                                 job.request.params["configs"]]
             self._finish(job, result=split)
+
+    def _replace_pool(self, broken) -> None:
+        """Swap in a fresh pool for ``broken``, once per broken pool:
+        every group that was on it sees the breakage, and only the
+        first to report it replaces the pool."""
+        if self._stopping or self._executor is not broken:
+            return
+        _log.warning("worker pool broke (a pool process died); "
+                     "starting a new pool of %d processes", self.workers)
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._executor = self._new_executor()
+        self.metrics.pool_restarts += 1
 
     def _finish(self, job: _Job, result: Any = None,
                 error: Optional[Exception] = None) -> None:

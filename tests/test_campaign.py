@@ -25,7 +25,6 @@ from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
                                 CacheConfig, associativity_sweep,
                                 size_sweep)
 from repro.campaign import Campaign, Manifest, campaign_dir, code_digest
-from repro.cluster.metrics import aggregate_worker_metrics
 from repro.experiments.grid import (CACHE_16K, GridCell, TableSpec,
                                     campaign_cells, merge_cells,
                                     sweep_configs, table_specs)
@@ -327,32 +326,9 @@ class TestCrashResume:
 
 
 # ---------------------------------------------------------------------
-# metrics plumbing: service snapshot + cluster aggregation + simulate
+# metrics plumbing: service snapshot + simulate
 # ---------------------------------------------------------------------
 class TestMetricsPlumbing:
-    def test_cluster_aggregation_sums_profile_store(self):
-        def row(sweep_hits: int, misses: int) -> dict:
-            return {"address": "w", "healthy": True,
-                    "draining": False, "metrics": {
-                "profile_store": {
-                    "sweep_memory_hits": sweep_hits,
-                    "sweep_disk_hits": 0,
-                    "sweep_misses": misses,
-                    "sweep_puts": misses,
-                    "analytic_memory_hits": 0,
-                    "analytic_disk_hits": 0,
-                    "analytic_misses": 0,
-                    "analytic_puts": 0,
-                    "hit_rate": 0.5,
-                },
-            }}
-        totals = aggregate_worker_metrics([row(3, 1), row(1, 3)])
-        store = totals["profile_store"]
-        assert store["sweep_memory_hits"] == 4
-        assert store["sweep_misses"] == 4
-        assert store["sweep_puts"] == 4
-        assert store["hit_rate"] == 0.5
-
     def test_simulate_response_carries_full_columns(self):
         from repro.service.ops import run_simulate
 

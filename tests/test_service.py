@@ -5,10 +5,13 @@ coalescing and simulate-batch merging, backpressure/overload behaviour,
 per-request timeouts, malformed-request handling, and both tiers of the
 result cache.  Servers run on a background thread (``serve_in_thread``)
 with the single-thread pool (``workers=0``) so the suite stays fast and
-deterministic on one core; one test exercises the process pool.
+deterministic on one core; the process-pool tests cover concurrent
+batches and recovery from a killed pool process.
 """
 
 import json
+import os
+import signal
 import threading
 import time
 
@@ -373,6 +376,122 @@ class TestProcessPool:
                 served = c.analyze(SMALL)
         local = report_to_dict(analyze_program(SMALL))
         assert json.dumps(served) == json.dumps(local)
+
+
+class TestProcessPoolConcurrency:
+    def test_second_batch_runs_beside_a_slow_one(self):
+        config = ServerConfig(port=0, workers=2, use_disk_cache=False)
+        with serve_in_thread(config) as handle:
+            with ServiceClient(handle.host, handle.port) as c:
+                c.call("sleep", {"seconds": 0.0})   # forks the pool
+            slow = threading.Thread(
+                target=lambda: ServiceClient(
+                    handle.host, handle.port).call(
+                        "sleep", {"seconds": time_scaled(1.0)}))
+            slow.start()
+            time.sleep(time_scaled(0.2))
+            with ServiceClient(handle.host, handle.port) as c:
+                started = time.perf_counter()
+                c.call("sleep", {"seconds": 0.0})
+                waited = time.perf_counter() - started
+            slow.join()
+        # the idle pool process takes it; it does not queue behind
+        # the slow batch (which has ~0.8 s left)
+        assert waited < time_scaled(0.5)
+
+    def test_killed_pool_process_is_replaced(self):
+        config = ServerConfig(port=0, workers=2, use_disk_cache=False)
+        with serve_in_thread(config) as handle:
+            with ServiceClient(handle.host, handle.port) as c:
+                c.call("sleep", {"seconds": 0.0})   # forks the pool
+            pids = list(handle.server.scheduler._executor._processes)
+            errors: list[ServiceError] = []
+
+            def running() -> None:
+                with ServiceClient(handle.host, handle.port) as c:
+                    try:
+                        c.call("sleep", {"seconds": time_scaled(2.0)})
+                    except ServiceError as exc:
+                        errors.append(exc)
+
+            thread = threading.Thread(target=running)
+            thread.start()
+            time.sleep(time_scaled(0.3))    # now on the pool
+            os.kill(pids[0], signal.SIGKILL)
+            thread.join()
+            # the job that was on the broken pool fails ...
+            assert [e.code for e in errors] == ["internal"]
+            with ServiceClient(handle.host, handle.port) as c:
+                # ... and the next request runs on a fresh pool
+                served = c.analyze(SMALL)
+                restarts = c.metrics()["pool"]["restarts"]
+        assert json.dumps(served) \
+            == json.dumps(report_to_dict(analyze_program(SMALL)))
+        assert restarts == 1
+
+
+class TestClient:
+    def test_service_error_carries_upstream_address(self):
+        handle = serve_in_thread(ServerConfig(
+            port=0, workers=0, use_disk_cache=False))
+        address = handle.address
+        with ServiceClient.connect(address, timeout=5.0) as client:
+            with pytest.raises(ServiceError) as info:
+                client.call("sleep", {"seconds": -1})
+        handle.stop()
+        assert info.value.address == address
+        assert address in str(info.value)
+
+    def test_fails_fast_when_the_server_goes_away(self):
+        handle = serve_in_thread(ServerConfig(
+            port=0, workers=0, use_disk_cache=False))
+        client = ServiceClient(handle.host, handle.port, timeout=5.0)
+        assert client.health()["status"] == "ok"
+        handle.stop()
+        with pytest.raises(ServiceError) as info:
+            client.health()
+        assert info.value.code == "transport"
+        client.close()
+
+
+class TestInFlightGauge:
+    def test_metrics_show_in_flight_requests(self):
+        with serve_in_thread(ServerConfig(
+                port=0, workers=0, use_disk_cache=False)) as handle:
+            hold = time_scaled(1.5)
+            done = threading.Event()
+
+            def sleeper():
+                with ServiceClient(handle.host, handle.port,
+                                   timeout=60.0) as c:
+                    c.call("sleep", {"seconds": hold})
+                done.set()
+
+            thread = threading.Thread(target=sleeper, daemon=True)
+            thread.start()
+            time.sleep(min(0.3, hold / 3))
+            with ServiceClient(handle.host, handle.port,
+                               timeout=60.0) as client:
+                snapshot = client.metrics()
+            assert snapshot["requests"]["in_flight"] >= 1
+            done.wait(time_scaled(30))
+            thread.join(time_scaled(30))
+            with ServiceClient(handle.host, handle.port,
+                               timeout=60.0) as client:
+                snapshot = client.metrics()
+            assert snapshot["requests"]["in_flight"] == 0
+
+
+class TestStoreBindings:
+    def test_fuzz_oracle_context_restores_the_ops_stores(self):
+        from repro.fuzz import OracleContext, generate_case
+        from repro.fuzz.oracles import check_service
+        from repro.service import ops
+        before = (ops._TRACE_STORE, ops._PROFILE_STORE)
+        with OracleContext() as ctx:
+            check_service(generate_case("minic", 0), ctx)
+        assert ops._TRACE_STORE is before[0]
+        assert ops._PROFILE_STORE is before[1]
 
 
 class TestShutdown:
