@@ -6,8 +6,8 @@ Three phases, each against its own cold cache directory:
    table rendered in sequence by ``run_tables`` (session memoization
    still shares runs between tables — this is the honest pre-campaign
    workflow, not a strawman),
-2. **campaign** — the DAG engine fanning run/analytic cells across a
-   process pool sized to the machine,
+2. **campaign** — the DAG engine fanning run/analytic/scenario cells
+   across a process pool sized to the machine,
 3. **resume** — the same campaign re-run with ``--resume`` semantics:
    must compute zero cells and finish in seconds.
 

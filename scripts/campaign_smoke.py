@@ -7,8 +7,9 @@ Run from the repository root (CI does)::
 
 Exercises the ``python -m repro campaign`` CLI end to end:
 
-1. launches a two-table campaign subprocess against a scratch cache
-   directory and SIGKILLs it as soon as the manifest records progress,
+1. launches a three-table campaign subprocess against a scratch cache
+   directory and SIGKILLs it as soon as the manifest records a finished
+   ``scenario`` cell (Table 17's fused dTLB/PCAX/redundancy pass),
 2. resumes with ``--resume`` while the ``REPRO_CAMPAIGN_FORBID``
    tripwire lists every completed cell — any attempt to recompute one
    raises, so a clean exit *proves* zero redundant work,
@@ -35,7 +36,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.campaign import Manifest, campaign_dir      # noqa: E402
 
 SCALE = "0.03"
-TABLES = "6,10"
+TABLES = "6,10,17"
 
 
 def _env() -> dict:
@@ -57,7 +58,7 @@ def main() -> int:
     clean_cache = scratch / "clean"
     manifest = Manifest(campaign_dir(killed_cache))
 
-    # 1. start the campaign and kill it once the first cell lands
+    # 1. start the campaign and kill it once a scenario cell lands
     child = subprocess.Popen(_campaign_cmd(killed_cache),
                              env=_env(), cwd=REPO_ROOT,
                              stdout=subprocess.DEVNULL,
@@ -67,7 +68,8 @@ def main() -> int:
         while time.time() < deadline:
             if child.poll() is not None:
                 break
-            if len(manifest.latest()) >= 1:
+            if any(cell.startswith("scenario:")
+                   for cell in manifest.latest()):
                 child.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.05)
@@ -77,7 +79,8 @@ def main() -> int:
             child.kill()
             child.wait()
     completed = manifest.latest()
-    assert completed, "campaign was killed before any cell landed"
+    assert any(cell.startswith("scenario:") for cell in completed), \
+        "campaign was killed before any scenario cell landed"
     interrupted = child.returncode != 0
     print(f"smoke: killed campaign with {len(completed)} cell(s) "
           f"recorded (interrupted={interrupted})")
@@ -102,7 +105,8 @@ def main() -> int:
     assert status.returncode == 0, status.stderr
     summary = json.loads(status.stdout)
     assert summary["stale_cells"] == 0, summary
-    assert summary["by_kind"].get("table") == 2, summary
+    assert summary["by_kind"].get("table") == 3, summary
+    assert summary["by_kind"].get("scenario") == 18, summary
     print(f"smoke: status ok ({summary['cells']} cells, "
           f"{summary['recorded_wall_s']}s recorded)")
 
@@ -111,7 +115,7 @@ def main() -> int:
                            env=_env(), cwd=REPO_ROOT,
                            capture_output=True, text=True)
     assert fresh.returncode == 0, fresh.stderr
-    for number in (6, 10):
+    for number in (6, 10, 17):
         name = f"table{number:02d}.txt"
         resumed_text = (campaign_dir(killed_cache) / "tables"
                         / name).read_text()

@@ -3,9 +3,11 @@
 One executor regenerates any subset of the EXPERIMENTS tables from the
 canonical grid (:mod:`repro.experiments.grid`): the full workload ×
 input × optimize × geometry grid expands into content-hashed cells,
-cells are scheduled with dependency awareness (trace/sweep runs and
-analytic profiles fan out across a process pool or a running service
-endpoint; each table formats as soon as its dependencies land), and
+cells are scheduled with dependency awareness (trace/sweep runs,
+analytic profiles and the per-run scenario passes behind Tables 16 and
+17 fan out across a process pool or a running service endpoint, each
+cell submitted once its dependencies are done; each table formats as
+soon as its dependencies land), and
 every cell's provenance is appended to a queryable JSON-lines manifest
 under ``.repro_cache/campaign/``.  Interrupted campaigns resume by
 skipping any cell whose manifest entry matches the current code digest

@@ -1,21 +1,27 @@
 """The DAG-aware campaign executor.
 
-A campaign is planned as three kinds of content-hashed cells:
+A campaign is planned as four kinds of content-hashed cells:
 
 * ``run`` — one ``(workload, input, optimize)`` pipeline run simulated
   under the union of every requesting table's cache geometries (one
   trace replay covers them all; misses shared across tables are
   computed exactly once),
 * ``analytic`` — one trace-free reuse profile per program,
-* ``table`` — one formatted exhibit, depending on its spec's run and
-  analytic cells.
+* ``scenario`` — one run's dTLB, PCAX and redundancy results from one
+  fused pass over its trace (:mod:`repro.scenario`), depending on the
+  run cell, which leaves the trace in the store,
+* ``table`` — one formatted exhibit, depending on its spec's run,
+  analytic and scenario cells.
 
-Run and analytic cells fan out across a process pool (or are dispatched
-to a running service endpoint with ``remote=``); each table renders in
-the parent the moment its last dependency lands, so a slow workload
-never stalls unrelated tables.  Every finished cell appends provenance
-(content digest, code digest, seed/config, wall time, cache tier) to
-the JSON-lines manifest; with ``resume=True`` any cell whose latest
+Run, analytic and scenario cells are computed on a process pool (or
+dispatched to a running service endpoint with ``remote=``).  A cell is
+submitted once its dependencies are done, so scenario cells queue
+behind every run and analytic cell.  Each table renders in the parent
+the moment its last dependency lands, so a slow workload never stalls
+unrelated tables, and the parent makes no trace pass of its own.
+Every finished cell appends provenance (content digest, code digest,
+seed/config or scenario parameters, wall time, cache tier) to the
+JSON-lines manifest; with ``resume=True`` any cell whose latest
 manifest entry matches both digests and whose on-disk artifacts are
 still warm is skipped without recomputation.
 
@@ -40,8 +46,10 @@ from typing import Any, Callable, Optional, Sequence
 from repro.cache.config import DEFAULT_RNG_SEED
 from repro.cache.model import cache_config_to_dict
 from repro.campaign.manifest import Manifest, campaign_dir
-from repro.experiments.grid import GridCell, campaign_cells, table_specs
+from repro.experiments.grid import (GridCell, campaign_cells,
+                                    scenario_spec, table_specs)
 from repro.pipeline.session import RunKey, Session, _resolve_jobs
+from repro.scenario import ScenarioSpec, encode_scenario, remote_payload
 
 #: Block size of the analytic profiles the tables read (Table 15 uses
 #: the baseline geometry's blocks).
@@ -73,11 +81,12 @@ class CellPlan:
     """One schedulable unit of the campaign DAG."""
 
     id: str
-    kind: str                       # run | analytic | table
+    kind: str                       # run | analytic | scenario | table
     digest: str                     # content hash of inputs + params
     deps: tuple[str, ...] = ()
-    cell: Optional[GridCell] = None     # run cells
+    cell: Optional[GridCell] = None     # run, analytic, scenario cells
     number: Optional[int] = None        # table cells
+    spec: Optional[ScenarioSpec] = None     # scenario cells
 
 
 @dataclass
@@ -108,6 +117,11 @@ def _analytic_cell_id(cell: GridCell) -> str:
     mode = "opt" if cell.optimize else "base"
     return (f"analytic:{cell.workload}:{cell.input_name}:{mode}"
             f":bs{_ANALYTIC_BLOCK_SIZE}")
+
+
+def _scenario_cell_id(cell: GridCell) -> str:
+    mode = "opt" if cell.optimize else "base"
+    return f"scenario:{cell.workload}:{cell.input_name}:{mode}"
 
 
 def _forbidden_cells() -> frozenset[str]:
@@ -172,6 +186,18 @@ class Campaign:
             digests[cell_id] = digest
             plans.append(CellPlan(id=cell_id, kind="analytic",
                                   digest=digest, cell=cell))
+        scenario = scenario_spec()
+        for cell in merged:
+            if not cell.scenario:
+                continue
+            digest = session._scenario_digest(RunKey(*cell.run_key),
+                                              scenario)
+            cell_id = _scenario_cell_id(cell)
+            digests[cell_id] = digest
+            plans.append(CellPlan(id=cell_id, kind="scenario",
+                                  digest=digest,
+                                  deps=(_run_cell_id(cell),),
+                                  cell=cell, spec=scenario))
         for number in self.numbers:
             deps: list[str] = []
             for spec_cell in specs[number].cells():
@@ -179,6 +205,8 @@ class Campaign:
                 deps.append(_run_cell_id(merged_cell))
                 if spec_cell.analytic:
                     deps.append(_analytic_cell_id(merged_cell))
+                if spec_cell.scenario:
+                    deps.append(_scenario_cell_id(merged_cell))
             deps = list(dict.fromkeys(deps))
             content = "|".join(
                 [f"table{number}", f"scale{session.scale}"]
@@ -203,6 +231,9 @@ class Campaign:
             return session._profile_store.get_analytic(
                 session._program_digest(key),
                 _ANALYTIC_BLOCK_SIZE) is not None
+        if plan.kind == "scenario":
+            return session._scenario_warm(RunKey(*plan.cell.run_key),
+                                          plan.spec)
         path = self.tables_dir / f"table{plan.number:02d}.txt"
         try:
             # write_text appended one newline to the rendered text;
@@ -282,6 +313,11 @@ class Campaign:
                 extra["seeds"] = sorted({c.rng_seed
                                          for c in plan.cell.configs})
                 extra["scale"] = self.session.scale
+            elif plan.kind == "scenario":
+                extra["tlb"] = [c.describe() for c in plan.spec.tlb]
+                extra["pcax_page_size"] = plan.spec.pcax_page_size
+                extra["threshold"] = plan.spec.threshold
+                extra["scale"] = self.session.scale
             self.manifest.record(plan.id, plan.kind, plan.digest,
                                  self.code, wall, tier, campaign_id,
                                  **extra)
@@ -343,62 +379,68 @@ class Campaign:
         session = self.session
         jobs = min(_resolve_jobs(jobs), len(compute) or 1)
         if jobs == 1:
-            for plan in compute:
-                wall, tier = _compute_inline(session, plan)
+            for plan in compute:    # plan order puts dependencies first
+                wall, tier, _ = _compute_cell(session, plan)
                 finish_cell(plan, wall, tier)
                 render_ready()
             return
-        tasks = {
-            plan.id: (session.scale, session.max_steps,
-                      session.use_disk_cache, str(session.cache_dir),
-                      plan.kind, plan.cell.run_key, plan.cell.configs)
-            for plan in compute
-        }
+
+        def absorb(plan: CellPlan, outcome: tuple) -> tuple[float, str]:
+            wall, tier, response, counters = outcome
+            for name, count in counters.items():
+                self._store_counters[name] = \
+                    self._store_counters.get(name, 0) + count
+            if response is not None:
+                _absorb(session, plan, response)
+            return wall, tier
+
+        context = (session.scale, session.max_steps,
+                   session.use_disk_cache, str(session.cache_dir))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures: dict[Future, CellPlan] = {
-                pool.submit(_cell_worker, tasks[plan.id]): plan
-                for plan in compute
-            }
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                for future in finished:
-                    plan = futures[future]
-                    wall, tier, response, counters = future.result()
-                    for name, count in counters.items():
-                        self._store_counters[name] = \
-                            self._store_counters.get(name, 0) + count
-                    if response is not None:
-                        session.absorb(RunKey(*plan.cell.run_key),
-                                       plan.cell.configs, response)
-                    finish_cell(plan, wall, tier)
-                render_ready()
+            _run_gated(compute,
+                       lambda plan: pool.submit(_cell_worker,
+                                                context, plan),
+                       absorb, finish_cell, render_ready)
 
     # -- remote execution --------------------------------------------
     def _run_remote(self, compute: list[CellPlan], address: str,
                     finish_cell: Callable[[CellPlan, float, str], None],
                     render_ready: Callable[[], None],
                     say: Callable[[str], None]) -> None:
-        """Dispatch run cells to a running ``repro serve`` endpoint.
+        """Dispatch run and scenario cells to a ``repro serve`` endpoint.
 
         One ``simulate`` request per run cell (the scheduler merges
         concurrent requests for one trace into a single replay); the
         response's full per-PC columns and block profile rebuild the
-        local session state.  Analytic cells are computed locally —
-        they are static analysis, cheaper than a round trip.
+        local session state.  A scenario cell, once its run cell is
+        done, sends the ``tlb`` request for its geometries and
+        threshold plus the ``redundancy`` request; the parent decodes
+        the pair as it decodes a local worker's result.  Analytic cells
+        are computed locally — they are static analysis, cheaper than a
+        round trip.
 
-        The wire form of a config carries no ``random`` seed, so a cell
-        holding a seeded ``random`` config is refused before anything
-        is dispatched: the service would simulate it under the default
-        seed.
+        Cells the protocol cannot express are refused before anything
+        is dispatched: the wire form of a config carries no ``random``
+        seed (the service would simulate it under the default seed),
+        and the ``tlb`` op evaluates PCAX at its first geometry's page
+        size and dedups repeated geometries.
         """
         from repro.service.client import ServiceClient
 
         session = self.session
-        run_cells = [plan for plan in compute if plan.kind == "run"]
-        other = [plan for plan in compute if plan.kind != "run"]
-        for plan in run_cells:
+        remote = [plan for plan in compute if plan.kind != "analytic"]
+        local = [plan for plan in compute if plan.kind == "analytic"]
+        for plan in remote:
+            if plan.kind == "scenario":
+                spec = plan.spec
+                if not spec.tlb \
+                        or spec.pcax_page_size != spec.tlb[0].page_size \
+                        or len(set(spec.tlb)) != len(spec.tlb):
+                    raise ValueError(
+                        f"cell {plan.id} cannot run remotely: the tlb "
+                        f"op evaluates PCAX at the first of distinct "
+                        f"geometries, not {spec.describe()}")
+                continue
             seeded = [config.describe() for config in plan.cell.configs
                       if config.replacement == "random"
                       and config.rng_seed != DEFAULT_RNG_SEED]
@@ -406,47 +448,109 @@ class Campaign:
                 raise ValueError(
                     f"cell {plan.id} cannot run remotely: the service "
                     f"protocol carries no rng_seed for {seeded}")
-        say(f"[campaign] dispatching {len(run_cells)} run cell(s) "
-            f"to {address}")
+        say(f"[campaign] dispatching {len(remote)} run/scenario "
+            f"cell(s) to {address}")
 
-        def dispatch(plan: CellPlan) -> tuple[float, str]:
+        def dispatch(plan: CellPlan, source: str) -> tuple[float, dict]:
             started = time.perf_counter()
-            key = RunKey(*plan.cell.run_key)
+            options = {"optimize": plan.cell.optimize,
+                       "max_steps": session.max_steps}
             with ServiceClient.connect(address) as client:
-                response = client.simulate(
-                    session.source(key.workload, key.input_name),
-                    optimize=key.optimize,
-                    max_steps=session.max_steps,
-                    configs=[cache_config_to_dict(c)
-                             for c in plan.cell.configs],
-                )
-            session.absorb(key, plan.cell.configs, response)
-            return time.perf_counter() - started, "computed"
+                if plan.kind == "run":
+                    response = client.simulate(
+                        source, configs=[cache_config_to_dict(c)
+                                         for c in plan.cell.configs],
+                        **options)
+                else:
+                    response = remote_payload(
+                        client.tlb(source,
+                                   geometries=[c.to_dict()
+                                               for c in plan.spec.tlb],
+                                   threshold=plan.spec.threshold,
+                                   **options),
+                        client.redundancy(source, **options))
+            return time.perf_counter() - started, response
 
-        with ThreadPoolExecutor(max_workers=min(8, len(run_cells)
+        def submit(plan: CellPlan) -> Future:
+            source = session.source(plan.cell.workload,
+                                    plan.cell.input_name)
+            return pool.submit(dispatch, plan, source)
+
+        def absorb(plan: CellPlan, outcome: tuple) -> tuple[float, str]:
+            wall, response = outcome
+            _absorb(session, plan, response)
+            return wall, "computed"
+
+        with ThreadPoolExecutor(max_workers=min(8, len(remote)
                                                 or 1)) as pool:
-            futures = {pool.submit(dispatch, plan): plan
-                       for plan in run_cells}
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                for future in finished:
-                    plan = futures[future]
-                    wall, tier = future.result()
-                    finish_cell(plan, wall, tier)
-                render_ready()
-        for plan in other:
-            wall, tier = _compute_inline(session, plan)
+            _run_gated(remote, submit, absorb, finish_cell, render_ready)
+        for plan in local:
+            wall, tier, _ = _compute_cell(session, plan)
             finish_cell(plan, wall, tier)
             render_ready()
 
 
-def _compute_inline(session: Session,
-                    plan: CellPlan) -> tuple[float, str]:
-    """Compute one run/analytic cell in the parent process."""
+def _run_gated(compute: list[CellPlan],
+               submit: Callable[[CellPlan], Future],
+               absorb: Callable[[CellPlan, Any], tuple[float, str]],
+               finish_cell: Callable[[CellPlan, float, str], None],
+               render_ready: Callable[[], None]) -> None:
+    """Submit each cell once the cells it depends on are done.
+
+    Dependencies outside ``compute`` were resumed, so they count as
+    done.  Results are absorbed in completion order; a cell's
+    dependants are submitted before any ready table renders, so the
+    workers never wait on the parent.
+    """
+    ids = {plan.id for plan in compute}
+    blocked = {plan.id: set(plan.deps) & ids for plan in compute}
+    running: dict[Future, CellPlan] = {}
+
+    def submit_ready() -> None:
+        for plan in compute:
+            if plan.id in blocked and not blocked[plan.id]:
+                del blocked[plan.id]
+                running[submit(plan)] = plan
+
+    submit_ready()
+    while running:
+        finished, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in finished:
+            plan = running.pop(future)
+            wall, tier = absorb(plan, future.result())
+            finish_cell(plan, wall, tier)
+            for deps in blocked.values():
+                deps.discard(plan.id)
+        submit_ready()
+        render_ready()
+    if blocked:     # a dependency cycle or a missing cell: impossible
+        raise RuntimeError(f"unsatisfied cell deps: {blocked}")
+
+
+def _absorb(session: Session, plan: CellPlan,
+            response: dict[str, Any]) -> None:
+    """Adopt a worker's or a service's result for one cell."""
+    key = RunKey(*plan.cell.run_key)
+    if plan.kind == "scenario":
+        session.absorb_scenario(key, plan.spec, response)
+    else:
+        session.absorb(key, plan.cell.configs, response)
+
+
+def _compute_cell(session: Session, plan: CellPlan,
+                  respond: bool = False
+                  ) -> tuple[float, str, Optional[dict]]:
+    """Compute one run, analytic or scenario cell in ``session``.
+
+    Returns the wall time, the tier that served it (``disk`` when its
+    artifacts were already cached) and, with ``respond``, the payload
+    the parent absorbs: a run cell's ``simulate``-shaped response or a
+    scenario cell's payload (analytic profiles travel via the shared
+    profile store).
+    """
     started = time.perf_counter()
     key = RunKey(*plan.cell.run_key)
+    response = None
     if plan.kind == "analytic":
         tier = "disk" if session._profile_store.get_analytic(
             session._program_digest(key),
@@ -454,43 +558,36 @@ def _compute_inline(session: Session,
         session.analytic_profile(key.workload, key.input_name,
                                  key.optimize,
                                  block_size=_ANALYTIC_BLOCK_SIZE)
+    elif plan.kind == "scenario":
+        tier = "disk" if session._scenario_warm(key, plan.spec) \
+            else "computed"
+        result = session.scenario(key.workload, key.input_name,
+                                  key.optimize, spec=plan.spec)
+        if respond:
+            response = encode_scenario(result)
     else:
         tier = "disk" if all(session._is_warm(key, c)
                              for c in plan.cell.configs) \
             else "computed"
-        session.stats_multi(key.workload, key.input_name,
-                            key.optimize, plan.cell.configs)
-    return time.perf_counter() - started, tier
+        if respond:
+            response = session.simulate_response(key, plan.cell.configs)
+        else:
+            session.stats_multi(key.workload, key.input_name,
+                                key.optimize, plan.cell.configs)
+    return time.perf_counter() - started, tier, response
 
 
-def _cell_worker(task: tuple
+def _cell_worker(context: tuple, plan: CellPlan
                  ) -> tuple[float, str, Optional[dict], dict]:
     """Process-pool worker: one cell in a private session.
 
-    Shares the on-disk caches with the parent; run cells return the
-    ``simulate``-shaped response a remote service would, so the parent
-    absorbs both the same way (analytic profiles travel via the shared
-    profile store), plus the worker's ProfileStore counters for
-    aggregation.
+    Shares the on-disk caches with the parent and returns the payload a
+    remote service would, so the parent absorbs both the same way, plus
+    the worker's ProfileStore counters for aggregation.
     """
-    (scale, max_steps, use_disk_cache, cache_dir, kind,
-     key_tuple, configs) = task
-    started = time.perf_counter()
+    scale, max_steps, use_disk_cache, cache_dir = context
     session = Session(scale=scale, cache_dir=Path(cache_dir),
                       use_disk_cache=use_disk_cache,
                       max_steps=max_steps)
-    key = RunKey(*key_tuple)
-    if kind == "analytic":
-        tier = "disk" if session._profile_store.get_analytic(
-            session._program_digest(key),
-            _ANALYTIC_BLOCK_SIZE) is not None else "computed"
-        session.analytic_profile(key.workload, key.input_name,
-                                 key.optimize,
-                                 block_size=_ANALYTIC_BLOCK_SIZE)
-        return (time.perf_counter() - started, tier, None,
-                session._profile_store.counters)
-    tier = "disk" if all(session._is_warm(key, c) for c in configs) \
-        else "computed"
-    response = session.simulate_response(key, configs)
-    return (time.perf_counter() - started, tier, response,
-            session._profile_store.counters)
+    wall, tier, response = _compute_cell(session, plan, respond=True)
+    return wall, tier, response, session._profile_store.counters

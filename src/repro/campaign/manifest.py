@@ -52,7 +52,7 @@ class Manifest:
         """Build + append the canonical provenance entry for a cell."""
         entry: dict[str, Any] = {
             "cell": cell,
-            "kind": kind,               # run | analytic | table
+            "kind": kind,               # run | analytic | scenario | table
             "digest": digest,           # content hash of inputs+params
             "code": code,               # digest of src/repro at run time
             "wall_s": round(wall_s, 4),
@@ -95,14 +95,17 @@ class Manifest:
         view = self.latest()
         by_kind: dict[str, int] = {}
         by_tier: dict[str, int] = {}
+        by_kind_tier: dict[str, dict[str, int]] = {}
         stale = 0
         last_ts = 0.0
         wall = 0.0
         for entry in view.values():
-            by_kind[entry.get("kind", "?")] = \
-                by_kind.get(entry.get("kind", "?"), 0) + 1
-            by_tier[entry.get("tier", "?")] = \
-                by_tier.get(entry.get("tier", "?"), 0) + 1
+            kind = entry.get("kind", "?")
+            tier = entry.get("tier", "?")
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            by_tier[tier] = by_tier.get(tier, 0) + 1
+            tiers = by_kind_tier.setdefault(kind, {})
+            tiers[tier] = tiers.get(tier, 0) + 1
             wall += float(entry.get("wall_s", 0.0))
             last_ts = max(last_ts, float(entry.get("ts", 0.0)))
             if current_code is not None \
@@ -113,6 +116,9 @@ class Manifest:
             "cells": len(view),
             "by_kind": dict(sorted(by_kind.items())),
             "by_tier": dict(sorted(by_tier.items())),
+            "by_kind_tier": {kind: dict(sorted(tiers.items()))
+                             for kind, tiers
+                             in sorted(by_kind_tier.items())},
             "stale_cells": stale,
             "recorded_wall_s": round(wall, 2),
             "last_entry_ts": last_ts,

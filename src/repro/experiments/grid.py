@@ -9,8 +9,10 @@ place where "what does Table N need?" is answered.
 
 A :class:`GridCell` is the unit of work: one ``(workload, input,
 optimize)`` run plus the set of cache geometries simulated over its
-trace (one trace replay covers all of them) and an optional analytic-
-profile requirement.  :func:`merge_cells` unions overlapping cells so
+trace (one trace replay covers all of them), an optional analytic-
+profile requirement, and an optional scenario requirement — the
+dTLB, PCAX and redundancy results of :func:`scenario_spec`, computed
+in one fused pass.  :func:`merge_cells` unions overlapping cells so
 shared artifacts are computed once across tables.
 """
 
@@ -24,10 +26,32 @@ from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
                                 size_sweep)
 from repro.experiments.common import ALL_NAMES, TEST_NAMES, \
     TRAINING_NAMES
+from repro.scenario import ScenarioSpec
+from repro.tlb import DEFAULT_THRESHOLD, TlbConfig
 
 #: Table 13's geometry; equal to ``size_sweep()[1]``, so it dedups into
 #: the sweep union below.
 CACHE_16K = CacheConfig(size=16 * 1024, assoc=4, block_size=32)
+
+
+#: Tables 16 and 17's dTLB geometries, sized to the scaled suite
+#: (reach 2KB and 8KB): large enough that streaming code fits, small
+#: enough that strided and pointer-chasing code actually misses.
+MICRO_TLB = TlbConfig(page_size=256, entries=8)
+LARGE_TLB = TlbConfig(page_size=1024, entries=8)
+
+
+def scenario_spec() -> ScenarioSpec:
+    """The scenario pass every ``scenario`` cell runs.
+
+    PCAX is evaluated at the micro geometry's page size, so "friendly"
+    means predictable at exactly the granularity the micro TLB
+    translates.  Built from the module globals on each call, so the
+    campaign's digests follow any change to them.
+    """
+    return ScenarioSpec(tlb=(MICRO_TLB, LARGE_TLB),
+                        pcax_page_size=MICRO_TLB.page_size,
+                        threshold=DEFAULT_THRESHOLD)
 
 
 def sweep_configs() -> tuple[CacheConfig, ...]:
@@ -44,6 +68,7 @@ class GridCell:
     optimize: bool = False
     configs: tuple[CacheConfig, ...] = (BASELINE_CONFIG,)
     analytic: bool = False      # table also reads the analytic profile
+    scenario: bool = False      # table also reads the scenario pass
 
     @property
     def run_key(self) -> tuple[str, str, bool]:
@@ -65,12 +90,13 @@ class TableSpec:
     optimize: bool = False
     configs: tuple[CacheConfig, ...] = (BASELINE_CONFIG,)
     analytic: bool = False
+    scenario: bool = False
 
     def cells(self) -> list[GridCell]:
         return [
             GridCell(workload=name, input_name=input_name,
                      optimize=self.optimize, configs=self.configs,
-                     analytic=self.analytic)
+                     analytic=self.analytic, scenario=self.scenario)
             for name in self.names
             for input_name in self.input_names
         ]
@@ -92,9 +118,9 @@ def table_specs() -> dict[int, TableSpec]:
 def merge_cells(cells: Iterable[GridCell]) -> list[GridCell]:
     """Union cells sharing a run key (first-seen order preserved).
 
-    Configs merge first-seen and dedup by equality; the analytic flag
-    ORs.  The result is the minimal set of trace replays covering every
-    input cell.
+    Configs merge first-seen and dedup by equality; the analytic and
+    scenario flags OR.  The result is the minimal set of trace replays
+    covering every input cell.
     """
     merged: dict[tuple[str, str, bool], GridCell] = {}
     for cell in cells:
@@ -106,7 +132,8 @@ def merge_cells(cells: Iterable[GridCell]) -> list[GridCell]:
         merged[cell.run_key] = GridCell(
             workload=cell.workload, input_name=cell.input_name,
             optimize=cell.optimize, configs=configs,
-            analytic=prior.analytic or cell.analytic)
+            analytic=prior.analytic or cell.analytic,
+            scenario=prior.scenario or cell.scenario)
     return list(merged.values())
 
 

@@ -2,15 +2,21 @@
 
 The paper identifies delinquent loads against a data *cache*; this
 exhibit asks how the same loads behave against the data *TLB*.  Each
-workload is replayed at page granularity through the shared sweep
-engine (:mod:`repro.tlb`) for a micro geometry sized to the suite's
-footprints, and every static load is scored by the PCAX predictor —
-PC-indexed data-address translation, which deems a load "friendly"
-when its next page is a fixed stride from its last one.  The cross-tab
-against the heuristic's delinquent set separates loads whose cache
-misses come with hard-to-predict translations (both) from delinquent
-loads whose pages a PCAX-style prefetcher would cover (delinquent
-only).
+workload is replayed at page granularity (:mod:`repro.tlb`) for a
+micro geometry sized to the suite's footprints, and every static load
+is scored by the PCAX predictor — PC-indexed data-address translation,
+which deems a load "friendly" when its next page is a fixed stride
+from its last one.  The cross-tab against the heuristic's delinquent
+set separates loads whose cache misses come with hard-to-predict
+translations (both) from delinquent loads whose pages a PCAX-style
+prefetcher would cover (delinquent only).
+
+The dTLB stats and the PCAX profile come from the run's scenario pass
+(:meth:`Session.scenario` under
+:func:`~repro.experiments.grid.scenario_spec`, which defines the
+geometries, the PCAX page size and the threshold): one decode of the
+trace, shared with Table 17 and computed by a campaign ``scenario``
+cell on the worker pool, so rendering replays nothing.
 
 Per workload: the dTLB miss rate at the micro and a 4x-reach geometry,
 the fraction of loads PCAX finds friendly, and the two interesting
@@ -22,31 +28,23 @@ from __future__ import annotations
 
 from repro.experiments.common import ALL_NAMES, Table, mean, pct
 from repro.experiments.evalutil import run_heuristic
-from repro.experiments.grid import TableSpec
+from repro.experiments.grid import TableSpec, scenario_spec
 from repro.pipeline.session import Session
-from repro.tlb import TlbConfig
+from repro.tlb import pcax_crosstab
 
-SPEC = TableSpec(number=16, names=ALL_NAMES)
-
-#: Geometries sized to the scaled suite (reach 2KB and 8KB): large
-#: enough that streaming code fits, small enough that strided and
-#: pointer-chasing code actually misses.
-MICRO_TLB = TlbConfig(page_size=256, entries=8)
-LARGE_TLB = TlbConfig(page_size=1024, entries=8)
-
-#: PCAX page size matches the micro geometry, so "friendly" means
-#: predictable at exactly the granularity the micro TLB translates.
-PCAX_PAGE_SIZE = MICRO_TLB.page_size
+SPEC = TableSpec(number=16, names=ALL_NAMES, scenario=True)
 
 
 def run(session: Session,
         names: tuple[str, ...] = ALL_NAMES) -> Table:
+    spec = scenario_spec()
+    micro_tlb, large_tlb = spec.tlb
     table = Table(
         exhibit="Table 16",
         title="dTLB miss rates and PCAX translation predictability "
               "of delinquent loads (beyond the paper)",
-        headers=["Benchmark", f"miss {MICRO_TLB.describe()}",
-                 f"miss {LARGE_TLB.describe()}", "PCAX-friendly",
+        headers=["Benchmark", f"miss {micro_tlb.describe()}",
+                 f"miss {large_tlb.describe()}", "PCAX-friendly",
                  "delq+friendly", "delq only"],
     )
     micro_rates: list[float] = []
@@ -54,11 +52,10 @@ def run(session: Session,
     friendly_fracs: list[float] = []
     totals = {"both": 0, "delinquent_only": 0, "friendly_only": 0,
               "neither": 0}
-    from repro.tlb import pcax_crosstab
     for name in names:
-        micro, large = session.tlb_stats(
-            name, configs=(MICRO_TLB, LARGE_TLB))
-        profile = session.pcax(name, page_size=PCAX_PAGE_SIZE)
+        scenario = session.scenario(name, spec=spec)
+        micro, large = scenario.tlb
+        profile = scenario.pcax
         m = session.measurement(name)
         delinquent = run_heuristic(m).delinquent_set
         friendly = profile.friendly_set()
@@ -86,7 +83,7 @@ def run(session: Session,
             f"translations); {totals['friendly_only']} friendly-only, "
             f"{totals['neither']} neither")
     table.notes.append(
-        f"PCAX evaluated at {PCAX_PAGE_SIZE}B pages (the micro "
+        f"PCAX evaluated at {spec.pcax_page_size}B pages (the micro "
         f"geometry's); friendly = >=90% of a load's page translations "
         f"follow its per-PC stride")
     return table

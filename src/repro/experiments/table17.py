@@ -7,7 +7,10 @@ store (classic store-to-load forwarding, or spill/refill traffic).
 Both are targets for very different optimizations than the prefetching
 the paper motivates, so this exhibit measures how much of each
 workload's load traffic is redundant and attributes it to the paper's
-AG address-pattern classes (:mod:`repro.redundancy`).
+AG address-pattern classes (:mod:`repro.redundancy`).  The counts come
+from the run's scenario pass (:meth:`Session.scenario`), the one trace
+decode Table 16's dTLB and PCAX columns share, computed by a campaign
+``scenario`` cell on the worker pool, so rendering replays nothing.
 
 Per workload: total dynamic loads, the redundant fraction, the
 reload-after-store fraction, and how much of the *delinquent* loads'
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 from repro.experiments.common import ALL_NAMES, Table, mean, pct
 from repro.experiments.evalutil import run_heuristic
-from repro.experiments.grid import TableSpec
+from repro.experiments.grid import TableSpec, scenario_spec
 from repro.pipeline.session import Session
 from repro.redundancy import ag_crosstab
 
-SPEC = TableSpec(number=17, names=ALL_NAMES)
+SPEC = TableSpec(number=17, names=ALL_NAMES, scenario=True)
 
 
 def run(session: Session,
@@ -40,8 +43,9 @@ def run(session: Session,
     ras_fracs: list[float] = []
     delq_fracs: list[float] = []
     class_totals: dict[str, list[int]] = {}
+    spec = scenario_spec()
     for name in names:
-        stats = session.redundancy(name)
+        stats = session.scenario(name, spec=spec).redundancy
         m = session.measurement(name)
         delinquent = run_heuristic(m).delinquent_set
         delq_loads = delq_redundant = 0

@@ -51,6 +51,7 @@ case can be re-checked verbatim by the shrinker and the corpus replay.
 
 from __future__ import annotations
 
+import json
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -63,6 +64,8 @@ from repro.cache.model import CacheStats, simulate_trace, \
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.machine.simulator import run_program
 from repro.machine.trace import MemoryTrace
+from repro.scenario import (ScenarioSpec, decode_scenario,
+                            encode_scenario, scenario_pass)
 
 
 class DivergenceError(AssertionError):
@@ -463,7 +466,9 @@ def check_tlb(case, ctx: OracleContext) -> None:
     direct per-config replay; the whole sweep must be bit-identical
     across materialized, in-memory-chunked and store-round-tripped
     inputs (cold and profile-store-warmed); and the PCAX predictor
-    profile must not depend on chunking either.
+    profile must not depend on chunking either.  The one-pass leg: the
+    fused scenario pass must reproduce the separate sweep and PCAX
+    results over every input, and survive its payload round trip.
     """
     from repro.store import TraceStore
     from repro.tlb import pcax_profile, simulate_tlb
@@ -510,6 +515,38 @@ def check_tlb(case, ctx: OracleContext) -> None:
     _require_equal(name, "pcax store-vs-materialized",
                    stored.loads, materialized.loads)
 
+    spec = ScenarioSpec(tlb=tuple(tlb_configs), pcax_page_size=page_size)
+    for label, result in _scenario_legs(trace, store, spec):
+        for tlb_config, fused, reference in zip(tlb_configs, result.tlb,
+                                                swept):
+            mapped = tlb_config.as_cache_config()
+            if label == "payload":   # the wire form drops prefetches
+                _require_equal(name, f"one-pass {label} "
+                               f"{mapped.describe()}",
+                               _tlb_columns(fused), _tlb_columns(reference))
+            else:
+                _require_stats_equal(name, mapped, f"one-pass {label}",
+                                     fused.cache, reference.cache)
+        _require_equal(name, f"one-pass {label} pcax",
+                       result.pcax.loads, materialized.loads)
+
+
+def _scenario_legs(trace: MemoryTrace, store, spec):
+    """``(label, ScenarioResult)`` of one scenario pass per trace input:
+    materialized, chunked by 7, store-streamed, and the materialized
+    result after an encode/JSON/decode round trip."""
+    materialized = scenario_pass(trace, spec)
+    yield "materialized", materialized
+    yield "chunk7", scenario_pass(trace.chunk_stream(7), spec)
+    yield "store", scenario_pass(store.open("case"), spec)
+    payload = json.loads(json.dumps(encode_scenario(materialized)))
+    yield "payload", decode_scenario(payload, spec)
+
+
+def _tlb_columns(stats) -> tuple:
+    return (stats.load_accesses, stats.load_misses,
+            stats.store_accesses, stats.store_misses)
+
 
 # -- redundancy oracle -------------------------------------------------
 
@@ -525,7 +562,8 @@ def check_redundancy(case, ctx: OracleContext) -> None:
     columns; the reference re-derives every load's classification by
     scanning backwards through the materialized rows.  Both must agree
     exactly, and the analyzer must not care whether its input is
-    materialized, chunked small, or store-round-tripped.
+    materialized, chunked small, or store-round-tripped — nor whether
+    it runs alone or inside the fused scenario pass.
     """
     from repro.redundancy import analyze_redundancy, naive_redundancy
     from repro.store import TraceStore
@@ -541,6 +579,10 @@ def check_redundancy(case, ctx: OracleContext) -> None:
     stored = analyze_redundancy(store.open("case"))
     _require_equal(name, "store-vs-materialized", stored.loads,
                    stats.loads)
+    spec = ScenarioSpec(tlb=tuple(case.tlb_configs()))
+    for label, result in _scenario_legs(trace, store, spec):
+        _require_equal(name, f"one-pass {label}",
+                       result.redundancy.loads, stats.loads)
     if len(trace) <= NAIVE_REDUNDANCY_LIMIT:
         reference = naive_redundancy(trace)
         _require_equal(name, "analyzer-vs-naive", stats.loads,

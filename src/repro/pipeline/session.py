@@ -12,7 +12,10 @@ experiments can share work:
 * **cache-simulate** — trace x cache-config -> per-load miss counts
   (moderately expensive; results are also persisted through a
   :class:`~repro.store.tier.JsonTier` keyed by a content hash, so
-  re-running a bench suite skips simulation entirely).
+  re-running a bench suite skips simulation entirely);
+* **scenario** — the run's dTLB, PCAX and redundancy results from one
+  fused pass over the trace (:mod:`repro.scenario`), persisted the same
+  way in a second tier.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.compiler.driver import compile_source
 from repro.patterns.builder import LoadInfo, build_load_infos
 from repro.profiling.profile import BlockProfile
+from repro.scenario import (ScenarioResult, ScenarioSpec,
+                            decode_scenario, encode_scenario,
+                            scenario_pass)
 from repro.store.handle import TraceHandle
-from repro.store.tier import PIPELINE, JsonTier
+from repro.store.tier import PIPELINE, SCENARIO, JsonTier
 from repro.store.tracestore import TraceStore, trace_key
 from repro.workloads.base import Workload
 from repro.workloads.registry import get as get_workload
@@ -118,8 +124,11 @@ class Session:
             PIPELINE, _SCHEMA_VERSION,
             self.cache_dir if use_disk_cache else None,
             BoundedCache(None))
-        self._pcax: dict[tuple, object] = {}
-        self._redundancy: dict[RunKey, object] = {}
+        # Per-(run, scenario spec) results of the fused scenario pass.
+        self._scenarios = JsonTier(
+            SCENARIO, _SCHEMA_VERSION,
+            self.cache_dir / "scenario" if use_disk_cache else None,
+            BoundedCache(None))
         # Stack-distance profiles (see cache.stackdist) share the
         # session's cache directory so warmed sweeps survive restarts.
         self._profile_store = ProfileStore(
@@ -240,48 +249,44 @@ class Session:
                                 (cache_config,))[0]
 
     # -- scenario families (TLB, PCAX, redundancy) --------------------
-    def tlb_stats(self, workload: str, input_name: str = "input1",
-                  optimize: bool = False,
-                  configs: Sequence["TlbConfig"] = ()
-                  ) -> list["TlbStats"]:
-        """Per-geometry dTLB stats through the shared sweep engine.
+    def scenario(self, workload: str, input_name: str = "input1",
+                 optimize: bool = False,
+                 spec: ScenarioSpec = ScenarioSpec()) -> ScenarioResult:
+        """The run's dTLB stats, PCAX profile and redundancy counts.
 
-        Geometries with one page size cost at most one trace pass, and
-        the per-PC distance histograms land in the session's profile
-        store (keyed by trace digest and page size), so re-sweeps never
-        touch the trace.
+        A tier hit, or one fused pass over the trace
+        (:func:`repro.scenario.scenario_pass`) whose result is kept.
         """
-        from repro.tlb import TlbConfig, simulate_tlb
-        configs = list(configs) or [TlbConfig()]
         key = RunKey(workload, input_name, optimize)
-        return self._replay(
-            key, lambda source: simulate_tlb(
-                source, configs, store=self._profile_store))
+        entry_key = self._scenario_key(key, spec)
+        result = self._scenarios.get(
+            entry_key, lambda entry: decode_scenario(entry, spec))[0]
+        if result is None:
+            result = self._replay(
+                key, lambda source: scenario_pass(source, spec))
+            self._scenarios.put(entry_key, result,
+                                encode_scenario(result))
+        return result
 
-    def pcax(self, workload: str, input_name: str = "input1",
-             optimize: bool = False, page_size: int = 4096,
-             threshold: Optional[float] = None) -> "PcaxProfile":
-        """PC-indexed translation predictability, one streaming pass."""
-        from repro.tlb import DEFAULT_THRESHOLD, pcax_profile
-        if threshold is None:
-            threshold = DEFAULT_THRESHOLD
-        key = RunKey(workload, input_name, optimize)
-        memo = (key, page_size, threshold)
-        if memo not in self._pcax:
-            self._pcax[memo] = self._replay(
-                key, lambda source: pcax_profile(
-                    source, page_size=page_size, threshold=threshold))
-        return self._pcax[memo]
+    def _scenario_digest(self, key: RunKey, spec: ScenarioSpec) -> str:
+        """Content hash of one run's scenario pass under ``spec``."""
+        text = "|".join((str(_SCHEMA_VERSION), self._trace_key(key),
+                         spec.describe()))
+        return hashlib.sha1(text.encode()).hexdigest()
 
-    def redundancy(self, workload: str, input_name: str = "input1",
-                   optimize: bool = False) -> "RedundancyStats":
-        """Per-PC redundant-load counts, one streaming pass."""
-        from repro.redundancy import analyze_redundancy
-        key = RunKey(workload, input_name, optimize)
-        if key not in self._redundancy:
-            self._redundancy[key] = self._replay(
-                key, analyze_redundancy)
-        return self._redundancy[key]
+    def _scenario_key(self, key: RunKey, spec: ScenarioSpec) -> str:
+        safe = key.workload.replace(".", "_")
+        return f"{safe}-{self._scenario_digest(key, spec)}"
+
+    def _scenario_warm(self, key: RunKey, spec: ScenarioSpec) -> bool:
+        return self._scenarios.contains(self._scenario_key(key, spec))
+
+    def absorb_scenario(self, key: RunKey, spec: ScenarioSpec,
+                        payload: dict[str, Any]) -> None:
+        """Adopt a scenario payload — a campaign worker's, or a remote
+        ``tlb`` plus ``redundancy`` pair — as if computed here."""
+        self._scenarios.put(self._scenario_key(key, spec),
+                            decode_scenario(payload, spec), payload)
 
     # -- analytic (trace-free) prediction -----------------------------
     def _program_digest(self, key: RunKey) -> str:

@@ -21,10 +21,11 @@ reload chain).
 Two independent implementations live here on purpose:
 
 * :func:`analyze_redundancy` — the production analyzer: one streaming
-  pass folding per-address state over
-  :func:`repro.cache.model.chunk_columns`, so it accepts materialized
-  traces and chunked streams bit-identically and never needs the
-  whole trace in RAM.
+  pass of a :class:`RedundancyFold`, which folds per-address state
+  over :func:`repro.cache.model.chunk_columns`, so it accepts
+  materialized traces and chunked streams bit-identically and never
+  needs the whole trace in RAM (the fused scenario pass of
+  :mod:`repro.scenario` taps the same fold).
 * :func:`naive_redundancy` — the oracle's reference: for every load,
   scan *backwards* through the materialized rows for the previous
   access to that address.  Quadratic, obviously correct, and sharing
@@ -35,6 +36,7 @@ Two independent implementations live here on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.cache.model import TraceSource, chunk_columns
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
@@ -91,32 +93,60 @@ class RedundancyStats:
                       key=lambda kv: (-kv[1].redundant, kv[0]))
 
 
+class RedundancyFold:
+    """Per-address last-access-kind state, folded chunk by chunk.
+
+    :meth:`feed` wraps a column feed (see
+    :func:`repro.cache.model.chunk_columns`) and passes every triple
+    through unchanged after folding it, so one decoded chunk can serve
+    further consumers; :meth:`result` reads the counts once the feed
+    has been drained.
+    """
+
+    def __init__(self):
+        self._last: dict[int, int] = {}
+        self._accesses: dict[int, int] = {}
+        self._redundant: dict[int, int] = {}
+        self._after_store: dict[int, int] = {}
+
+    def feed(self, columns: Iterable[tuple]) -> Iterator[tuple]:
+        last = self._last
+        accesses = self._accesses
+        redundant = self._redundant
+        after_store = self._after_store
+        prefetch, store = PREFETCH, STORE
+        last_load, last_store = _LAST_LOAD, _LAST_STORE
+        for pcs, addresses, kinds in columns:
+            for pc, address, kind in zip(pcs, addresses, kinds):
+                if kind == prefetch:
+                    continue
+                if kind == store:
+                    last[address] = last_store
+                    continue
+                accesses[pc] = accesses.get(pc, 0) + 1
+                previous = last.get(address)
+                if previous is not None:
+                    redundant[pc] = redundant.get(pc, 0) + 1
+                    if previous == last_store:
+                        after_store[pc] = after_store.get(pc, 0) + 1
+                last[address] = last_load
+            yield pcs, addresses, kinds
+
+    def result(self) -> RedundancyStats:
+        loads = {pc: LoadRedundancy(
+                     accesses=count,
+                     redundant=self._redundant.get(pc, 0),
+                     reload_after_store=self._after_store.get(pc, 0))
+                 for pc, count in self._accesses.items()}
+        return RedundancyStats(loads=loads)
+
+
 def analyze_redundancy(source: TraceSource) -> RedundancyStats:
-    """One streaming pass; per-address last-access-kind state."""
-    last: dict[int, int] = {}
-    accesses: dict[int, int] = {}
-    redundant: dict[int, int] = {}
-    after_store: dict[int, int] = {}
-    for pcs, addresses, kinds in chunk_columns(source):
-        for pc, address, kind in zip(pcs, addresses, kinds):
-            if kind == PREFETCH:
-                continue
-            if kind == STORE:
-                last[address] = _LAST_STORE
-                continue
-            accesses[pc] = accesses.get(pc, 0) + 1
-            previous = last.get(address)
-            if previous is not None:
-                redundant[pc] = redundant.get(pc, 0) + 1
-                if previous == _LAST_STORE:
-                    after_store[pc] = after_store.get(pc, 0) + 1
-            last[address] = _LAST_LOAD
-    loads = {pc: LoadRedundancy(
-                 accesses=count,
-                 redundant=redundant.get(pc, 0),
-                 reload_after_store=after_store.get(pc, 0))
-             for pc, count in accesses.items()}
-    return RedundancyStats(loads=loads)
+    """One streaming pass: a drained :class:`RedundancyFold`."""
+    fold = RedundancyFold()
+    for _ in fold.feed(chunk_columns(source)):
+        pass
+    return fold.result()
 
 
 def naive_redundancy(trace: MemoryTrace) -> RedundancyStats:

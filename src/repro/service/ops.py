@@ -171,6 +171,7 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
     geometry's page size, cross-tabulating PCAX-friendly loads against
     the paper's delinquent set.
     """
+    from repro.scenario import encode_pcax, encode_tlb
     from repro.tlb import (TlbConfig, pcax_crosstab, pcax_profile,
                            simulate_tlb)
     configs = [TlbConfig(**entry) for entry in params["geometries"]]
@@ -178,23 +179,6 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
     sweep = handle.replay(
         lambda source: simulate_tlb(source, configs,
                                     store=_PROFILE_STORE))
-    results = []
-    for stats in sweep:
-        results.append({
-            "geometry": stats.config.to_dict(),
-            "description": stats.config.describe(),
-            "total_accesses": stats.total_accesses,
-            "total_misses": stats.total_misses,
-            "miss_rate": stats.miss_rate,
-            "load_misses": {f"{a:#x}": m for a, m in
-                            sorted(stats.load_misses.items())},
-            "load_accesses": {f"{a:#x}": m for a, m in
-                              sorted(stats.load_accesses.items())},
-            "store_misses": {f"{a:#x}": m for a, m in
-                             sorted(stats.store_misses.items())},
-            "store_accesses": {f"{a:#x}": m for a, m in
-                               sorted(stats.store_accesses.items())},
-        })
     page_size = configs[0].page_size
     profile = handle.replay(
         lambda source: pcax_profile(source, page_size=page_size,
@@ -205,14 +189,9 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
     return {
         "steps": handle.steps,
         "num_loads": handle.program.num_loads(),
-        "results": results,
+        "results": [encode_tlb(stats) for stats in sweep],
         "pcax": {
-            "page_size": page_size,
-            "threshold": params["threshold"],
-            "loads": {f"{pc:#x}": {"accesses": load.accesses,
-                                   "predicted": load.predicted,
-                                   "ratio": load.ratio}
-                      for pc, load in sorted(profile.loads.items())},
+            **encode_pcax(profile),
             "friendly": [f"{pc:#x}" for pc in sorted(friendly)],
             "delinquent": [f"{pc:#x}" for pc in sorted(delinquent)],
             "crosstab": pcax_crosstab(friendly, delinquent, universe),
@@ -230,6 +209,7 @@ def run_redundancy(params: dict[str, Any]) -> dict[str, Any]:
     from repro.patterns.builder import build_load_infos
     from repro.profiling.profile import BlockProfile
     from repro.redundancy import ag_crosstab, analyze_redundancy
+    from repro.scenario import encode_redundancy
     handle = _trace(params)
     stats = handle.replay(analyze_redundancy)
     load_infos = build_load_infos(handle.program)
@@ -241,15 +221,7 @@ def run_redundancy(params: dict[str, Any]) -> dict[str, Any]:
     return {
         "steps": handle.steps,
         "num_loads": handle.program.num_loads(),
-        "total_loads": stats.total_loads,
-        "total_redundant": stats.total_redundant,
-        "total_reload_after_store": stats.total_reload_after_store,
-        "ratio": stats.ratio,
-        "loads": {f"{pc:#x}": {
-                      "accesses": load.accesses,
-                      "redundant": load.redundant,
-                      "reload_after_store": load.reload_after_store}
-                  for pc, load in sorted(stats.loads.items())},
+        **encode_redundancy(stats),
         "classes": ag_crosstab(stats, load_infos, load_exec),
     }
 

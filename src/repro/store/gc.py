@@ -8,8 +8,9 @@ expire on their own:
   (``<workload>-<digest>.json`` in the root), ``service`` responses
   (``service/svc-*.json``, or ``svc-*.json`` in the root of a
   ``serve --cache-dir``), ``stackdist`` sweep profiles
-  (``stackdist/sd-*.json``) and ``analytic`` profiles
-  (``stackdist/an-*.json``);
+  (``stackdist/sd-*.json``), ``analytic`` profiles
+  (``stackdist/an-*.json``) and ``scenario`` passes
+  (``scenario/sc-*.json``);
 * ``traces`` — the chunked trace store (``traces/tr-*.json`` meta +
   ``traces/tr-*.bin`` columns, evicted as a pair).
 

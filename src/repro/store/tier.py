@@ -3,8 +3,8 @@
 Every content-keyed result and profile cache in the package is a
 :class:`JsonTier`:
 
-* the pipeline's per-(run, config) results
-  (:class:`~repro.pipeline.session.Session`);
+* the pipeline's per-(run, config) results and per-run scenario
+  passes (:class:`~repro.pipeline.session.Session`);
 * the service's served responses
   (:class:`~repro.service.scheduler.BatchScheduler`);
 * the profile store's measured sweep profiles and its analytic profiles
@@ -71,7 +71,9 @@ PIPELINE = Layout("pipeline", "", ("",))
 SERVICE = Layout("service", "svc-", ("service", ""))
 SWEEP = Layout("stackdist", "sd-", ("stackdist",))
 ANALYTIC = Layout("analytic", "an-", ("stackdist",))
-LAYOUTS = (PIPELINE, SERVICE, SWEEP, ANALYTIC)
+#: One run's dTLB, PCAX and redundancy results (see repro.scenario).
+SCENARIO = Layout("scenario", "sc-", ("scenario",))
+LAYOUTS = (PIPELINE, SERVICE, SWEEP, ANALYTIC, SCENARIO)
 
 
 class JsonTier:

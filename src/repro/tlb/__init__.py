@@ -8,14 +8,16 @@ and cross-tabulates it against the paper's delinquent set.
 
 from repro.tlb.model import (DEFAULT_ENTRIES, DEFAULT_PAGE_SIZE,
                              TlbConfig, TlbStats, simulate_tlb)
-from repro.tlb.pcax import (DEFAULT_THRESHOLD, MIN_ACCESSES, PcaxLoad,
-                            PcaxProfile, pcax_crosstab, pcax_profile)
+from repro.tlb.pcax import (DEFAULT_THRESHOLD, MIN_ACCESSES, PcaxFold,
+                            PcaxLoad, PcaxProfile, pcax_crosstab,
+                            pcax_profile)
 
 __all__ = [
     "DEFAULT_ENTRIES",
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_THRESHOLD",
     "MIN_ACCESSES",
+    "PcaxFold",
     "PcaxLoad",
     "PcaxProfile",
     "TlbConfig",

@@ -23,6 +23,7 @@ coincide with the PCAX-friendly set?  :func:`pcax_crosstab` counts the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.cache.model import TraceSource, chunk_columns
 from repro.machine.trace import LOAD
@@ -76,43 +77,75 @@ class PcaxProfile:
         return sum(load.predicted for load in self.loads.values())
 
 
+class PcaxFold:
+    """The per-PC last-page + stride predictor, folded chunk by chunk.
+
+    :meth:`feed` wraps a column feed (see
+    :func:`repro.cache.model.chunk_columns`) and passes every triple
+    through unchanged after folding it, so one decoded chunk can serve
+    further consumers; :meth:`result` reads the profile once the feed
+    has been drained.
+    """
+
+    def __init__(self, page_size: int, threshold: float):
+        if page_size <= 0 or page_size & (page_size - 1):
+            raise ValueError(
+                f"page_size must be a power of two, got {page_size}")
+        self.page_size = page_size
+        self.threshold = threshold
+        self._shift = page_size.bit_length() - 1
+        self._accesses: dict[int, int] = {}
+        self._predicted: dict[int, int] = {}
+        self._last_page: dict[int, int] = {}
+        self._stride: dict[int, int] = {}
+
+    def feed(self, columns: Iterable[tuple]) -> Iterator[tuple]:
+        shift = self._shift
+        accesses = self._accesses
+        predicted = self._predicted
+        last_page = self._last_page
+        stride = self._stride
+        load = LOAD
+        for pcs, addresses, kinds in columns:
+            for pc, address, kind in zip(pcs, addresses, kinds):
+                if kind != load:
+                    continue
+                page = address >> shift
+                previous = last_page.get(pc)
+                if previous is None:
+                    accesses[pc] = 1
+                    predicted[pc] = 0
+                    last_page[pc] = page
+                    stride[pc] = 0
+                    continue
+                accesses[pc] += 1
+                if page == previous + stride[pc]:
+                    predicted[pc] += 1
+                stride[pc] = page - previous
+                last_page[pc] = page
+            yield pcs, addresses, kinds
+
+    def result(self) -> PcaxProfile:
+        loads = {pc: PcaxLoad(accesses=count,
+                              predicted=self._predicted[pc])
+                 for pc, count in self._accesses.items()}
+        return PcaxProfile(page_size=self.page_size,
+                           threshold=self.threshold, loads=loads)
+
+
 def pcax_profile(source: TraceSource,
                  page_size: int = 4096,
                  threshold: float = DEFAULT_THRESHOLD) -> PcaxProfile:
     """One streaming pass of the per-PC last-page + stride predictor.
 
-    Folds over :func:`repro.cache.model.chunk_columns`, so materialized
-    traces and chunked streams produce identical profiles.
+    Drains a :class:`PcaxFold` over
+    :func:`repro.cache.model.chunk_columns`, so materialized traces and
+    chunked streams produce identical profiles.
     """
-    if page_size <= 0 or page_size & (page_size - 1):
-        raise ValueError(
-            f"page_size must be a power of two, got {page_size}")
-    shift = page_size.bit_length() - 1
-    accesses: dict[int, int] = {}
-    predicted: dict[int, int] = {}
-    last_page: dict[int, int] = {}
-    stride: dict[int, int] = {}
-    for pcs, addresses, kinds in chunk_columns(source):
-        for pc, address, kind in zip(pcs, addresses, kinds):
-            if kind != LOAD:
-                continue
-            page = address >> shift
-            previous = last_page.get(pc)
-            if previous is None:
-                accesses[pc] = accesses.get(pc, 0) + 1
-                predicted.setdefault(pc, 0)
-                last_page[pc] = page
-                stride[pc] = 0
-                continue
-            accesses[pc] += 1
-            if page == previous + stride[pc]:
-                predicted[pc] += 1
-            stride[pc] = page - previous
-            last_page[pc] = page
-    loads = {pc: PcaxLoad(accesses=count, predicted=predicted[pc])
-             for pc, count in accesses.items()}
-    return PcaxProfile(page_size=page_size, threshold=threshold,
-                       loads=loads)
+    fold = PcaxFold(page_size, threshold)
+    for _ in fold.feed(chunk_columns(source)):
+        pass
+    return fold.result()
 
 
 def pcax_crosstab(friendly: set[int], delinquent: set[int],

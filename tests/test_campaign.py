@@ -11,6 +11,7 @@ an uninterrupted campaign in a separate cache directory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import signal
@@ -25,6 +26,7 @@ from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
                                 CacheConfig, associativity_sweep,
                                 size_sweep)
 from repro.campaign import Campaign, Manifest, campaign_dir, code_digest
+from repro.experiments import grid
 from repro.experiments.grid import (CACHE_16K, GridCell, TableSpec,
                                     campaign_cells, merge_cells,
                                     sweep_configs, table_specs)
@@ -39,6 +41,23 @@ TABLES = (6, 10)        # static-only + one simulated table: fast
 
 def _session(tmp_path: Path) -> Session:
     return Session(scale=SCALE, cache_dir=tmp_path / "cache")
+
+
+#: Tables 16 and 17 cut down to one program: a campaign over them has
+#: one run cell and one scenario cell.
+SCENARIO_PROGRAM = "129.compress"
+
+
+@pytest.fixture
+def scenario_grid(monkeypatch):
+    """Restrict Tables 16 and 17 to :data:`SCENARIO_PROGRAM`."""
+    from repro.experiments import runner, table16, table17
+    names = (SCENARIO_PROGRAM,)
+    for number, module in ((16, table16), (17, table17)):
+        monkeypatch.setattr(module, "SPEC", dataclasses.replace(
+            module.SPEC, names=names))
+        monkeypatch.setitem(runner.EXPERIMENTS, number,
+                            functools.partial(module.run, names=names))
 
 
 # ---------------------------------------------------------------------
@@ -82,6 +101,16 @@ class TestGrid:
         assert merged[0].configs == (BASELINE_CONFIG, TRAINING_CONFIG)
         assert merged[0].analytic is True
         assert merged[1].configs == (BASELINE_CONFIG,)
+
+    def test_merge_ors_scenario(self):
+        merged = merge_cells([GridCell("181.mcf"),
+                              GridCell("181.mcf", scenario=True),
+                              GridCell("181.mcf", analytic=True)])
+        assert len(merged) == 1
+        assert merged[0].scenario and merged[0].analytic
+        specs = table_specs()
+        assert {n for n, spec in specs.items() if spec.scenario} \
+            == {16, 17}
 
     def test_merge_dedups_equal_configs(self):
         again = CacheConfig(size=16 * 1024, assoc=4, block_size=32)
@@ -221,6 +250,95 @@ class TestCampaign:
                 remote=handle.address)
         assert remote.tables == local.tables
         assert remote.computed == local.computed
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_scenario_cells_sit_between_runs_and_tables(self, tmp_path):
+        plans = {plan.id: plan
+                 for plan in Campaign(_session(tmp_path),
+                                      numbers=[16, 17]).plan()}
+        run = f"run:{SCENARIO_PROGRAM}:input1:base"
+        scenario = f"scenario:{SCENARIO_PROGRAM}:input1:base"
+        assert sorted(plans) == [run, scenario, "table:16", "table:17"]
+        assert plans[scenario].kind == "scenario"
+        assert plans[scenario].deps == (run,)
+        assert plans[scenario].spec == grid.scenario_spec()
+        for table in ("table:16", "table:17"):
+            assert plans[table].deps == (run, scenario)
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_scenario_cells_on_the_pool_match_the_serial_runner(
+            self, tmp_path):
+        session = _session(tmp_path)
+        campaign = Campaign(session, numbers=[16, 17])
+        result = campaign.run(jobs=2)
+        serial = Session(scale=SCALE, cache_dir=tmp_path / "serial")
+        expected = {n: t.render() for n, t in
+                    run_tables(serial, [16, 17], echo=False).items()}
+        assert result.tables == expected
+        cells = [entry["cell"] for entry in campaign.manifest.entries()]
+        run = f"run:{SCENARIO_PROGRAM}:input1:base"
+        scenario = f"scenario:{SCENARIO_PROGRAM}:input1:base"
+        assert cells.index(run) < cells.index(scenario) \
+            < cells.index("table:16")
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_scenario_manifest_entry_records_parameters_and_tier(
+            self, tmp_path):
+        Campaign(_session(tmp_path), numbers=[16]).run(jobs=1)
+        again = Campaign(_session(tmp_path), numbers=[16])
+        again.run(jobs=1)            # no resume: served by the disk tier
+        cell = f"scenario:{SCENARIO_PROGRAM}:input1:base"
+        entries = [entry for entry in again.manifest.entries()
+                   if entry["cell"] == cell]
+        assert [entry["tier"] for entry in entries] \
+            == ["computed", "disk"]
+        spec = grid.scenario_spec()
+        assert entries[0]["tlb"] == [c.describe() for c in spec.tlb]
+        assert entries[0]["pcax_page_size"] == spec.pcax_page_size
+        assert entries[0]["threshold"] == spec.threshold
+        status = again.manifest.status()
+        assert status["by_kind_tier"]["scenario"] == {"disk": 1}
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_tlb_geometry_change_recomputes_table16_on_resume(
+            self, tmp_path, monkeypatch):
+        from repro.tlb import TlbConfig
+        first = Campaign(_session(tmp_path), numbers=[16])
+        first.run(jobs=1)
+        before = {plan.id: plan.digest for plan in first.plan()}
+        monkeypatch.setattr(grid, "MICRO_TLB",
+                            TlbConfig(page_size=256, entries=16))
+        resumed = Campaign(_session(tmp_path), numbers=[16])
+        after = {plan.id: plan.digest for plan in resumed.plan()}
+        run = f"run:{SCENARIO_PROGRAM}:input1:base"
+        scenario = f"scenario:{SCENARIO_PROGRAM}:input1:base"
+        assert after[run] == before[run]
+        assert after[scenario] != before[scenario]
+        assert after["table:16"] != before["table:16"]
+        result = resumed.run(resume=True, jobs=1)
+        assert result.skipped == 1           # the run cell only
+        recorded = {entry["cell"]: entry["tier"]
+                    for entry in resumed.manifest.entries()
+                    if entry["campaign"] == result.campaign_id}
+        assert recorded == {scenario: "computed", "table:16": "computed"}
+        assert "16-entry" in result.tables[16]
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_remote_scenario_cells_leave_no_trace_in_the_parent(
+            self, tmp_path):
+        from repro.service.server import ServerConfig, serve_in_thread
+        local = Campaign(_session(tmp_path), numbers=[17]).run(jobs=1)
+        config = ServerConfig(port=0, workers=0,
+                              cache_dir=tmp_path / "served")
+        with serve_in_thread(config) as handle:
+            parent = tmp_path / "parent"
+            session = Session(scale=SCALE, cache_dir=parent)
+            remote = Campaign(session, numbers=[17]).run(
+                remote=handle.address)
+        assert remote.tables == local.tables
+        assert list((tmp_path / "served" / "traces").glob("tr-*.bin"))
+        assert not list((parent / "traces").glob("tr-*"))
+        assert list((parent / "scenario").glob("sc-*.json"))
 
     def test_remote_refuses_a_seeded_random_cell(self, tmp_path,
                                                  monkeypatch):

@@ -2,8 +2,9 @@
 
 Every trace consumer goes through :class:`repro.store.handle.TraceHandle`,
 so the store's I/O faults are tested once per fault, against each of the
-handle's three callers: :meth:`Session.stats_multi`, the service's
-``simulate`` op and :func:`repro.api.analyze_program` with a store.
+handle's four callers: :meth:`Session.stats_multi`, the fused scenario
+pass of :meth:`Session.scenario`, the service's ``simulate`` op and
+:func:`repro.api.analyze_program` with a store.
 Each fault has a documented outcome:
 
 * ``writer.close`` fails with ENOSPC: the same stats, the entry deleted;
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import errno
 import json
+import shutil
 
 import pytest
 
@@ -26,11 +28,13 @@ from repro.compiler.driver import compile_source
 from repro.export import canonical_json, report_to_dict
 from repro.machine.simulator import Machine
 from repro.pipeline.session import Session, default_cache_dir
+from repro.scenario import ScenarioSpec, encode_scenario
 from repro.service import ops, protocol
 from repro.service.client import ServiceClient
 from repro.service.server import ServerConfig, serve_in_thread
 from repro.store import TraceHandle, TraceStore
 from repro.store.tracestore import TraceStoreWriter
+from repro.tlb import TlbConfig
 from tests.conftest import SAMPLE_SOURCE
 
 #: FIFO never reaches the stack-distance profiles, so every call
@@ -42,7 +46,7 @@ META_FIELDS = ("rows", "digest", "prefetch_count", "load_accesses",
                "store_accesses", "block_counts", "steps")
 
 
-# -- the three callers ---------------------------------------------------
+# -- the four callers ---------------------------------------------------
 
 def _stats_multi(directory, monkeypatch):
     # The JSON result tier would answer without the trace: drop it.
@@ -55,6 +59,17 @@ def _stats_multi(directory, monkeypatch):
     return (stats.load_accesses, stats.load_misses, stats.store_accesses,
             stats.store_misses, stats.prefetch_ops, stats.prefetch_fills,
             profile.block_counts, session._steps[key])
+
+
+def _scenario(directory, monkeypatch):
+    # The scenario tier would answer without the trace: drop it.
+    shutil.rmtree(directory / "scenario", ignore_errors=True)
+    session = Session(cache_dir=directory)
+    key = session.add_source("sample", SAMPLE_SOURCE)
+    result = session.scenario("sample", spec=ScenarioSpec(
+        tlb=(TlbConfig(page_size=64, entries=4),), pcax_page_size=64))
+    return (encode_scenario(result), session.profile("sample").block_counts,
+            session._steps[key])
 
 
 def _simulate(directory, monkeypatch):
@@ -73,8 +88,8 @@ def _analyze(directory, monkeypatch):
     return canonical_json(report_to_dict(report))
 
 
-CALLERS = {"stats_multi": _stats_multi, "simulate": _simulate,
-           "analyze": _analyze}
+CALLERS = {"stats_multi": _stats_multi, "scenario": _scenario,
+           "simulate": _simulate, "analyze": _analyze}
 
 
 @pytest.fixture(params=sorted(CALLERS))

@@ -173,18 +173,22 @@ int main() {
 
 
 class TestSessionWiring:
-    def test_session_redundancy_memoized_and_consistent(self,
-                                                        tmp_path):
+    def test_session_scenario_redundancy_memoized_and_consistent(
+            self, tmp_path):
         session = Session(cache_dir=tmp_path)
         session.add_source("w", RED_SRC)
-        stats = session.redundancy("w")
+        stats = session.scenario("w").redundancy
         assert stats.total_redundant > 0
         assert stats.total_reload_after_store > 0
-        assert session.redundancy("w") is stats
-        # a fresh session replays from the trace store identically
+        assert session.scenario("w").redundancy is stats
+        # a fresh session reads the scenario tier identically
         other = Session(cache_dir=tmp_path)
         other.add_source("w", RED_SRC)
-        assert other.redundancy("w").loads == stats.loads
+        assert other.scenario("w").redundancy.loads == stats.loads
+        # and one without a disk cache replays a materialized trace
+        bare = Session(use_disk_cache=False)
+        bare.add_source("w", RED_SRC)
+        assert bare.scenario("w").redundancy.loads == stats.loads
 
 
 class TestServiceOp:

@@ -19,6 +19,7 @@ from repro.cache.model import simulate_trace
 from repro.cache.stackdist import ProfileStore
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
 from repro.pipeline.session import Session
+from repro.scenario import ScenarioSpec
 from repro.service.ops import COMPUTE
 from repro.service.protocol import ProtocolError, parse_request
 from repro.store.tracestore import TraceStore
@@ -284,25 +285,36 @@ int main() {
 
 
 class TestSessionWiring:
-    def test_session_tlb_stats_matches_cache_sweep(self, tmp_path):
+    def test_session_scenario_tlb_matches_cache_sweep(self, tmp_path):
         session = Session(cache_dir=tmp_path)
         session.add_source("w", TLB_SRC)
         config = TlbConfig(page_size=64, entries=4)
-        (stats,) = session.tlb_stats("w", configs=(config,))
+        spec = ScenarioSpec(tlb=(config,), pcax_page_size=64)
+        (stats,) = session.scenario("w", spec=spec).tlb
         direct = session.stats("w",
                                cache_config=config.as_cache_config())
         assert stats.load_misses == direct.load_misses
         assert stats.store_misses == direct.store_misses
-        # second call replays from the trace store bit-identically
-        (again,) = session.tlb_stats("w", configs=(config,))
+        # a second call is a tier hit, bit-identical
+        (again,) = session.scenario("w", spec=spec).tlb
         assert again.load_misses == stats.load_misses
+        # so is a fresh session's read of the disk entry
+        other = Session(cache_dir=tmp_path)
+        other.add_source("w", TLB_SRC)
+        (stored,) = other.scenario("w", spec=spec).tlb
+        assert stored.load_misses == stats.load_misses
+        assert stored.store_misses == stats.store_misses
 
-    def test_session_pcax_is_memoized(self, tmp_path):
+    def test_session_scenario_pcax_is_memoized(self, tmp_path):
         session = Session(cache_dir=tmp_path)
         session.add_source("w", TLB_SRC)
-        first = session.pcax("w", page_size=64)
-        assert session.pcax("w", page_size=64) is first
-        other = session.pcax("w", page_size=128)
+        config = TlbConfig(page_size=64, entries=4)
+        first = session.scenario("w", spec=ScenarioSpec(
+            tlb=(config,), pcax_page_size=64)).pcax
+        assert session.scenario("w", spec=ScenarioSpec(
+            tlb=(config,), pcax_page_size=64)).pcax is first
+        other = session.scenario("w", spec=ScenarioSpec(
+            tlb=(config,), pcax_page_size=128)).pcax
         assert other is not first
 
 
