@@ -1,324 +1,71 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches: time each ablation of
+:mod:`repro.experiments.ablations` and assert the direction its design
+choice predicts."""
 
-Each bench prints (and times) one controlled comparison:
-
-* slot-aware vs register-only recurrence detection (H4 on -O0 code),
-* address-pattern fan-out cap,
-* chain inclusion in the OKN/BDH baselines,
-* profiled vs statically estimated vs absent frequency classes (AG8/9),
-* paper weights vs weights retrained on this suite.
-"""
-
-import pytest
-
-from repro.baselines import bdh, okn
-from repro.experiments.common import Table, pct
-from repro.experiments.evalutil import pi_rho
-from repro.heuristic.classifier import DelinquencyClassifier
-from repro.heuristic.static_frequency import static_exec_counts
-from repro.heuristic.training import BenchmarkTrainingData, train_weights
-from repro.metrics.measures import coverage, precision
-from repro.patterns.builder import build_load_infos
-
-WORKLOADS = ("181.mcf", "129.compress", "197.parser", "101.tomcatv")
+from repro.experiments.ablations import ABLATIONS
 
 
-def _measure(session, name):
-    return session.measurement(name)
+def _run(benchmark, session, number):
+    return benchmark.pedantic(ABLATIONS[number], args=(session,),
+                              iterations=1, rounds=1)
 
 
-def test_ablation_slot_recurrence(benchmark, session, record_table):
-    """Without slot-aware recurrence, H4 goes silent on -O0 code."""
-
-    def run():
-        table = Table("Ablation A", "slot-aware vs register-only "
-                      "recurrence (unoptimized code)",
-                      ["Benchmark", "recurrent loads (slot-aware)",
-                       "recurrent loads (register-only)"])
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            with_slots = build_load_infos(m.program,
-                                          slot_recurrence=True)
-            without = build_load_infos(m.program,
-                                       slot_recurrence=False)
-            n_with = sum(1 for i in with_slots.values()
-                         if i.has_recurrence)
-            n_without = sum(1 for i in without.values()
-                            if i.has_recurrence)
-            table.add_row(name, n_with, n_without)
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(101, table)
+def test_ablation_slot_recurrence(benchmark, session):
+    table = _run(benchmark, session, 101)
     for row in table.rows:
         assert int(row[1]) >= int(row[2])
     # at least one benchmark must demonstrate the gap
     assert any(int(row[1]) > int(row[2]) for row in table.rows)
 
 
-def test_ablation_pattern_cap(benchmark, session, record_table):
-    """Tighter fan-out caps lose patterns but barely move Delta."""
-
-    def run():
-        table = Table("Ablation B", "address-pattern fan-out cap",
-                      ["Benchmark", "|Delta| cap=1", "|Delta| cap=4",
-                       "|Delta| cap=16"])
-        classifier = DelinquencyClassifier(use_frequency=False)
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            sizes = []
-            for cap in (1, 4, 16):
-                infos = build_load_infos(m.program, max_patterns=cap)
-                sizes.append(len(classifier.classify(
-                    infos).delinquent_set))
-            table.add_row(name, *sizes)
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(102, table)
+def test_ablation_pattern_cap(benchmark, session):
+    table = _run(benchmark, session, 102)
     for row in table.rows:
         # phi takes a max over patterns: more patterns, never fewer hits
         assert int(row[1]) <= int(row[2]) <= int(row[3])
 
 
-def test_ablation_baseline_chains(benchmark, session, record_table):
-    """Chain inclusion is what drives the baselines' pi to ~50%."""
-
-    def run():
-        table = Table("Ablation C", "baseline chain inclusion",
-                      ["Benchmark", "OKN pi (chain)", "OKN pi (bare)",
-                       "BDH pi (chain)", "BDH pi (bare)"])
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            values = []
-            for include in (True, False):
-                okn_set = okn.classify(
-                    m.load_infos, m.program,
-                    include_chain=include).delinquent_set
-                values.append(precision(okn_set, m.num_loads))
-            for include in (True, False):
-                bdh_set = bdh.classify(
-                    m.program, m.load_infos,
-                    include_chain=include).delinquent_set
-                values.append(precision(bdh_set, m.num_loads))
-            table.add_row(name, *(pct(v, 1) for v in values))
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(103, table)
+def test_ablation_baseline_chains(benchmark, session):
+    table = _run(benchmark, session, 103)
     for row in table.rows:
         assert float(row[1].rstrip("%")) >= float(row[2].rstrip("%"))
         assert float(row[3].rstrip("%")) >= float(row[4].rstrip("%"))
 
 
-def test_ablation_frequency_source(benchmark, session, record_table):
-    """AG8/9 from a profile vs from static estimation vs disabled
-    (the paper's Section 5.2 suggestion)."""
-
-    def run():
-        table = Table("Ablation D", "frequency-class source (pi / rho)",
-                      ["Benchmark", "profiled AG8/9", "static AG8/9",
-                       "no AG8/9"])
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            cells = []
-            profiled = DelinquencyClassifier().classify(
-                m.load_infos, m.load_exec, m.profile.hotspot_loads())
-            cells.append(pi_rho(profiled.delinquent_set, m))
-            static = DelinquencyClassifier().classify(
-                m.load_infos,
-                exec_counts=static_exec_counts(m.program))
-            cells.append(pi_rho(static.delinquent_set, m))
-            bare = DelinquencyClassifier(use_frequency=False).classify(
-                m.load_infos)
-            cells.append(pi_rho(bare.delinquent_set, m))
-            table.add_row(name, *(f"{pct(pi)} / {pct(rho)}"
-                                  for pi, rho in cells))
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(104, table)
+def test_ablation_frequency_source(benchmark, session):
+    table = _run(benchmark, session, 104)
     assert table.rows
 
 
-def test_ablation_weights(benchmark, session, record_table):
-    """Paper's published weights vs weights retrained on this suite."""
-
-    def run():
-        data = []
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            data.append(BenchmarkTrainingData.collect(
-                name=name, load_infos=m.load_infos,
-                exec_counts=m.load_exec, load_misses=m.load_misses,
-                hotspot_loads=m.profile.hotspot_loads()))
-        retrained = train_weights(data).weights
-
-        table = Table("Ablation E", "paper vs retrained weights "
-                      "(pi / rho)",
-                      ["Benchmark", "paper weights", "retrained"])
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            cells = []
-            for weights in (None, retrained):
-                classifier = DelinquencyClassifier(
-                    **({} if weights is None else {"weights": weights}))
-                result = classifier.classify(
-                    m.load_infos, m.load_exec,
-                    m.profile.hotspot_loads())
-                cells.append(pi_rho(result.delinquent_set, m))
-            table.add_row(name, *(f"{pct(pi)} / {pct(rho)}"
-                                  for pi, rho in cells))
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(105, table)
+def test_ablation_weights(benchmark, session):
+    table = _run(benchmark, session, 105)
     assert table.rows
 
 
-def test_ablation_delta_tuning(benchmark, session, record_table):
-    """Per-benchmark delta tuning (the paper's Section 8.6 suggestion)."""
-    from repro.heuristic.delta_tuning import tune_delta
-
-    def run():
-        table = Table("Ablation F", "fixed delta=0.10 vs per-benchmark "
-                      "tuned delta",
-                      ["Benchmark", "fixed (pi / rho)", "tuned delta",
-                       "tuned (pi / rho)"])
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            result = DelinquencyClassifier().classify(
-                m.load_infos, m.load_exec, m.profile.hotspot_loads())
-            fixed = pi_rho(result.delinquent_set, m)
-            best = tune_delta(result.scores(), m.load_misses,
-                              m.num_loads)
-            table.add_row(
-                name, f"{pct(fixed[0])} / {pct(fixed[1])}",
-                f"{best.delta:.2f}",
-                f"{pct(best.pi)} / {pct(best.rho)}")
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(106, table)
+def test_ablation_delta_tuning(benchmark, session):
+    table = _run(benchmark, session, 106)
     assert table.rows
 
 
-def test_ablation_profile_fidelity(benchmark, session, record_table):
-    """Section 9 under degraded profiles: the combined scheme with
-    sampled basic-block profiling (the realistic deployment)."""
-    from repro.profiling.combined import combined_delta
-    from repro.profiling.sampling import sampled_profile
-
-    def run():
-        table = Table("Ablation G", "combined scheme vs profile "
-                      "sampling rate (pi / rho at eps=0)",
-                      ["Benchmark", "full profile", "10% sample",
-                       "1% sample"])
-        for name in WORKLOADS:
-            m = _measure(session, name)
-            heuristic = DelinquencyClassifier().classify(
-                m.load_infos, m.load_exec, m.profile.hotspot_loads())
-            cells = []
-            for rate in (1.0, 0.10, 0.01):
-                profile = sampled_profile(m.profile, rate)
-                combined = combined_delta(profile.hotspot_loads(),
-                                          heuristic, 0.0)
-                cells.append(
-                    f"{pct(precision(combined, m.num_loads), 1)} / "
-                    f"{pct(coverage(combined, m.load_misses))}")
-            table.add_row(name, *cells)
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(107, table)
+def test_ablation_profile_fidelity(benchmark, session):
+    table = _run(benchmark, session, 107)
     assert table.rows
 
 
-def test_ablation_stall_aware_profiling(benchmark, session,
-                                        record_table):
-    """Entry-count vs stall-aware hotspots: fixing the weakness the
-    paper diagnoses on m88ksim (blocks entered often != blocks that
-    stall)."""
-
-    def run():
-        table = Table("Ablation H", "hotspot model: entry counts vs "
-                      "stall-aware cycles (Delta_P coverage)",
-                      ["Benchmark", "entry-count rho",
-                       "stall-aware rho"])
-        for name in WORKLOADS + ("126.gcc", "099.go"):
-            m = _measure(session, name)
-            plain = coverage(m.profile.hotspot_loads(), m.load_misses)
-            aware = coverage(
-                m.profile.hotspot_loads_stall_aware(m.load_misses,
-                                                    penalty=30),
-                m.load_misses)
-            table.add_row(name, pct(plain), pct(aware))
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(108, table)
+def test_ablation_stall_aware_profiling(benchmark, session):
+    table = _run(benchmark, session, 108)
     for row in table.rows:
         assert float(row[2].rstrip("%")) >= float(row[1].rstrip("%")) - 6
 
 
-def test_ablation_l2_hierarchy(benchmark, session, record_table):
-    """Do statically flagged loads also dominate the L2 miss stream?"""
-    from repro.cache.hierarchy import simulate_trace_hierarchy
-    from repro.machine.simulator import Machine
-
-    def run():
-        table = Table("Ablation I", "Delta coverage of L2 misses "
-                      "(two-level hierarchy)",
-                      ["Benchmark", "pi", "L1 rho", "L2 rho"])
-        for name in WORKLOADS[:3]:
-            m = _measure(session, name)
-            heuristic = DelinquencyClassifier().classify(
-                m.load_infos, m.load_exec, m.profile.hotspot_loads())
-            delta = heuristic.delinquent_set
-            # hierarchy needs the trace: re-execute this workload
-            machine = Machine(m.program)
-            trace = machine.run().trace
-            stats = simulate_trace_hierarchy(trace)
-            l1_rho = (sum(stats.l1_load_misses.get(a, 0)
-                          for a in delta)
-                      / max(1, stats.total_l1_load_misses))
-            table.add_row(name, pct(precision(delta, m.num_loads)),
-                          pct(l1_rho),
-                          pct(stats.l2_miss_coverage(delta)))
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(109, table)
+def test_ablation_l2_hierarchy(benchmark, session):
+    table = _run(benchmark, session, 109)
     for row in table.rows:
         assert float(row[3].rstrip("%")) > 50
 
 
-def test_ablation_prefetch_pass(benchmark, session, record_table):
-    """The motivating client: Delta-guided prefetch insertion vs
-    prefetching everything, under the stall-cycle model."""
-    from repro.prefetch.evaluate import compare_policies
-
-    def run():
-        table = Table("Ablation J", "Delta-guided software prefetching "
-                      "(cycle model, penalty=30)",
-                      ["Benchmark", "Delta speedup", "all-loads speedup",
-                       "Delta pref ops", "all pref ops"])
-        for name in ("183.equake", "101.tomcatv", "179.art"):
-            m = _measure(session, name)
-            heuristic = DelinquencyClassifier().classify(
-                m.load_infos, m.load_exec, m.profile.hotspot_loads())
-            comparison = compare_policies(m.program,
-                                          heuristic.delinquent_set)
-            table.add_row(
-                name,
-                f"{comparison.speedup(comparison.delta):.2f}x",
-                f"{comparison.speedup(comparison.all_loads):.2f}x",
-                f"{comparison.delta.prefetch_ops:,}",
-                f"{comparison.all_loads.prefetch_ops:,}")
-        return table
-
-    table = benchmark.pedantic(run, iterations=1, rounds=1)
-    record_table(110, table)
+def test_ablation_prefetch_pass(benchmark, session):
+    table = _run(benchmark, session, 110)
     for row in table.rows:
         delta_speed = float(row[1].rstrip("x"))
         all_speed = float(row[2].rstrip("x"))

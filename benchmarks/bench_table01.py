@@ -3,8 +3,7 @@
 from repro.experiments import table01
 
 
-def test_table01(benchmark, session, record_table):
+def test_table01(benchmark, session):
     table = benchmark.pedantic(
         table01.run, args=(session,), iterations=1, rounds=1)
-    record_table(1, table)
     assert table.rows

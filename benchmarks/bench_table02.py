@@ -3,8 +3,7 @@
 from repro.experiments import table02
 
 
-def test_table02(benchmark, session, record_table):
+def test_table02(benchmark, session):
     table = benchmark.pedantic(
         table02.run, args=(session,), iterations=1, rounds=1)
-    record_table(2, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table03
 
 
-def test_table03(benchmark, session, record_table):
+def test_table03(benchmark, session):
     table = benchmark.pedantic(
         table03.run, args=(session,), iterations=1, rounds=1)
-    record_table(3, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table04
 
 
-def test_table04(benchmark, session, record_table):
+def test_table04(benchmark, session):
     table = benchmark.pedantic(
         table04.run, args=(session,), iterations=1, rounds=1)
-    record_table(4, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table05
 
 
-def test_table05(benchmark, session, record_table):
+def test_table05(benchmark, session):
     table = benchmark.pedantic(
         table05.run, args=(session,), iterations=1, rounds=1)
-    record_table(5, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table06
 
 
-def test_table06(benchmark, session, record_table):
+def test_table06(benchmark, session):
     table = benchmark.pedantic(
         table06.run, args=(session,), iterations=1, rounds=1)
-    record_table(6, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table07
 
 
-def test_table07(benchmark, session, record_table):
+def test_table07(benchmark, session):
     table = benchmark.pedantic(
         table07.run, args=(session,), iterations=1, rounds=1)
-    record_table(7, table)
     assert table.rows

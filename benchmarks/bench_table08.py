@@ -3,8 +3,7 @@
 from repro.experiments import table08
 
 
-def test_table08(benchmark, session, record_table):
+def test_table08(benchmark, session):
     table = benchmark.pedantic(
         table08.run, args=(session,), iterations=1, rounds=1)
-    record_table(8, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table09
 
 
-def test_table09(benchmark, session, record_table):
+def test_table09(benchmark, session):
     table = benchmark.pedantic(
         table09.run, args=(session,), iterations=1, rounds=1)
-    record_table(9, table)
     assert table.rows

@@ -3,8 +3,7 @@
 from repro.experiments import table10
 
 
-def test_table10(benchmark, session, record_table):
+def test_table10(benchmark, session):
     table = benchmark.pedantic(
         table10.run, args=(session,), iterations=1, rounds=1)
-    record_table(10, table)
     assert table.rows

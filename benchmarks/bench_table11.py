@@ -3,8 +3,7 @@
 from repro.experiments import table11
 
 
-def test_table11(benchmark, session, record_table):
+def test_table11(benchmark, session):
     table = benchmark.pedantic(
         table11.run, args=(session,), iterations=1, rounds=1)
-    record_table(11, table)
     assert table.rows

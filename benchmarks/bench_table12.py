@@ -3,8 +3,7 @@
 from repro.experiments import table12
 
 
-def test_table12(benchmark, session, record_table):
+def test_table12(benchmark, session):
     table = benchmark.pedantic(
         table12.run, args=(session,), iterations=1, rounds=1)
-    record_table(12, table)
     assert table.rows

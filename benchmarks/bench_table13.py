@@ -3,8 +3,7 @@
 from repro.experiments import table13
 
 
-def test_table13(benchmark, session, record_table):
+def test_table13(benchmark, session):
     table = benchmark.pedantic(
         table13.run, args=(session,), iterations=1, rounds=1)
-    record_table(13, table)
     assert table.rows

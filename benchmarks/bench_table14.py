@@ -3,8 +3,7 @@
 from repro.experiments import table14
 
 
-def test_table14(benchmark, session, record_table):
+def test_table14(benchmark, session):
     table = benchmark.pedantic(
         table14.run, args=(session,), iterations=1, rounds=1)
-    record_table(14, table)
     assert table.rows

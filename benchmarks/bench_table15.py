@@ -3,8 +3,7 @@
 from repro.experiments import table15
 
 
-def test_table15(benchmark, session, record_table):
+def test_table15(benchmark, session):
     table = benchmark.pedantic(
         table15.run, args=(session,), iterations=1, rounds=1)
-    record_table(15, table)
     assert table.rows

@@ -21,9 +21,8 @@ front under the union of its cache geometries — in parallel across
 ``REPRO_JOBS`` processes, one trace replay per run — so the table
 benches measure analysis time, not redundant simulation.
 
-After the run, every produced table is written to
-``benchmarks/results/`` and a consolidated paper-vs-measured report to
-``EXPERIMENTS.md`` at the repository root.
+The benches write no report: EXPERIMENTS.md has one generator,
+``python -m repro campaign --scale 1.0 --report EXPERIMENTS.md``.
 """
 
 from __future__ import annotations
@@ -35,14 +34,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import Table
 from repro.pipeline.session import Session
 
 SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-_collected: dict[int, Table] = {}
 _session_started = time.time()
 
 
@@ -92,37 +88,5 @@ def session() -> Session:
     return shared
 
 
-@pytest.fixture(scope="session")
-def record_table():
-    """Returns a callable that persists a produced table."""
-
-    def _record(number: int, table: Table) -> Table:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        path = RESULTS_DIR / f"table{number:02d}.txt"
-        path.write_text(table.render() + "\n")
-        _collected[number] = table
-        return table
-
-    return _record
-
-
 def pytest_sessionfinish(session, exitstatus):
-    """Write the consolidated report once benches ran.
-
-    The root EXPERIMENTS.md is only (re)written when every main table
-    (1-15) was produced in this run; partial runs (a single bench, the
-    ablations alone) go to benchmarks/results/REPORT.md instead so they
-    never clobber the canonical full report.
-    """
     _stamp_bench_hosts()
-    if not _collected:
-        return
-    from repro.experiments.report import write_report
-    complete = set(range(1, 16)) <= set(_collected)
-    target = (REPO_ROOT / "EXPERIMENTS.md") if complete \
-        else (RESULTS_DIR / "REPORT.md")
-    try:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        write_report(dict(_collected), str(target), scale=SCALE)
-    except OSError:
-        pass

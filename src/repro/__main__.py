@@ -8,9 +8,9 @@
     python -m repro disasm PROG.c [--optimize]
     python -m repro asm PROG.c [--optimize]
     python -m repro verify PROG.c [--optimize]
-    python -m repro tables [--tables 1,7,11] [--scale S] [--report F]
-    python -m repro campaign [--tables 1,7] [--jobs N | --remote H:P]
-                             [--resume] [--status]    (alias: warm)
+    python -m repro campaign [--tables 1,7] [--scale S] [--report F]
+                             [--jobs N | --remote H:P] [--resume]
+                             [--status]        (aliases: warm, tables)
     python -m repro cache gc [--limit SIZE] [--dry-run]
     python -m repro serve [--port P] [--workers N] [--stats]
 
@@ -19,10 +19,11 @@ the paper's delinquent-load identification and prints the flagged loads
 with their address patterns (``--json`` emits the ``repro.export``
 schema, ``--remote`` sends the request to a running service instead of
 analyzing in-process); ``disasm``/``asm`` show the generated code.
-``campaign`` (alias ``warm``) regenerates the experiment grid across
-worker processes and fills the on-disk caches; ``tables`` forwards to
-the experiment runner; ``serve`` starts the long-lived
-delinquency-analysis service (see :mod:`repro.service`).
+``campaign`` (aliases ``warm``, ``tables``) regenerates the experiment
+grid across worker processes and fills the on-disk caches; its
+``--report`` writes EXPERIMENTS.md, tables plus ablations; ``serve``
+starts the long-lived delinquency-analysis service (see
+:mod:`repro.service`).
 """
 
 from __future__ import annotations
@@ -91,10 +92,9 @@ def _analyze_remote(args: argparse.Namespace) -> int:
     source = _read(args.source)
     params = {"source": source, "optimize": args.optimize,
               "delta": args.delta}
-    op = "classify" if args.static else "analyze"
     try:
         with ServiceClient.connect(args.remote) as client:
-            payload = client.call(op, params)
+            payload = client.call("analyze", params)
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
@@ -110,6 +110,13 @@ def _analyze_remote(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.remote:
+        if args.static or args.analytic:
+            # the service's analyze op executes the program, and its
+            # classify op has no static-frequency classes
+            flag = "--static" if args.static else "--analytic"
+            print(f"repro: error: {flag} cannot be combined with "
+                  f"--remote", file=sys.stderr)
+            return 2
         return _analyze_remote(args)
     from repro.api import analyze_program
     from repro.heuristic.static_frequency import static_exec_counts
@@ -496,22 +503,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         for number in sorted(result.tables):
             print(result.tables[number])
             print()
+    if args.report:
+        from repro.experiments.ablations import ABLATIONS
+        from repro.experiments.report import write_report
+        exhibits = campaign.exhibits(result)
+        for number, build in sorted(ABLATIONS.items()):
+            exhibits[number] = build(session)
+        write_report(exhibits, args.report, scale=args.scale)
+        print(f"report written to {args.report}")
     print(f"campaign: {result.describe()}")
     store = result.profile_store
     if store:
         print(f"profile store: {json.dumps(store, sort_keys=True)}")
     print(f"tables + manifest under {campaign.directory}")
     return 0
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as tables_main
-    forwarded = ["--tables", args.tables, "--scale", str(args.scale)]
-    if args.report:
-        forwarded += ["--report", args.report]
-    if args.no_disk_cache:
-        forwarded.append("--no-disk-cache")
-    return tables_main(forwarded)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -661,16 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "deleting anything")
     p_gc.set_defaults(func=cmd_cache_gc)
 
-    p_tab = sub.add_parser("tables",
-                           help="regenerate the paper's tables")
-    p_tab.add_argument("--tables", default="all")
-    p_tab.add_argument("--scale", type=float, default=1.0)
-    p_tab.add_argument("--report", default=None)
-    p_tab.add_argument("--no-disk-cache", action="store_true")
-    p_tab.set_defaults(func=cmd_tables)
-
     p_camp = sub.add_parser(
-        "campaign", aliases=["warm"],
+        "campaign", aliases=["warm", "tables"],
         help="regenerate the experiment grid through the DAG-aware "
              "campaign engine (parallel, resumable, provenance-"
              "recorded; see repro.campaign); fills .repro_cache")
@@ -695,6 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "manifest and exit")
     p_camp.add_argument("--echo-tables", action="store_true",
                         help="print every rendered table to stdout")
+    p_camp.add_argument("--report", default=None, metavar="PATH",
+                        help="also write the paper-vs-measured report "
+                             "(the tables plus the ablations) to PATH")
     p_camp.add_argument("--cache-dir", default=None,
                         help="result-cache directory "
                              "(default: .repro_cache)")

@@ -46,6 +46,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.cache.config import DEFAULT_RNG_SEED
 from repro.cache.model import cache_config_to_dict
 from repro.campaign.manifest import Manifest, campaign_dir
+from repro.experiments.common import Table
 from repro.experiments.grid import (GridCell, campaign_cells,
                                     scenario_spec, table_specs)
 from repro.pipeline.session import RunKey, Session, _resolve_jobs
@@ -95,6 +96,8 @@ class CampaignResult:
 
     campaign_id: str
     tables: dict[int, str] = field(default_factory=dict)  # rendered
+    # The Table objects rendered this run (resumed tables: text only).
+    exhibits: dict[int, Table] = field(default_factory=dict)
     computed: int = 0               # cells executed this run
     skipped: int = 0                # cells resumed from the manifest
     cached: int = 0                 # cells warm in the session caches
@@ -333,11 +336,13 @@ class Campaign:
                 plan = table_plans[cell_id]
                 started = time.perf_counter()
                 from repro.experiments.runner import EXPERIMENTS
-                text = EXPERIMENTS[plan.number](self.session).render()
+                table = EXPERIMENTS[plan.number](self.session)
+                text = table.render()
                 self.tables_dir.mkdir(parents=True, exist_ok=True)
                 path = self.tables_dir / f"table{plan.number:02d}.txt"
                 path.write_text(text + "\n")
                 result.tables[plan.number] = text
+                result.exhibits[plan.number] = table
                 finish_cell_table(plan,
                                   time.perf_counter() - started, text)
                 say(f"[campaign {campaign_id}] {plan.id} rendered")
@@ -369,6 +374,21 @@ class Campaign:
                 self._store_counters.get(name, 0) + delta
         result.profile_store = dict(self._store_counters)
         return result
+
+    def exhibits(self, result: CampaignResult) -> dict[int, Table]:
+        """Every table of ``result`` as a :class:`Table`, for the report.
+
+        A table resumed from disk is rebuilt from the warm tiers its
+        cells filled (no trace pass) and must render to the text on disk.
+        """
+        from repro.experiments.runner import EXPERIMENTS
+        tables = dict(result.exhibits)
+        for number in result.tables.keys() - tables.keys():
+            tables[number] = EXPERIMENTS[number](self.session)
+            if tables[number].render() != result.tables[number]:
+                raise RuntimeError(f"table {number} resumed from disk "
+                                   f"differs from its rebuild")
+        return dict(sorted(tables.items()))
 
     # -- local execution ---------------------------------------------
     def _run_local(self, compute: list[CellPlan],

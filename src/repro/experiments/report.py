@@ -1,4 +1,7 @@
-"""EXPERIMENTS.md generator: paper-vs-measured for every exhibit.
+"""EXPERIMENTS.md renderer: paper-vs-measured for every exhibit.
+
+Its one caller is ``python -m repro campaign --report PATH``, which
+passes the campaign's tables and the ablations.
 
 For each regenerated table the report embeds the measured output, quotes
 the paper's published averages, and runs an automated *shape check* — the
@@ -14,6 +17,7 @@ from typing import Optional
 
 from repro.experiments import paperdata
 from repro.experiments.common import Table
+from repro.experiments.runner import TABLE_MODULES
 
 _PCT = re.compile(r"(-?\d+(?:\.\d+)?)%")
 
@@ -180,7 +184,9 @@ _PAPER_NOTES = {
     1: "Paper averages: ideal 0.73%, profiling 4.73%, rho 87.5%.",
     2: "Paper counts are full SPEC runs (1e8-1e12 instructions); ours "
        "are scaled-down synthetic instances — compare shapes, not "
-       "magnitudes.",
+       "magnitudes.  Like the paper's L1 D-cache columns, accesses and "
+       "misses count every data reference, loads and stores alike; "
+       "load-only counts would be lower.",
     3: "Paper found 15 H1 classes over its training set (its Table 3); "
        "class structure depends on the workload population.",
     4: "Paper example (class 'sp=1,gp=1'): relevant in 5 of 7 "
@@ -224,11 +230,21 @@ _PAPER_NOTES = {
 
 def render_report(results: dict[int, Table],
                   scale: float = 1.0) -> str:
+    """Paper tables (1-17) and ablations (101-110) as one report.
+
+    The header names the command that regenerates it, with only the
+    flags that decide the content, so every way of producing one
+    report (cold, ``--resume``, any ``--jobs``) writes one header.
+    """
+    tables = [number for number in results if number in TABLE_MODULES]
+    subset = "" if len(tables) == len(TABLE_MODULES) \
+        else " --tables " + ",".join(map(str, sorted(tables)))
+    command = (f"python -m repro campaign{subset} --scale {scale} "
+               f"--report EXPERIMENTS.md")
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Generated by `python -m repro.experiments --report "
-        "EXPERIMENTS.md`.",
+        f"Generated by `{command}`.",
         "",
         f"Workload scale factor: {scale}.  Absolute values depend on "
         "the synthetic workload sizes; the shape checks below encode "

@@ -1,14 +1,13 @@
-"""Experiment runner: regenerate any or all paper tables.
+"""The table registry and the serial runner.
 
-``python -m repro.experiments --tables 7,11 --scale 0.5`` prints the
-requested tables; ``--report PATH`` additionally writes an
-EXPERIMENTS.md-style paper-vs-measured report.
+:data:`TABLE_MODULES` maps each paper table to its module;
+:func:`run_tables` renders tables one after another in one session, the
+serial reference the campaign (``python -m repro campaign``, which also
+writes EXPERIMENTS.md with ``--report``) is checked against.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 from typing import Callable, Optional
 
@@ -49,39 +48,3 @@ def run_tables(session: Session,
             print(f"  [{time.time() - started:.1f}s]\n")
     return results
 
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's tables on the synthetic "
-                    "workload suite.")
-    parser.add_argument("--tables", default="all",
-                        help="comma-separated table numbers, or 'all'")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--no-disk-cache", action="store_true",
-                        help="disable the on-disk result cache")
-    parser.add_argument("--report", default=None,
-                        help="also write a paper-vs-measured markdown "
-                             "report to this path")
-    args = parser.parse_args(argv)
-
-    if args.tables == "all":
-        numbers = sorted(EXPERIMENTS)
-    else:
-        numbers = [int(x) for x in args.tables.split(",")]
-    unknown = [n for n in numbers if n not in EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown tables: {unknown}")
-
-    session = Session(scale=args.scale,
-                      use_disk_cache=not args.no_disk_cache)
-    results = run_tables(session, numbers)
-    if args.report:
-        from repro.experiments.report import write_report
-        write_report(results, args.report, scale=args.scale)
-        print(f"report written to {args.report}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

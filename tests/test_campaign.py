@@ -378,6 +378,42 @@ class TestCampaign:
 
 
 # ---------------------------------------------------------------------
+# the report: `repro campaign --report` is its one writer
+# ---------------------------------------------------------------------
+class TestReport:
+    def test_campaign_report_matches_serial_render(self, tmp_path,
+                                                   monkeypatch):
+        from repro.__main__ import main
+        from repro.experiments import ablations
+        from repro.experiments.report import render_report
+        monkeypatch.setattr(ablations, "WORKLOADS", (SCENARIO_PROGRAM,))
+        monkeypatch.setattr(ablations, "ABLATIONS",
+                            {101: ablations.slot_recurrence})
+        tables = ",".join(map(str, TABLES))
+        command = ["campaign", "--tables", tables, "--scale", str(SCALE),
+                   "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+        cold = tmp_path / "cold.md"
+        assert main(command + ["--report", str(cold)]) == 0
+
+        serial = Session(scale=SCALE, cache_dir=tmp_path / "serial")
+        exhibits = run_tables(serial, list(TABLES), echo=False)
+        exhibits[101] = ablations.slot_recurrence(serial)
+        expected = render_report(exhibits, scale=SCALE)
+        assert cold.read_text() == expected
+        assert f"`python -m repro campaign --tables {tables} " \
+               f"--scale {SCALE} --report EXPERIMENTS.md`" in expected
+
+        # resumed tables are rebuilt from the warm tiers: no trace pass
+        def no_replay(*args, **kwargs):
+            raise AssertionError("resumed report replayed a trace")
+        monkeypatch.setattr(Session, "_replay", no_replay)
+        resumed = tmp_path / "resumed.md"
+        assert main(command + ["--resume", "--report",
+                               str(resumed)]) == 0
+        assert resumed.read_text() == expected
+
+
+# ---------------------------------------------------------------------
 # crash-resume: SIGKILL mid-campaign, resume with the tripwire armed
 # ---------------------------------------------------------------------
 _CHILD = """

@@ -1,5 +1,7 @@
 """CLI tests for python -m repro."""
 
+import socket
+
 import pytest
 
 from repro.__main__ import main
@@ -24,6 +26,15 @@ def source_file(tmp_path):
     path = tmp_path / "prog.c"
     path.write_text(PROG)
     return str(path)
+
+
+@pytest.fixture()
+def unused_address():
+    """HOST:PORT of a local port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return f"127.0.0.1:{port}"
 
 
 class TestRun:
@@ -65,6 +76,19 @@ class TestAnalyze:
         main(["analyze", source_file, "--delta", "9.9"])
         out = capsys.readouterr().out
         assert "|Delta| = 0" in out
+
+    @pytest.mark.parametrize("flag", ["--static", "--analytic"])
+    def test_remote_refuses_no_execution_flags(self, source_file,
+                                               unused_address, capsys,
+                                               flag):
+        # the served analyze op executes the program and classify has
+        # no static-frequency classes: refuse before connecting, so an
+        # unused port yields a usage error (2), not a connect error (3)
+        code = main(["analyze", source_file, flag,
+                     "--remote", unused_address])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--remote" in err
 
 
 class TestMissingSource:
@@ -109,9 +133,12 @@ class TestCodeViews:
 
 
 class TestTables:
-    def test_tables_forwarding(self, capsys):
+    """``tables`` is an alias of ``campaign``."""
+
+    def test_tables_forwarding(self, tmp_path, capsys):
         code = main(["tables", "--tables", "6", "--scale", "0.05",
-                     "--no-disk-cache"])
+                     "--no-disk-cache", "--echo-tables",
+                     "--cache-dir", str(tmp_path / "cache")])
         assert code == 0
         assert "Table 6" in capsys.readouterr().out
 

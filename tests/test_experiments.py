@@ -121,13 +121,41 @@ class TestRunnerAndReport:
         assert len(paperdata.TABLE10) == 7
         assert len(paperdata.TABLE5_WEIGHTS) == 9
 
-    def test_cli_table6(self, capsys, tmp_path):
-        code = runner.main(["--tables", "6", "--scale", "0.03",
-                            "--no-disk-cache"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Table 6" in out
 
-    def test_cli_rejects_unknown_table(self):
-        with pytest.raises(SystemExit):
-            runner.main(["--tables", "99"])
+class TestAblations:
+    def test_registry_is_numbered_after_the_tables(self):
+        from repro.experiments import ablations
+        assert sorted(ablations.ABLATIONS) == list(range(101, 111))
+        assert not set(ablations.ABLATIONS) & set(runner.TABLE_MODULES)
+
+    def test_l2_hierarchy_replays_the_stored_trace(self, tmp_path,
+                                                   monkeypatch):
+        # Ablation I reads the trace through the session's handle: on a
+        # warm store it executes nothing, and it matches a replay of a
+        # fresh execution's materialized trace
+        from repro.cache.hierarchy import simulate_trace_hierarchy
+        from repro.experiments import ablations
+        from repro.heuristic.classifier import DelinquencyClassifier
+        from repro.machine.simulator import Machine
+        monkeypatch.setattr(ablations, "WORKLOADS", NAMES[:1])
+        Session(scale=0.03, cache_dir=tmp_path).measurement(NAMES[0])
+
+        def no_execution(self, *args, **kwargs):
+            raise AssertionError("Ablation I executed a workload")
+        for method in ("run", "run_streaming"):
+            monkeypatch.setattr(Machine, method, no_execution)
+        warm = Session(scale=0.03, cache_dir=tmp_path)
+        table = ablations.l2_hierarchy(warm)
+        monkeypatch.undo()
+
+        m = warm.measurement(NAMES[0])
+        delta = DelinquencyClassifier().classify(
+            m.load_infos, m.load_exec,
+            m.profile.hotspot_loads()).delinquent_set
+        stats = simulate_trace_hierarchy(Machine(m.program).run().trace)
+        l1_rho = (sum(stats.l1_load_misses.get(a, 0) for a in delta)
+                  / max(1, stats.total_l1_load_misses))
+        assert table.rows == [[NAMES[0],
+                               pct(len(delta) / m.num_loads),
+                               pct(l1_rho),
+                               pct(stats.l2_miss_coverage(delta))]]
