@@ -77,12 +77,12 @@ def test_warm_served_vs_cold_pipeline(source, server):
         cold = min(cold, time.perf_counter() - start)
 
     with ServiceClient(server.host, server.port) as client:
-        served = client.analyze(source)     # pays the pipeline once
+        served = client.call("analyze", {"source": source})  # cold
         assert json.dumps(served) == json.dumps(payload)
         latencies = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            client.analyze(source)
+            client.call("analyze", {"source": source})
             latencies.append(time.perf_counter() - start)
     warm = statistics.median(latencies)
     speedup = cold / warm
@@ -110,7 +110,7 @@ def test_concurrent_clients_amortize_one_computation(source, server):
     def worker() -> None:
         with ServiceClient(server.host, server.port) as client:
             start = time.perf_counter()
-            client.analyze(flavored)
+            client.call("analyze", {"source": flavored})
             elapsed = time.perf_counter() - start
         with lock:
             latencies.append(elapsed)
@@ -125,7 +125,7 @@ def test_concurrent_clients_amortize_one_computation(source, server):
     wall = time.perf_counter() - start
 
     with ServiceClient(server.host, server.port) as client:
-        single = client.metrics()["latency"]["analyze"]
+        single = client.call("metrics")["latency"]["analyze"]
     _results["concurrent_identical"] = {
         "clients": clients,
         "wall_s": round(wall, 4),

@@ -14,7 +14,11 @@ waits for its listening banner, then checks with a client that
    pipeline,
 3. the repeat request is served from the cache,
 4. ``metrics`` reports the traffic,
-5. the ``shutdown`` op terminates the process cleanly (exit code 0).
+5. each of ``analyze``, ``predict``, ``tlb`` and ``redundancy``, run as
+   ``python -m repro VERB PROG.c --json``, prints the same stdout
+   locally and with ``--remote``, and a malformed ``--remote`` address
+   exits 2,
+6. the ``shutdown`` op terminates the process cleanly (exit code 0).
 
 ``--pool`` serves with two worker processes instead of one thread,
 SIGKILLs one pool process while a request runs on it, and asserts that
@@ -29,6 +33,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -55,15 +60,23 @@ int main(int n) {
 """
 
 
-def _start(workers: int) -> tuple[subprocess.Popen, str, int]:
-    """Spawn ``repro serve``; returns the process and its address."""
+#: The CLI verbs that answer a service op, locally or with --remote.
+OP_VERBS = ("analyze", "predict", "tlb", "redundancy")
+
+
+def _env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _start(workers: int) -> tuple[subprocess.Popen, str, int]:
+    """Spawn ``repro serve``; returns the process and its address."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--workers", str(workers), "--no-disk-cache"],
-        stdout=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT)
+        stdout=subprocess.PIPE, text=True, env=_env(), cwd=REPO_ROOT)
     banner = proc.stdout.readline().strip()
     print(f"smoke: {banner}")
     prefix = "repro service listening on "
@@ -75,8 +88,34 @@ def _start(workers: int) -> tuple[subprocess.Popen, str, int]:
     return proc, host, int(port)
 
 
+def _repro(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` as a subprocess, output captured."""
+    return subprocess.run([sys.executable, "-m", "repro", *argv],
+                          capture_output=True, text=True, env=_env(),
+                          cwd=REPO_ROOT, timeout=300)
+
+
+def _check_cli(address: str) -> None:
+    """Every op verb's --json stdout is the same locally and remotely."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "prog.c")
+        Path(path).write_text(SOURCE)
+        for verb in OP_VERBS:
+            local = _repro(verb, path, "--json")
+            remote = _repro(verb, path, "--json", "--remote", address)
+            assert local.returncode == 0, (verb, local.stderr)
+            assert remote.returncode == 0, (verb, remote.stderr)
+            assert remote.stdout == local.stdout, \
+                f"{verb} --json differs between local and --remote"
+            print(f"smoke: {verb} --json identical locally and with "
+                  f"--remote ({len(local.stdout)} bytes)")
+        bad = _repro("tlb", path, "--remote", "no-port")
+        assert bad.returncode == 2, (bad.returncode, bad.stderr)
+        print("smoke: malformed --remote address exits 2")
+
+
 def _stop(proc: subprocess.Popen, client: ServiceClient) -> None:
-    client.shutdown()
+    client.call("shutdown")
     proc.wait(timeout=30)
     assert proc.returncode == 0, f"server exited with {proc.returncode}"
 
@@ -98,13 +137,13 @@ def main() -> int:
     proc, host, port = _start(workers=0)
     try:
         with ServiceClient(host, port, timeout=120.0) as client:
-            health = client.health()
+            health = client.call("health")
             assert health["status"] == "ok", health
             print(f"smoke: health ok "
                   f"(v{health['version']}, "
                   f"protocol {health['protocol_version']})")
 
-            served = client.analyze(SOURCE)
+            served = client.call("analyze", {"source": SOURCE})
             local = report_to_dict(analyze_program(SOURCE))
             assert json.dumps(served) == json.dumps(local), \
                 "served analyze diverges from in-process pipeline"
@@ -116,13 +155,14 @@ def main() -> int:
             assert repeat["cached"] == "memory", repeat.get("cached")
             print("smoke: repeat request served from memory cache")
 
-            metrics = client.metrics()
+            metrics = client.call("metrics")
             assert metrics["requests"]["by_op"].get("analyze") == 2, \
                 metrics["requests"]
             print(f"smoke: metrics ok "
                   f"(p50 analyze "
                   f"{metrics['latency']['analyze']['p50_ms']}ms)")
 
+            _check_cli(f"{host}:{port}")
             _stop(proc, client)
         print("smoke: clean shutdown — all checks passed")
         return 0
@@ -136,7 +176,7 @@ def pool_main() -> int:
     proc, host, port = _start(workers=2)
     try:
         with ServiceClient(host, port, timeout=120.0) as client:
-            health = client.health()
+            health = client.call("health")
             assert health["pool_mode"] == "process", health
             client.call("sleep", {"seconds": 0.0})   # forks the pool
             pool = _children(proc.pid)
@@ -164,12 +204,13 @@ def pool_main() -> int:
             local = json.dumps(report_to_dict(analyze_program(SOURCE)))
             for index in range(8):
                 # trailing newlines: fresh cache keys, same program
-                served = client.analyze(SOURCE + "\n" * (index + 1))
+                served = client.call(
+                    "analyze", {"source": SOURCE + "\n" * (index + 1)})
                 assert json.dumps(served) == local, \
                     f"request {index} diverges after the kill"
             print("smoke: 8/8 requests after the kill succeeded")
 
-            restarts = client.metrics()["pool"]["restarts"]
+            restarts = client.call("metrics")["pool"]["restarts"]
             assert restarts >= 1, f"pool restarts: {restarts}"
             print(f"smoke: metrics count {restarts} pool restart(s)")
 

@@ -1,10 +1,17 @@
 """Command-line interface.
 
     python -m repro run PROG.c [--optimize] [--args N ...]
-    python -m repro analyze PROG.c [--optimize] [--static] [--delta D]
+    python -m repro analyze PROG.c [--optimize] [--static | --analytic]
+                                   [--delta D] [--json [FILE]]
+                                   [--remote HOST:PORT]
+    python -m repro predict PROG.c [--config S[,A[,B]] ...] [--sweep]
+                                   [--no-fallback] [--top N]
                                    [--json [FILE]] [--remote HOST:PORT]
     python -m repro tlb PROG.c [--geometry P,E[,A] ...] [--threshold T]
+                               [--top N] [--json [FILE]]
+                               [--remote HOST:PORT]
     python -m repro redundancy PROG.c [--top N] [--json [FILE]]
+                                      [--remote HOST:PORT]
     python -m repro disasm PROG.c [--optimize]
     python -m repro asm PROG.c [--optimize]
     python -m repro verify PROG.c [--optimize]
@@ -13,23 +20,42 @@
                              [--status]        (aliases: warm, tables)
     python -m repro cache gc [--limit SIZE] [--dry-run]
     python -m repro serve [--port P] [--workers N] [--stats]
+    python -m repro fuzz [--seed N] [--cases N] [--time S]
+                         [--oracles a,b] [--self-check]
 
 ``run`` executes the program on the bundled simulator; ``analyze`` runs
 the paper's delinquent-load identification and prints the flagged loads
-with their address patterns (``--json`` emits the ``repro.export``
-schema, ``--remote`` sends the request to a running service instead of
-analyzing in-process); ``disasm``/``asm`` show the generated code.
-``campaign`` (aliases ``warm``, ``tables``) regenerates the experiment
-grid across worker processes and fills the on-disk caches; its
-``--report`` writes EXPERIMENTS.md, tables plus ablations; ``serve``
-starts the long-lived delinquency-analysis service (see
-:mod:`repro.service`).
+with their address patterns; ``predict``, ``tlb`` and ``redundancy``
+print predicted cache misses, dTLB misses with the PCAX cross-tab, and
+redundant reloads per load.  Those four answer a service op through
+:func:`call_op`: ``--json`` emits its payload, and ``--remote`` sends
+the request to a running ``repro serve`` (same bytes either way).
+``disasm``/``asm`` show the generated code; ``campaign`` regenerates
+the experiment grid (``--report`` writes EXPERIMENTS.md); ``serve``
+starts the analysis service (:mod:`repro.service`); ``fuzz``
+differentially tests the redundant fast paths (:mod:`repro.fuzz`).
+
+Exit codes: 0 success; 1 a failed check (``verify``, ``fuzz``) or the
+program's own exit code under ``run``; 2 a wrong request (flag, file,
+a source that does not compile, params, ``--remote`` address, a served
+``bad_request``); 3 the service failed (connect, transport,
+``overloaded``, ``timeout``, ``internal``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, Optional
+
+
+class CliError(Exception):
+    """A diagnosed failure: ``main`` prints it and exits with ``code``
+    (2: the request was wrong; 3: the service failed)."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
 
 
 def _read(path: str) -> str:
@@ -48,8 +74,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _emit_json(text: str, destination: str) -> None:
+def _emit_json(payload: dict, destination: str) -> None:
     """``--json`` output: stdout for ``-``, else a file."""
+    import json
+    text = json.dumps(payload, indent=2)
     if destination == "-":
         print(text)
     else:
@@ -57,7 +85,50 @@ def _emit_json(text: str, destination: str) -> None:
             handle.write(text + "\n")
 
 
-def _print_payload_summary(payload: dict) -> None:
+def call_op(op: str, request: dict, remote: Optional[str]) -> dict:
+    """Answer one service op in-process, or on ``remote`` (HOST:PORT).
+
+    The request and the address are checked first, so a wrong one fails
+    with exit 2 before any connection is made; both paths then run the
+    server's compute, so local and remote payloads are identical.
+    """
+    from repro.service.client import (ServiceClient, ServiceError,
+                                      parse_address)
+    from repro.service.ops import execute_op
+    from repro.service.protocol import (BAD_REQUEST, ProtocolError,
+                                        normalize)
+    try:
+        params = normalize(op, request)
+        address = parse_address(remote) if remote else None
+    except (ProtocolError, ValueError) as exc:
+        raise CliError(str(exc))
+    if address is None:
+        return execute_op(op, params)
+    try:
+        with ServiceClient(*address) as client:
+            return client.call(op, request)
+    except ServiceError as exc:
+        raise CliError(str(exc), 2 if exc.code == BAD_REQUEST else 3)
+    except OSError as exc:
+        raise CliError(str(exc), 3)
+
+
+def _answer(op: str, args: argparse.Namespace,
+            render: Callable[[dict, argparse.Namespace], None],
+            **params) -> int:
+    """Request ``op`` on the source file plus ``params`` through
+    :func:`call_op`, then print ``--json`` or the verb's rendering."""
+    request = {"source": _read(args.source), "optimize": args.optimize,
+               **params}
+    payload = call_op(op, request, args.remote)
+    if args.json is not None:
+        _emit_json(payload, args.json)
+    else:
+        render(payload, args)
+    return 0
+
+
+def _print_payload_summary(payload: dict, args: argparse.Namespace) -> None:
     """Human-readable summary of an exported report payload.
 
     Mirrors the in-process ``analyze`` output but works from the JSON
@@ -85,39 +156,15 @@ def _print_payload_summary(payload: dict) -> None:
         print()
 
 
-def _analyze_remote(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import ServiceClient, ServiceError
-    source = _read(args.source)
-    params = {"source": source, "optimize": args.optimize,
-              "delta": args.delta}
-    try:
-        with ServiceClient.connect(args.remote) as client:
-            payload = client.call("analyze", params)
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    except (ServiceError, ConnectionError, OSError) as exc:
-        print(f"repro: service error: {exc}", file=sys.stderr)
-        return 3
-    if args.json is not None:
-        _emit_json(json.dumps(payload, indent=2), args.json)
-    else:
-        _print_payload_summary(payload)
-    return 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.remote:
         if args.static or args.analytic:
             # the service's analyze op executes the program, and its
             # classify op has no static-frequency classes
             flag = "--static" if args.static else "--analytic"
-            print(f"repro: error: {flag} cannot be combined with "
-                  f"--remote", file=sys.stderr)
-            return 2
-        return _analyze_remote(args)
+            raise CliError(f"{flag} cannot be combined with --remote")
+        return _answer("analyze", args, _print_payload_summary,
+                       delta=args.delta)
     from repro.api import analyze_program
     from repro.heuristic.static_frequency import static_exec_counts
     report = analyze_program(
@@ -144,8 +191,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             report.load_infos,
             exec_counts=static_exec_counts(report.program))
     if args.json is not None:
-        from repro.export import report_to_json
-        _emit_json(report_to_json(report), args.json)
+        from repro.export import report_to_dict
+        _emit_json(report_to_dict(report), args.json)
         return 0
     loads = report.program.num_loads()
     delta_set = report.delinquent_loads
@@ -162,61 +209,38 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predict_configs(args: argparse.Namespace):
+def _predict_configs(args: argparse.Namespace) -> list[dict]:
+    """Cache geometries from ``--sweep`` / ``--config``, wire form."""
     from repro.cache.config import (BASELINE_CONFIG, CacheConfig,
                                     associativity_sweep, size_sweep)
+    from repro.cache.model import cache_config_to_dict
     configs = []
     if args.sweep:
         configs = list(dict.fromkeys(associativity_sweep()
                                      + size_sweep()))
-    for text in args.config:
-        parts = [int(p) for p in text.split(",")]
-        if not 1 <= len(parts) <= 3:
-            raise ValueError(f"bad --config {text!r}; expected "
-                             "SIZE[,ASSOC[,BLOCK_SIZE]]")
-        configs.append(CacheConfig(
-            size=parts[0],
-            assoc=parts[1] if len(parts) > 1 else 1,
-            block_size=parts[2] if len(parts) > 2 else 32))
-    return configs or [BASELINE_CONFIG]
+    try:
+        for text in args.config:
+            parts = [int(p) for p in text.split(",")]
+            if not 1 <= len(parts) <= 3:
+                raise ValueError(f"bad --config {text!r}; expected "
+                                 "SIZE[,ASSOC[,BLOCK_SIZE]]")
+            configs.append(CacheConfig(
+                size=parts[0],
+                assoc=parts[1] if len(parts) > 1 else 1,
+                block_size=parts[2] if len(parts) > 2 else 32))
+    except ValueError as exc:
+        raise CliError(str(exc))
+    return [cache_config_to_dict(c) for c in configs or [BASELINE_CONFIG]]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Per-PC miss prediction for a geometry grid, zero executions."""
-    import json
+    return _answer("predict", args, _print_prediction,
+                   configs=_predict_configs(args),
+                   fallback=not args.no_fallback)
 
-    from repro.service.protocol import cache_config_to_dict
-    source = _read(args.source)
-    try:
-        configs = _predict_configs(args)
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    request = {"source": source, "optimize": args.optimize,
-               "configs": [cache_config_to_dict(c) for c in configs],
-               "fallback": not args.no_fallback}
-    if args.remote:
-        from repro.service.client import ServiceClient, ServiceError
-        try:
-            with ServiceClient.connect(args.remote) as client:
-                payload = client.predict(**request)
-        except (ValueError, ServiceError, ConnectionError,
-                OSError) as exc:
-            print(f"repro: service error: {exc}", file=sys.stderr)
-            return 3
-    else:
-        # the served compute path, so local and remote answers match
-        from repro.service.ops import run_predict
-        from repro.service.protocol import (ProtocolError,
-                                            _normalize_predict)
-        try:
-            payload = run_predict(_normalize_predict(request))
-        except ProtocolError as exc:
-            print(f"repro: error: {exc.message}", file=sys.stderr)
-            return 2
-    if args.json is not None:
-        _emit_json(json.dumps(payload, indent=2), args.json)
-        return 0
+
+def _print_prediction(payload: dict, args: argparse.Namespace) -> None:
     mode = "analytic (no execution)" if payload.get("analytic") \
         else "measured fallback (low static confidence)"
     print(f"prediction mode: {mode}; "
@@ -236,65 +260,38 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for pc, misses in top:
             accesses = entry["load_accesses"].get(pc, 0)
             print(f"  {pc}: {misses} / {accesses}")
-    return 0
 
 
-def _tlb_geometries(args: argparse.Namespace) -> list:
+def _tlb_geometries(args: argparse.Namespace) -> list[dict]:
     """TLB geometries from ``--geometry`` / the single-geometry flags."""
     from repro.tlb import TlbConfig
-    configs = []
-    for text in args.geometry:
-        parts = [int(p) for p in text.split(",")]
-        if not 2 <= len(parts) <= 3:
-            raise ValueError(f"bad --geometry {text!r}; expected "
-                             "PAGE_SIZE,ENTRIES[,ASSOC]")
-        configs.append(TlbConfig(
-            page_size=parts[0], entries=parts[1],
-            assoc=parts[2] if len(parts) > 2 else 0))
-    if not configs:
-        configs.append(TlbConfig(page_size=args.page_size,
-                                 entries=args.entries,
-                                 assoc=args.assoc))
-    return configs
+    try:
+        configs = []
+        for text in args.geometry:
+            parts = [int(p) for p in text.split(",")]
+            if not 2 <= len(parts) <= 3:
+                raise ValueError(f"bad --geometry {text!r}; expected "
+                                 "PAGE_SIZE,ENTRIES[,ASSOC]")
+            configs.append(TlbConfig(
+                page_size=parts[0], entries=parts[1],
+                assoc=parts[2] if len(parts) > 2 else 0))
+        if not configs:
+            configs.append(TlbConfig(page_size=args.page_size,
+                                     entries=args.entries,
+                                     assoc=args.assoc))
+    except ValueError as exc:
+        raise CliError(str(exc))
+    return [c.to_dict() for c in configs]
 
 
 def cmd_tlb(args: argparse.Namespace) -> int:
     """Page-granular dTLB simulation plus the PCAX cross-tab."""
-    import json
+    return _answer("tlb", args, _print_tlb,
+                   geometries=_tlb_geometries(args),
+                   threshold=args.threshold)
 
-    source = _read(args.source)
-    try:
-        geometries = [c.to_dict() for c in _tlb_geometries(args)]
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    request = {"source": source, "optimize": args.optimize,
-               "geometries": geometries, "threshold": args.threshold}
-    if args.remote:
-        from repro.service.client import ServiceClient, ServiceError
-        try:
-            with ServiceClient.connect(args.remote) as client:
-                payload = client.tlb(source, optimize=args.optimize,
-                                     geometries=geometries,
-                                     threshold=args.threshold)
-        except (ValueError, ServiceError, ConnectionError,
-                OSError) as exc:
-            print(f"repro: service error: {exc}", file=sys.stderr)
-            return 3
-    else:
-        # same compute path the service runs, so local and remote
-        # answers are byte-identical (and share the trace store)
-        from repro.service.ops import run_tlb
-        from repro.service.protocol import (ProtocolError,
-                                            _normalize_tlb)
-        try:
-            payload = run_tlb(_normalize_tlb(request))
-        except ProtocolError as exc:
-            print(f"repro: error: {exc.message}", file=sys.stderr)
-            return 2
-    if args.json is not None:
-        _emit_json(json.dumps(payload, indent=2), args.json)
-        return 0
+
+def _print_tlb(payload: dict, args: argparse.Namespace) -> None:
     for entry in payload["results"]:
         print(f"{entry['description']}: "
               f"{entry['total_misses']} misses / "
@@ -316,32 +313,14 @@ def cmd_tlb(args: argparse.Namespace) -> int:
           f"delinquent-only: {cross['delinquent_only']}  "
           f"friendly-only: {cross['friendly_only']}  "
           f"neither: {cross['neither']}")
-    return 0
 
 
 def cmd_redundancy(args: argparse.Namespace) -> int:
     """Per-PC redundant-load counts plus the AG-class cross-tab."""
-    import json
+    return _answer("redundancy", args, _print_redundancy)
 
-    source = _read(args.source)
-    if args.remote:
-        from repro.service.client import ServiceClient, ServiceError
-        try:
-            with ServiceClient.connect(args.remote) as client:
-                payload = client.redundancy(source,
-                                            optimize=args.optimize)
-        except (ValueError, ServiceError, ConnectionError,
-                OSError) as exc:
-            print(f"repro: service error: {exc}", file=sys.stderr)
-            return 3
-    else:
-        from repro.service.ops import run_redundancy
-        from repro.service.protocol import _normalize_redundancy
-        payload = run_redundancy(_normalize_redundancy(
-            {"source": source, "optimize": args.optimize}))
-    if args.json is not None:
-        _emit_json(json.dumps(payload, indent=2), args.json)
-        return 0
+
+def _print_redundancy(payload: dict, args: argparse.Namespace) -> None:
     print(f"{payload['total_redundant']} redundant loads / "
           f"{payload['total_loads']} total ({payload['ratio']:.2%}); "
           f"{payload['total_reload_after_store']} reload after store")
@@ -357,7 +336,6 @@ def cmd_redundancy(args: argparse.Namespace) -> int:
         for name, row in sorted(classes.items()):
             print(f"  {name}: {row['redundant']} / {row['loads']} "
                   f"redundant across {row['pcs']} loads")
-    return 0
 
 
 def cmd_disasm(args: argparse.Namespace) -> int:
@@ -407,7 +385,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
     from repro.fuzz import run_fuzz, run_self_check
@@ -423,7 +400,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.self_check:
         payload = run_self_check(seed=args.seed, progress=say)
-        _emit_json(json.dumps(payload, indent=2), args.report)
+        _emit_json(payload, args.report)
         say(f"self-check {'passed' if payload['ok'] else 'FAILED'}: "
             f"mutation caught={payload['caught']}, shrunk to "
             f"{payload['shrunk_rows']} rows, clean after "
@@ -442,7 +419,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         corpus_dir=Path(args.corpus_dir) if args.corpus_dir else None,
         progress=say)
     payload = report.to_dict()
-    _emit_json(json.dumps(payload, indent=2), args.report)
+    _emit_json(payload, args.report)
     say(f"fuzz: {report.cases_run} cases, "
         f"{sum(report.oracle_runs.values())} oracle runs, "
         f"{len(report.divergences)} divergence(s), "
@@ -487,16 +464,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         try:
             numbers = [int(x) for x in args.tables.split(",")]
         except ValueError:
-            print(f"repro: error: bad --tables {args.tables!r}",
-                  file=sys.stderr)
-            return 2
+            raise CliError(f"bad --tables {args.tables!r}")
     session = Session(scale=args.scale, cache_dir=cache_dir,
                       use_disk_cache=not args.no_disk_cache)
     try:
         campaign = Campaign(session, numbers=numbers)
     except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc))
     result = campaign.run(jobs=args.jobs, remote=args.remote,
                           resume=args.resume, echo=print)
     if args.echo_tables:
@@ -520,6 +494,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.fuzz.oracles import ORACLES
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Static identification of delinquent loads "
@@ -530,6 +505,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("source", help="MiniC source file")
         p.add_argument("--optimize", "-O", action="store_true",
                        help="compile with optimizations")
+
+    def add_output(p, what):
+        """``--json`` and ``--remote`` of the verbs ``call_op`` answers."""
+        p.add_argument("--json", nargs="?", const="-", default=None,
+                       metavar="FILE",
+                       help=f"emit {what} as JSON to stdout, or to FILE "
+                            f"when given")
+        p.add_argument("--remote", default=None, metavar="HOST:PORT",
+                       help="send the request to a running "
+                            "'repro serve' instance instead of "
+                            "computing in-process")
 
     p_run = sub.add_parser("run", help="compile and execute")
     add_source(p_run)
@@ -549,15 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="no execution either, but attach per-load "
                            "miss counts predicted by the analytic "
                            "reuse engine (enables rho trace-free)")
-    p_an.add_argument("--json", nargs="?", const="-", default=None,
-                      metavar="FILE",
-                      help="emit the full analysis as JSON "
-                           "(repro.export schema) to stdout, or to "
-                           "FILE when given")
-    p_an.add_argument("--remote", default=None, metavar="HOST:PORT",
-                      help="send the request to a running "
-                           "'repro serve' instance instead of "
-                           "analyzing in-process")
+    add_output(p_an, "the full analysis (repro.export schema)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_pred = sub.add_parser(
@@ -578,13 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "threshold (never run the workload)")
     p_pred.add_argument("--top", type=int, default=5,
                         help="per-config loads to print (default 5)")
-    p_pred.add_argument("--json", nargs="?", const="-", default=None,
-                        metavar="FILE",
-                        help="emit the prediction as JSON to stdout, "
-                             "or to FILE when given")
-    p_pred.add_argument("--remote", default=None, metavar="HOST:PORT",
-                        help="send the request to a running "
-                             "'repro serve' instance")
+    add_output(p_pred, "the prediction")
     p_pred.set_defaults(func=cmd_predict)
 
     p_tlb = sub.add_parser(
@@ -611,13 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0.9)")
     p_tlb.add_argument("--top", type=int, default=5,
                        help="per-geometry loads to print (default 5)")
-    p_tlb.add_argument("--json", nargs="?", const="-", default=None,
-                       metavar="FILE",
-                       help="emit the result as JSON to stdout, or to "
-                            "FILE when given")
-    p_tlb.add_argument("--remote", default=None, metavar="HOST:PORT",
-                       help="send the request to a running "
-                            "'repro serve' instance")
+    add_output(p_tlb, "the result")
     p_tlb.set_defaults(func=cmd_tlb)
 
     p_red = sub.add_parser(
@@ -627,13 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p_red)
     p_red.add_argument("--top", type=int, default=5,
                        help="loads to print (default 5)")
-    p_red.add_argument("--json", nargs="?", const="-", default=None,
-                       metavar="FILE",
-                       help="emit the result as JSON to stdout, or to "
-                            "FILE when given")
-    p_red.add_argument("--remote", default=None, metavar="HOST:PORT",
-                       help="send the request to a running "
-                            "'repro serve' instance")
+    add_output(p_red, "the result")
     p_red.set_defaults(func=cmd_redundancy)
 
     p_dis = sub.add_parser("disasm", help="show the disassembly")
@@ -755,10 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="time budget in seconds (combinable "
                              "with --cases; first limit wins)")
     p_fuzz.add_argument("--oracles", default="all",
-                        help="comma-separated oracle names "
-                             "(default: all of engines, replay, "
-                             "streaming, service, pipeline, "
-                             "invariants)")
+                        help="comma-separated oracle names (default: "
+                             f"all of {', '.join(ORACLES)})")
     p_fuzz.add_argument("--report", default="-",
                         help="where to write the JSON report "
                              "('-': stdout, default)")
@@ -778,12 +736,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.compiler.driver import COMPILE_ERRORS
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        # a missing source file (or any I/O failure) is a user error,
-        # not a crash: no traceback, diagnostic on stderr, exit 2
+    except CliError as exc:
+        label = "service error" if exc.code == 3 else "error"
+        print(f"repro: {label}: {exc}", file=sys.stderr)
+        return exc.code
+    except (OSError, *COMPILE_ERRORS) as exc:
+        # a missing source file (or any I/O failure) or a program that
+        # does not compile is a user error, not a crash: no traceback,
+        # diagnostic on stderr, exit 2
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

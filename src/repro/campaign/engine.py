@@ -473,22 +473,21 @@ class Campaign:
 
         def dispatch(plan: CellPlan, source: str) -> tuple[float, dict]:
             started = time.perf_counter()
-            options = {"optimize": plan.cell.optimize,
+            options = {"source": source, "optimize": plan.cell.optimize,
                        "max_steps": session.max_steps}
             with ServiceClient.connect(address) as client:
                 if plan.kind == "run":
-                    response = client.simulate(
-                        source, configs=[cache_config_to_dict(c)
-                                         for c in plan.cell.configs],
-                        **options)
+                    response = client.call("simulate", {
+                        **options, "configs": [cache_config_to_dict(c)
+                                               for c in plan.cell.configs]})
                 else:
                     response = remote_payload(
-                        client.tlb(source,
-                                   geometries=[c.to_dict()
-                                               for c in plan.spec.tlb],
-                                   threshold=plan.spec.threshold,
-                                   **options),
-                        client.redundancy(source, **options))
+                        client.call("tlb", {
+                            **options,
+                            "geometries": [c.to_dict()
+                                           for c in plan.spec.tlb],
+                            "threshold": plan.spec.threshold}),
+                        client.call("redundancy", options))
             return time.perf_counter() - started, response
 
         def submit(plan: CellPlan) -> Future:

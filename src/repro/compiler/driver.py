@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import struct
 
-from repro.asm.assembler import assemble
+from repro.asm.assembler import AssemblerError, assemble
 from repro.asm.program import Program
 from repro.compiler.codegen import Codegen, CodegenError
-from repro.lang.parser import parse
-from repro.lang.sema import analyze
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError, parse
+from repro.lang.sema import SemanticError, analyze
 
-__all__ = ["compile_source", "generate_assembly", "CodegenError"]
+__all__ = ["compile_source", "generate_assembly", "CodegenError",
+           "COMPILE_ERRORS"]
+
+#: Everything compiling a bad MiniC program raises.  The CLI reports
+#: these as user errors (exit 2) and the service as ``bad_request``.
+COMPILE_ERRORS = (LexError, ParseError, SemanticError, CodegenError,
+                  AssemblerError)
 
 
 def generate_assembly(source: str, optimize: bool = False) -> str:

@@ -312,12 +312,12 @@ def check_service(case, ctx: OracleContext) -> None:
     name = "service"
     client = ctx.client
     local = canonical_json(report_to_dict(analyze_program(source)))
-    served = canonical_json(client.analyze(source))
+    served = canonical_json(client.call("analyze", {"source": source}))
     if served != local:
         _diverge(name, "analyze payload", served[:400], local[:400])
     local = canonical_json(report_to_dict(analyze_program(
         source, execute=False)))
-    served = canonical_json(client.classify(source))
+    served = canonical_json(client.call("classify", {"source": source}))
     if served != local:
         _diverge(name, "classify payload", served[:400], local[:400])
 

@@ -17,10 +17,21 @@ _PUNCT = (
 )
 
 
-class LexError(Exception):
+class SourceError(Exception):
+    """A MiniC source error; ``str()`` reads ``line N: message``."""
+
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):
+        # picklable, so a service worker process can report it
+        return type(self), (self.message, self.line)
+
+
+class LexError(SourceError):
+    pass
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.lang import astnodes as ast
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import SourceError, Token, tokenize
 from repro.lang.types import (
     CHAR, FLOAT, INT, VOID, ArrayType, PointerType, StructType, Type,
 )
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class ParseError(SourceError):
+    pass
 
 
 _TYPE_STARTERS = frozenset(("int", "char", "float", "void", "struct"))

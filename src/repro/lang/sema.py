@@ -13,16 +13,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.lang import astnodes as ast
+from repro.lang.lexer import SourceError
 from repro.lang.types import (
     CHAR, FLOAT, INT, VOID, ArrayType, FloatType, PointerType, StructType,
     Type, common_arithmetic, is_assignable,
 )
 
 
-class SemanticError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class SemanticError(SourceError):
+    pass
 
 
 @dataclass

@@ -9,9 +9,10 @@ paid once per distinct (source, configuration) and amortized across
 requests:
 
 * :mod:`repro.service.protocol` — versioned JSON-lines request/response
-  wire format and content-hash request keys;
+  wire format, content-hash request keys, and ``OPS``, the one table of
+  operations (normalizer, compute, cacheable) every layer reads;
 * :mod:`repro.service.ops` — the pure, picklable compute functions
-  behind the ``analyze`` / ``classify`` / ``simulate`` operations;
+  behind the scheduled operations;
 * :mod:`repro.service.metrics` — request counters, latency percentiles,
   cache hit rates, batching statistics;
 * :mod:`repro.service.scheduler` — the result cache (a
@@ -20,8 +21,8 @@ requests:
   coalescing, simulate-batch merging, and a persistent worker pool;
 * :mod:`repro.service.server` — the asyncio TCP front end
   (``python -m repro serve``);
-* :mod:`repro.service.client` — a small blocking client
-  (``python -m repro analyze --remote HOST:PORT``).
+* :mod:`repro.service.client` — a small blocking client whose
+  ``call(op, params)`` serves every op (and the CLI's ``--remote``).
 """
 
 from repro.service.client import ServiceClient, ServiceError, parse_address

@@ -1,13 +1,14 @@
 """Small blocking client for the analysis service.
 
 Used by the test suite, the benchmarks, the CI smoke probe, the
-campaign's ``--remote`` dispatch and ``python -m repro analyze --remote
+campaign's ``--remote`` dispatch and the CLI verbs' ``--remote
 HOST:PORT``.  One persistent TCP connection, JSON-lines framing,
-sequential request/response::
+sequential request/response; :meth:`ServiceClient.call` is the one
+entry point for every op in ``protocol.OPS``::
 
     with ServiceClient("127.0.0.1", 8642) as client:
-        payload = client.analyze(source)          # export schema
-        print(client.health()["status"])
+        payload = client.call("analyze", {"source": source})
+        print(client.call("health")["status"])
 
 Failures come back as :class:`ServiceError` carrying the server's error
 code (``overloaded``, ``timeout``, ``bad_request``, ...) and, for
@@ -115,33 +116,11 @@ class ServiceClient:
                                address=self.address)
         return response["result"]
 
-    # -- operations --------------------------------------------------
-    def analyze(self, source: str, **options: Any) -> dict[str, Any]:
-        return self.call("analyze", {"source": source, **options})
-
-    def classify(self, source: str, **options: Any) -> dict[str, Any]:
-        return self.call("classify", {"source": source, **options})
-
-    def simulate(self, source: str, **options: Any) -> dict[str, Any]:
-        return self.call("simulate", {"source": source, **options})
-
-    def predict(self, source: str, **options: Any) -> dict[str, Any]:
-        return self.call("predict", {"source": source, **options})
-
-    def tlb(self, source: str, **options: Any) -> dict[str, Any]:
-        return self.call("tlb", {"source": source, **options})
-
-    def redundancy(self, source: str, **options: Any) -> dict[str, Any]:
-        return self.call("redundancy", {"source": source, **options})
-
-    def health(self) -> dict[str, Any]:
-        return self.call("health")
-
     def metrics(self) -> dict[str, Any]:
+        """The ``metrics`` snapshot (kept for the perfbench harness,
+        which reads it by this name; every other op goes via
+        :meth:`call`)."""
         return self.call("metrics")
-
-    def shutdown(self) -> dict[str, Any]:
-        return self.call("shutdown")
 
     # -- lifecycle ---------------------------------------------------
     def close(self) -> None:

@@ -45,7 +45,7 @@ _TRACE_STORE: Optional[TraceStore] = TraceStore(default_cache_dir()
 def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
     """``analyze`` / ``classify``: the full pipeline, export schema out.
 
-    ``params`` must be normalized (see ``protocol._normalize_analysis``);
+    ``params`` must be normalized (see ``protocol.normalize``);
     ``execute=False`` is the purely static ``classify`` configuration.
     """
     report = analyze_program(
@@ -232,18 +232,11 @@ def run_sleep(params: dict[str, Any]) -> dict[str, Any]:
     return {"slept": params["seconds"]}
 
 
-#: op name -> compute function, all scheduler-run ops.
-COMPUTE = {
-    "analyze": run_analysis,
-    "classify": run_analysis,
-    "simulate": run_simulate,
-    "predict": run_predict,
-    "tlb": run_tlb,
-    "redundancy": run_redundancy,
-    "sleep": run_sleep,
-}
-
-
 def execute_op(op: str, params: dict[str, Any]) -> dict[str, Any]:
-    """Single picklable entry point used by the worker pool."""
-    return COMPUTE[op](params)
+    """Run one scheduled op on normalized params (see ``protocol.OPS``).
+
+    The single picklable entry point used by the worker pool, and the
+    CLI's in-process path, so local and served answers are identical.
+    """
+    from repro.service.protocol import OPS
+    return OPS[op].compute(params)

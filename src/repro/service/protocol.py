@@ -12,7 +12,8 @@ One response per line, echoing ``id``::
 ``version`` may be sent by clients that care; when present it must equal
 :data:`PROTOCOL_VERSION`.  Request parameters are *normalized* before
 hashing so that equivalent requests (defaults spelled out or omitted)
-share one cache entry and coalesce onto one computation.
+share one cache entry and coalesce onto one computation.  :data:`OPS`
+is the one table of operations that every layer reads.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
 from repro.cache.model import cache_config_to_dict
 from repro.export import SCHEMA_VERSION, canonical_json
 from repro.heuristic.classes import (DEFAULT_DELTA, PAPER_WEIGHTS, Weights)
+from repro.service import ops
 
 #: Version of the request/response envelope.
 PROTOCOL_VERSION = 1
@@ -33,19 +36,6 @@ PROTOCOL_VERSION = 1
 #: Maximum accepted request line, bytes.  Oversized lines produce a
 #: ``bad_request`` error instead of unbounded buffering.
 MAX_REQUEST_BYTES = 32 * 1024 * 1024
-
-#: Operations the server accepts.  ``sleep`` is a diagnostic op used by
-#: the tests and benchmarks to exercise backpressure and timeouts.
-OPS = ("analyze", "classify", "simulate", "predict", "tlb",
-       "redundancy", "health", "metrics", "shutdown", "sleep")
-
-#: Ops that run through the scheduler (queue, batching, worker pool).
-SCHEDULED_OPS = ("analyze", "classify", "simulate", "predict", "tlb",
-                 "redundancy", "sleep")
-
-#: Scheduled ops whose results are cacheable.
-CACHEABLE_OPS = ("analyze", "classify", "simulate", "predict", "tlb",
-                 "redundancy")
 
 # error codes
 BAD_REQUEST = "bad_request"
@@ -77,7 +67,7 @@ class Request:
     @property
     def key(self) -> Optional[str]:
         """Content-hash cache/coalescing key (None: not cacheable)."""
-        if self.op not in CACHEABLE_OPS:
+        if not OPS[self.op].cacheable:
             return None
         return request_key(self.op, self.params)
 
@@ -273,6 +263,58 @@ def _normalize_sleep(params: dict) -> dict[str, Any]:
     return {"seconds": seconds}
 
 
+@dataclass(frozen=True)
+class OpSpec:
+    """One operation: how its params are normalized and who answers it.
+
+    ``normalize`` defaults to a copy of the params as sent (the control
+    ops take none).  ``compute`` runs on the scheduler's worker pool via
+    ``ops.execute_op``; ``None`` marks a control op the server answers
+    inline.  ``cacheable`` ops get a content-hash key, so equal requests
+    share a cache entry and coalesce.
+    """
+
+    normalize: Callable[[dict], dict[str, Any]] = dict
+    compute: Optional[Callable[[dict], dict[str, Any]]] = None
+    cacheable: bool = False
+
+
+#: Every operation the server accepts, in the order error messages list
+#: them.  ``sleep`` is a diagnostic op used by the tests and benchmarks
+#: to exercise backpressure and timeouts.
+OPS: dict[str, OpSpec] = {
+    "analyze": OpSpec(partial(_normalize_analysis, execute=True),
+                      ops.run_analysis, cacheable=True),
+    "classify": OpSpec(partial(_normalize_analysis, execute=False),
+                       ops.run_analysis, cacheable=True),
+    "simulate": OpSpec(_normalize_simulate, ops.run_simulate,
+                       cacheable=True),
+    "predict": OpSpec(_normalize_predict, ops.run_predict,
+                      cacheable=True),
+    "tlb": OpSpec(_normalize_tlb, ops.run_tlb, cacheable=True),
+    "redundancy": OpSpec(_normalize_redundancy, ops.run_redundancy,
+                         cacheable=True),
+    "health": OpSpec(),
+    "metrics": OpSpec(),
+    "shutdown": OpSpec(),
+    "sleep": OpSpec(_normalize_sleep, ops.run_sleep),
+}
+
+
+def _spec(op: str) -> OpSpec:
+    spec = OPS.get(op)
+    if spec is None:
+        raise ProtocolError(
+            UNKNOWN_OP, f"unknown op {op!r}; valid ops: {', '.join(OPS)}")
+    return spec
+
+
+def normalize(op: str, params: dict) -> dict[str, Any]:
+    """Validated params of ``op``, every default spelled out; raises
+    :class:`ProtocolError` (``unknown_op`` / ``bad_request``)."""
+    return _spec(op).normalize(params)
+
+
 def parse_request(line: bytes) -> Request:
     """Decode + validate + normalize one request line.
 
@@ -291,9 +333,7 @@ def parse_request(line: bytes) -> Request:
              f"unsupported protocol version: {version!r}")
     op = obj.get("op")
     _require(isinstance(op, str), "request field 'op' is required")
-    if op not in OPS:
-        raise ProtocolError(
-            UNKNOWN_OP, f"unknown op {op!r}; valid ops: {', '.join(OPS)}")
+    spec = _spec(op)
     params = obj.get("params", {})
     _require(isinstance(params, dict),
              "request field 'params' must be an object")
@@ -303,19 +343,5 @@ def parse_request(line: bytes) -> Request:
                  and not isinstance(timeout, bool) and timeout > 0,
                  "request field 'timeout' must be a positive number")
         timeout = float(timeout)
-    if op == "analyze":
-        params = _normalize_analysis(params, execute=True)
-    elif op == "classify":
-        params = _normalize_analysis(params, execute=False)
-    elif op == "simulate":
-        params = _normalize_simulate(params)
-    elif op == "predict":
-        params = _normalize_predict(params)
-    elif op == "tlb":
-        params = _normalize_tlb(params)
-    elif op == "redundancy":
-        params = _normalize_redundancy(params)
-    elif op == "sleep":
-        params = _normalize_sleep(params)
-    return Request(id=obj.get("id"), op=op, params=params,
+    return Request(id=obj.get("id"), op=op, params=spec.normalize(params),
                    timeout=timeout)

@@ -1,7 +1,7 @@
 """Request scheduling: bounded queue, batching, coalescing, worker pool.
 
-The flow for one scheduled request (``analyze`` / ``classify`` /
-``simulate`` / ``sleep``):
+The flow for one scheduled request (every op in ``protocol.OPS`` with a
+compute function):
 
 1. **Cache** — a tiered-cache hit returns immediately (no queue slot).
 2. **Coalesce** — if an identical request (same content hash) is
@@ -23,7 +23,8 @@ The flow for one scheduled request (``analyze`` / ``classify`` /
    boxes).  Results populate the cache before waiters wake.  A pool
    whose process died is replaced (logged, and counted in the
    ``metrics`` op's ``pool.restarts``); only the jobs that were on it
-   fail.
+   fail.  A source that does not compile fails its jobs with
+   ``bad_request``: the request was wrong, not the service.
 
 Per-request timeouts apply to the *wait*, not the computation: a timed
 out or disconnected waiter abandons a shielded future, the computation
@@ -40,6 +41,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.compiler.driver import COMPILE_ERRORS
 from repro.export import canonical_json
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
@@ -249,11 +251,13 @@ class BatchScheduler:
             result = await loop.run_in_executor(
                 executor, execute_op, op, params)
             self.metrics.computations += 1
-        except Exception as exc:  # worker/pool failure
+        except Exception as exc:  # bad source, or worker/pool failure
             if isinstance(exc, BrokenProcessPool):
                 self._replace_pool(executor)
-            error = ProtocolError(protocol.INTERNAL,
-                                  f"{type(exc).__name__}: {exc}")
+            error = ProtocolError(protocol.BAD_REQUEST, str(exc)) \
+                if isinstance(exc, COMPILE_ERRORS) \
+                else ProtocolError(protocol.INTERNAL,
+                                   f"{type(exc).__name__}: {exc}")
             for job in jobs:
                 self._finish(job, error=error)
             return

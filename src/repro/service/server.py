@@ -195,22 +195,9 @@ class AnalysisServer:
 
     async def _dispatch(self, request: Request
                         ) -> tuple[Any, Optional[str]]:
-        if request.op == "health":
-            return self._health(), None
-        if request.op == "metrics":
-            # The profile-store counters are exact under the thread
-            # pool; under a process pool they cover only lookups made
-            # in this process (each worker owns its own store).
-            return self.metrics.snapshot(
-                cache_stats=self.cache.stats(),
-                queue_depth=self.scheduler.queue_depth,
-                queue_capacity=self.config.queue_size,
-                workers=self.scheduler.workers,
-                pool_mode=self.scheduler.pool_mode,
-                profile_store=self.profile_store.stats()), None
-        if request.op == "shutdown":
-            self.request_stop()
-            return {"stopping": True}, None
+        if protocol.OPS[request.op].compute is None:
+            # control op, answered by ``_op_<name>`` below
+            return getattr(self, f"_op_{request.op}")(), None
         # the in-flight gauge counts scheduled work only, so a metrics
         # or health probe never observes itself
         self.metrics.begin_request()
@@ -219,7 +206,23 @@ class AnalysisServer:
         finally:
             self.metrics.end_request()
 
-    def _health(self) -> dict[str, Any]:
+    def _op_metrics(self) -> dict[str, Any]:
+        # The profile-store counters are exact under the thread pool;
+        # under a process pool they cover only lookups made in this
+        # process (each worker owns its own store).
+        return self.metrics.snapshot(
+            cache_stats=self.cache.stats(),
+            queue_depth=self.scheduler.queue_depth,
+            queue_capacity=self.config.queue_size,
+            workers=self.scheduler.workers,
+            pool_mode=self.scheduler.pool_mode,
+            profile_store=self.profile_store.stats())
+
+    def _op_shutdown(self) -> dict[str, Any]:
+        self.request_stop()
+        return {"stopping": True}
+
+    def _op_health(self) -> dict[str, Any]:
         return {
             "status": "ok",
             "version": __version__,

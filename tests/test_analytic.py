@@ -297,10 +297,10 @@ class TestServiceRoundTrip:
         from repro.pipeline.session import Session
         from repro.service.protocol import cache_config_to_dict
         configs = [CacheConfig(1024, 2, 32), CacheConfig(4096, 8, 32)]
-        payload = client.predict(
-            SINGLE_PASS, optimize=False,
-            configs=[cache_config_to_dict(c) for c in configs],
-            fallback=True)
+        payload = client.call("predict", {
+            "source": SINGLE_PASS, "optimize": False,
+            "configs": [cache_config_to_dict(c) for c in configs],
+            "fallback": True})
         assert payload["analytic"] is True
         assert payload["steps"] == 0
         session = Session()
@@ -314,10 +314,10 @@ class TestServiceRoundTrip:
 
     def test_predict_fallback_reports_measured(self, client):
         from repro.service.protocol import cache_config_to_dict
-        payload = client.predict(
-            CHASE, optimize=False,
-            configs=[cache_config_to_dict(CacheConfig(1024, 2, 32))],
-            fallback=True)
+        payload = client.call("predict", {
+            "source": CHASE, "optimize": False,
+            "configs": [cache_config_to_dict(CacheConfig(1024, 2, 32))],
+            "fallback": True})
         assert payload["analytic"] is False
         assert payload["coverage"] < CONFIDENCE_THRESHOLD
         assert payload["steps"] > 0         # the sweep really ran
@@ -364,7 +364,7 @@ class TestCLI:
             disk_dir=tmp_path / "stackdist"))
         payload = self._predict_json(tmp_path, capsys, source,
                                      "--config", "1024,2,32", *extra)
-        served = ops.execute_op("predict", protocol._normalize_predict({
+        served = ops.execute_op("predict", protocol.normalize("predict", {
             "source": source, "fallback": not extra,
             "configs": [{"size": 1024, "assoc": 2, "block_size": 32}]}))
         assert payload == served

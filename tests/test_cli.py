@@ -118,6 +118,82 @@ class TestMissingSource:
         assert "Traceback" not in captured.err
 
 
+#: The verbs that answer a service op, locally or with ``--remote``.
+OP_VERBS = ("analyze", "predict", "tlb", "redundancy")
+
+#: One MiniC program per compile-error family member.
+BAD_SOURCES = {
+    "lex": "int main() { return 1 @ 2; }",
+    "parse": "int main( {",
+    "semantic": "int main() { return undefined_name; }",
+    "codegen": ("int f(int a, int b, int c, int d, int e) { return a; }\n"
+                "int main() { return f(1, 2, 3, 4, 5); }"),
+}
+
+
+@pytest.fixture()
+def no_connect(monkeypatch):
+    """Fail the test if anything opens a connection."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("connection attempted")
+    monkeypatch.setattr(socket, "create_connection", refuse)
+
+
+class TestExitCodes:
+    """2: the request was wrong; 3: the service failed."""
+
+    @pytest.mark.parametrize("verb", OP_VERBS)
+    @pytest.mark.parametrize("address", ["no-port", "host:notaport"])
+    def test_malformed_remote_address_is_a_usage_error(
+            self, verb, address, source_file, no_connect, capsys):
+        assert main([verb, source_file, "--remote", address]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and address in err
+
+    @pytest.mark.parametrize("verb", OP_VERBS)
+    def test_empty_source_fails_before_connecting(
+            self, verb, tmp_path, unused_address, no_connect, capsys):
+        path = tmp_path / "empty.c"
+        path.write_text("")
+        assert main([verb, str(path), "--remote", unused_address]) == 2
+        assert "param 'source'" in capsys.readouterr().err
+
+    def test_bad_threshold_fails_before_connecting(
+            self, source_file, unused_address, no_connect, capsys):
+        code = main(["tlb", source_file, "--threshold", "1.5",
+                     "--remote", unused_address])
+        assert code == 2
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", OP_VERBS)
+    def test_unreachable_service_is_a_service_error(
+            self, verb, source_file, unused_address, capsys):
+        assert main([verb, source_file, "--remote", unused_address]) == 3
+        assert capsys.readouterr().err.startswith("repro: service error:")
+
+    def test_redundancy_on_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.c"
+        path.write_text("")
+        assert main(["redundancy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SOURCES))
+    @pytest.mark.parametrize("verb", OP_VERBS + ("run", "disasm", "asm",
+                                                 "verify"))
+    def test_compile_error_is_a_usage_error(self, verb, kind, tmp_path,
+                                            capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(BAD_SOURCES[kind])
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "Traceback" not in err
+        if kind != "codegen":       # codegen errors carry no line
+            assert err.startswith("repro: error: line 1: ")
+
+
 class TestCodeViews:
     def test_disasm(self, source_file, capsys):
         assert main(["disasm", source_file]) == 0

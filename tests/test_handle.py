@@ -76,7 +76,7 @@ def _simulate(directory, monkeypatch):
     monkeypatch.setattr(ops, "_TRACE_STORE",
                         TraceStore(directory / "traces"))
     monkeypatch.setattr(ops, "_PROFILE_STORE", ProfileStore())
-    params = protocol._normalize_simulate({
+    params = protocol.normalize("simulate", {
         "source": SAMPLE_SOURCE,
         "configs": [protocol.cache_config_to_dict(FIFO)]})
     return ops.run_simulate(params)
@@ -192,11 +192,11 @@ class TestAcquisition:
     def test_served_analyze_of_a_traced_program_executes_nothing(
             self, tmp_path, monkeypatch, executions):
         monkeypatch.setattr(ops, "_TRACE_STORE", TraceStore(tmp_path))
-        params = protocol._normalize_simulate({"source": SAMPLE_SOURCE})
+        params = protocol.normalize("simulate", {"source": SAMPLE_SOURCE})
         ops.run_simulate(params)
         executions.clear()
-        served = ops.run_analysis(protocol._normalize_analysis(
-            {"source": SAMPLE_SOURCE}, execute=True))
+        served = ops.run_analysis(protocol.normalize(
+            "analyze", {"source": SAMPLE_SOURCE}))
         assert executions == []
         assert served == report_to_dict(analyze_program(SAMPLE_SOURCE))
 
@@ -214,7 +214,8 @@ class TestServedStores:
                               cache_dir=tmp_path / "cache")
         with serve_in_thread(config) as handle:
             with ServiceClient.connect(handle.address) as client:
-                client.simulate(SAMPLE_SOURCE + "\n/* cache-dir */\n")
+                client.call("simulate", {
+                    "source": SAMPLE_SOURCE + "\n/* cache-dir */\n"})
         assert list((tmp_path / "cache" / "traces").glob("tr-*.bin"))
         assert list((tmp_path / "cache").glob("svc-*.json"))
         assert _repository_traces() == before
@@ -226,8 +227,8 @@ class TestServedStores:
                               cache_dir=tmp_path / "cache")
         with serve_in_thread(config) as handle:
             with ServiceClient.connect(handle.address) as client:
-                result = client.simulate(
-                    SAMPLE_SOURCE + "\n/* no-disk-cache */\n")
+                result = client.call("simulate", {
+                    "source": SAMPLE_SOURCE + "\n/* no-disk-cache */\n"})
         assert result["steps"] > 0
         assert not (tmp_path / "cache").exists()
         assert _repository_traces() == before

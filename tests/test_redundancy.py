@@ -19,7 +19,7 @@ from repro.pipeline.session import Session
 from repro.redundancy import (LoadRedundancy, RedundancyStats,
                               ag_crosstab, analyze_redundancy,
                               naive_redundancy)
-from repro.service.ops import COMPUTE
+from repro.service.ops import execute_op
 from repro.service.protocol import ProtocolError, parse_request
 from repro.store.tracestore import TraceStore
 from tests.conftest import SAMPLE_SOURCE
@@ -198,7 +198,7 @@ class TestServiceOp:
         return parse_request(json.dumps(payload).encode()).params
 
     def test_round_trip(self):
-        result = COMPUTE["redundancy"](self._params())
+        result = execute_op("redundancy", self._params())
         assert result["steps"] > 0
         assert result["total_redundant"] <= result["total_loads"]
         assert result["total_reload_after_store"] \
@@ -212,8 +212,8 @@ class TestServiceOp:
 
     def test_deterministic_across_store_state(self):
         params = self._params()
-        assert COMPUTE["redundancy"](params) \
-            == COMPUTE["redundancy"](params)
+        assert execute_op("redundancy", params) \
+            == execute_op("redundancy", params)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ProtocolError):

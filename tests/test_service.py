@@ -117,27 +117,28 @@ class TestProtocol:
 
 class TestRoundTrip:
     def test_health(self, client):
-        health = client.health()
+        health = client.call("health")
         assert health["status"] == "ok"
         assert health["protocol_version"] == PROTOCOL_VERSION
         assert health["pool_mode"] == "thread"
 
     def test_analyze_matches_in_process(self, client):
-        served = client.analyze(SOURCE)
+        served = client.call("analyze", {"source": SOURCE})
         local = report_to_dict(analyze_program(SOURCE))
         # the acceptance bar: byte-identical serialized payloads
         assert json.dumps(served, sort_keys=False) \
             == json.dumps(local, sort_keys=False)
 
     def test_classify_matches_static_in_process(self, client):
-        served = client.classify(SOURCE)
+        served = client.call("classify", {"source": SOURCE})
         local = report_to_dict(analyze_program(SOURCE, execute=False))
         assert json.dumps(served) == json.dumps(local)
         assert "rho" not in served["summary"]
 
     def test_analyze_with_options(self, client):
-        served = client.analyze(SOURCE, optimize=True, delta=0.5,
-                                cache={"size": 16 * 1024})
+        served = client.call("analyze", {
+            "source": SOURCE, "optimize": True, "delta": 0.5,
+            "cache": {"size": 16 * 1024}})
         local = report_to_dict(analyze_program(
             SOURCE, optimize=True, delta=0.5,
             cache=CacheConfig(size=16 * 1024)))
@@ -145,10 +146,10 @@ class TestRoundTrip:
 
     def test_simulate_matches_direct(self, client):
         config = CacheConfig(size=4 * 1024, assoc=2, block_size=32)
-        served = client.simulate(
-            SOURCE, configs=[{"size": config.size,
-                              "assoc": config.assoc,
-                              "block_size": config.block_size}])
+        served = client.call("simulate", {
+            "source": SOURCE, "configs": [{"size": config.size,
+                                           "assoc": config.assoc,
+                                           "block_size": config.block_size}]})
         trace = Machine(compile_source(SOURCE),
                         trace_memory=True).run().trace
         direct = simulate_trace(trace, config)
@@ -160,7 +161,7 @@ class TestRoundTrip:
             sorted(direct.load_misses.items())}
 
     def test_metrics_shape(self, client):
-        metrics = client.metrics()
+        metrics = client.call("metrics")
         assert metrics["requests"]["total"] >= 1
         assert "analyze" in metrics["latency"] \
             or metrics["requests"]["by_op"]
@@ -201,7 +202,7 @@ class TestCaching:
                 # the disk hit was promoted back into memory
                 again = c.request("analyze", {"source": a})
                 assert again["cached"] == "memory"
-                stats = c.metrics()["cache"]
+                stats = c.call("metrics")["cache"]
                 assert stats["disk_hits"] == 1
                 assert stats["evictions"] >= 1
 
@@ -229,7 +230,7 @@ class TestBatching:
 
         def worker():
             with ServiceClient(server.host, server.port) as c:
-                results.append(c.analyze(source))
+                results.append(c.call("analyze", {"source": source}))
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for thread in threads:
@@ -261,8 +262,8 @@ class TestBatching:
 
             def simulate(size: int) -> None:
                 with ServiceClient(handle.host, handle.port) as c:
-                    results[size] = c.simulate(
-                        SMALL, configs=[{"size": size}])
+                    results[size] = c.call("simulate", {
+                        "source": SMALL, "configs": [{"size": size}]})
 
             threads = [threading.Thread(target=simulate, args=(s,))
                        for s in sizes]
@@ -272,7 +273,7 @@ class TestBatching:
                 thread.join()
             blocker.join()
             with ServiceClient(handle.host, handle.port) as c:
-                batching = c.metrics()["batching"]
+                batching = c.call("metrics")["batching"]
         assert batching["merged_simulate_requests"] == len(sizes)
         # one sleep + one merged replay for all three configs
         assert batching["computations"] == 2
@@ -364,7 +365,7 @@ class TestMalformedRequests:
     def test_connection_survives_errors(self, client):
         client.request("frobnicate")
         client.request("analyze", {})
-        assert client.health()["status"] == "ok"
+        assert client.call("health")["status"] == "ok"
 
 
 class TestProcessPool:
@@ -372,10 +373,27 @@ class TestProcessPool:
         config = ServerConfig(port=0, workers=1, use_disk_cache=False)
         with serve_in_thread(config) as handle:
             with ServiceClient(handle.host, handle.port) as c:
-                assert c.health()["pool_mode"] == "process"
-                served = c.analyze(SMALL)
+                assert c.call("health")["pool_mode"] == "process"
+                served = c.call("analyze", {"source": SMALL})
         local = report_to_dict(analyze_program(SMALL))
         assert json.dumps(served) == json.dumps(local)
+
+    def test_compile_error_is_a_bad_request(self):
+        # the error crosses the process boundary intact: the request is
+        # refused as bad and the pool keeps running
+        config = ServerConfig(port=0, workers=1, use_disk_cache=False)
+        with serve_in_thread(config) as handle:
+            with ServiceClient(handle.host, handle.port) as c:
+                response = c.request("tlb", {"source": "int main( {"})
+                served = c.call("analyze", {"source": SMALL})
+                metrics = c.call("metrics")
+        assert response["ok"] is False
+        assert response["error"] == {
+            "code": "bad_request",
+            "message": "line 1: expected a type, found '{'"}
+        assert metrics["pool"]["restarts"] == 0
+        assert metrics["errors"]["by_code"] == {"bad_request": 1}
+        assert served == report_to_dict(analyze_program(SMALL))
 
 
 class TestProcessPoolConcurrency:
@@ -423,8 +441,8 @@ class TestProcessPoolConcurrency:
             assert [e.code for e in errors] == ["internal"]
             with ServiceClient(handle.host, handle.port) as c:
                 # ... and the next request runs on a fresh pool
-                served = c.analyze(SMALL)
-                restarts = c.metrics()["pool"]["restarts"]
+                served = c.call("analyze", {"source": SMALL})
+                restarts = c.call("metrics")["pool"]["restarts"]
         assert json.dumps(served) \
             == json.dumps(report_to_dict(analyze_program(SMALL)))
         assert restarts == 1
@@ -446,10 +464,10 @@ class TestClient:
         handle = serve_in_thread(ServerConfig(
             port=0, workers=0, use_disk_cache=False))
         client = ServiceClient(handle.host, handle.port, timeout=5.0)
-        assert client.health()["status"] == "ok"
+        assert client.call("health")["status"] == "ok"
         handle.stop()
         with pytest.raises(ServiceError) as info:
-            client.health()
+            client.call("health")
         assert info.value.code == "transport"
         client.close()
 
@@ -472,13 +490,13 @@ class TestInFlightGauge:
             time.sleep(min(0.3, hold / 3))
             with ServiceClient(handle.host, handle.port,
                                timeout=60.0) as client:
-                snapshot = client.metrics()
+                snapshot = client.call("metrics")
             assert snapshot["requests"]["in_flight"] >= 1
             done.wait(time_scaled(30))
             thread.join(time_scaled(30))
             with ServiceClient(handle.host, handle.port,
                                timeout=60.0) as client:
-                snapshot = client.metrics()
+                snapshot = client.call("metrics")
             assert snapshot["requests"]["in_flight"] == 0
 
 
@@ -499,7 +517,7 @@ class TestShutdown:
         config = ServerConfig(port=0, workers=0, use_disk_cache=False)
         handle = serve_in_thread(config)
         with ServiceClient(handle.host, handle.port) as c:
-            assert c.shutdown() == {"stopping": True}
+            assert c.call("shutdown") == {"stopping": True}
         handle.stop()
         deadline = time.time() + time_scaled(5.0)
         while time.time() < deadline:
@@ -514,14 +532,16 @@ class TestShutdown:
 
 
 class TestRemoteCli:
-    def test_analyze_remote_json_matches_local(self, server,
-                                               tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["analyze", "predict", "tlb",
+                                      "redundancy"])
+    def test_remote_json_matches_local(self, server, verb, tmp_path,
+                                       capsys):
         from repro.__main__ import main
         path = tmp_path / "prog.c"
         path.write_text(SOURCE)
-        assert main(["analyze", str(path), "--json"]) == 0
+        assert main([verb, str(path), "--json"]) == 0
         local = capsys.readouterr().out
-        assert main(["analyze", str(path), "--json",
+        assert main([verb, str(path), "--json",
                      "--remote", server.address]) == 0
         remote = capsys.readouterr().out
         assert remote == local

@@ -55,9 +55,10 @@ def _service(root):
     config = ServerConfig(port=0, workers=0, cache_dir=root)
     with serve_in_thread(config) as handle:
         with ServiceClient.connect(handle.address) as client:
-            result = client.simulate(SAMPLE_SOURCE, configs=[
-                {"size": 2048, "assoc": 2, "block_size": 32}])
-            cache = client.metrics()["cache"]
+            result = client.call("simulate", {
+                "source": SAMPLE_SOURCE,
+                "configs": [{"size": 2048, "assoc": 2, "block_size": 32}]})
+            cache = client.call("metrics")["cache"]
     return result, cache["misses"], cache["disk_hits"]
 
 

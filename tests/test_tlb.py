@@ -20,7 +20,7 @@ from repro.cache.stackdist import ProfileStore
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
 from repro.pipeline.session import Session
 from repro.scenario import ScenarioSpec
-from repro.service.ops import COMPUTE
+from repro.service.ops import execute_op
 from repro.service.protocol import ProtocolError, parse_request
 from repro.store.tracestore import TraceStore
 from repro.tlb import (DEFAULT_ENTRIES, DEFAULT_PAGE_SIZE,
@@ -326,7 +326,7 @@ class TestServiceOp:
     def test_round_trip(self):
         params = self._params(
             geometries=[{"page_size": 64, "entries": 4}])
-        result = COMPUTE["tlb"](params)
+        result = execute_op("tlb", params)
         assert result["steps"] > 0
         (entry,) = result["results"]
         assert entry["geometry"] == {"page_size": 64, "entries": 4,
@@ -364,8 +364,8 @@ class TestServiceOp:
     def test_deterministic_across_store_state(self):
         params = self._params(
             geometries=[{"page_size": 64, "entries": 4}])
-        cold = COMPUTE["tlb"](params)
-        warm = COMPUTE["tlb"](params)   # trace store now warm
+        cold = execute_op("tlb", params)
+        warm = execute_op("tlb", params)   # trace store now warm
         assert cold == warm
 
 
