@@ -1,9 +1,9 @@
 """Experiment-engine benchmarks.
 
 Times the single-pass multi-configuration replay against N serial
-:func:`simulate_trace` calls (and the hierarchy counterpart), and
-records the measured speedups in ``BENCH_engine.json`` at the
-repository root so the numbers ride with the commit that produced them.
+:func:`simulate_trace` calls, and records the measured speedup in
+``BENCH_engine.json`` at the repository root so the number rides with
+the commit that produced it.
 
 The multi-config speedup comes from sharing the trace decode, kind
 dispatch, block division and per-PC access counting across configs —
@@ -20,11 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
-                                CacheConfig, associativity_sweep,
-                                size_sweep)
-from repro.cache.hierarchy import (DEFAULT_HIERARCHY, HierarchyConfig,
-                                   simulate_trace_hierarchy,
-                                   simulate_trace_hierarchy_multi)
+                                associativity_sweep, size_sweep)
 from repro.cache.model import simulate_trace, simulate_trace_multi
 from repro.compiler.driver import compile_source
 from repro.machine.simulator import Machine
@@ -39,14 +35,6 @@ RESULTS_PATH = REPO_ROOT / "BENCH_engine.json"
 CONFIGS = list(dict.fromkeys(
     [BASELINE_CONFIG, TRAINING_CONFIG]
     + associativity_sweep() + size_sweep()))
-
-HIERARCHIES = [
-    DEFAULT_HIERARCHY,
-    HierarchyConfig(l1=CacheConfig(4 * 1024, 2, 32),
-                    l2=CacheConfig(64 * 1024, 8, 64)),
-    HierarchyConfig(l1=CacheConfig(16 * 1024, 4, 32),
-                    l2=CacheConfig(256 * 1024, 8, 64)),
-]
 
 _results: dict = {}
 
@@ -97,21 +85,3 @@ def test_multi_config_replay_speedup(trace):
     # "measurably faster": well clear of timer noise, far below the
     # ~2x actually measured, so the gate never flakes.
     assert speedup > 1.2
-
-
-def test_hierarchy_multi_replay_speedup(trace):
-    serial = _best(lambda: [simulate_trace_hierarchy(trace, config)
-                            for config in HIERARCHIES])
-    multi = _best(
-        lambda: simulate_trace_hierarchy_multi(trace, HIERARCHIES))
-    speedup = serial / multi
-    _results["hierarchy_multi_replay"] = {
-        "configs": len(HIERARCHIES),
-        "accesses": len(trace),
-        "serial_s": round(serial, 4),
-        "multi_s": round(multi, 4),
-        "speedup": round(speedup, 2),
-    }
-    _flush()
-    assert speedup > 1.2
-

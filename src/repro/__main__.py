@@ -16,7 +16,7 @@
     python -m repro asm PROG.c [--optimize]
     python -m repro verify PROG.c [--optimize]
     python -m repro campaign [--tables 1,7] [--scale S] [--report F]
-                             [--jobs N | --remote H:P] [--resume]
+                             [--jobs N] [--resume]
                              [--status]        (aliases: warm, tables)
     python -m repro cache gc [--limit SIZE] [--dry-run]
     python -m repro serve [--port P] [--workers N] [--stats]
@@ -450,7 +450,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     from repro.campaign import Campaign, campaign_dir, code_digest
     from repro.campaign.manifest import Manifest
-    from repro.pipeline.session import Session
+    from repro.pipeline.session import Session, _resolve_jobs
 
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
     if args.status:
@@ -465,14 +465,17 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             numbers = [int(x) for x in args.tables.split(",")]
         except ValueError:
             raise CliError(f"bad --tables {args.tables!r}")
+    try:
+        jobs = _resolve_jobs(args.jobs)
+    except ValueError as exc:
+        raise CliError(str(exc))
     session = Session(scale=args.scale, cache_dir=cache_dir,
                       use_disk_cache=not args.no_disk_cache)
     try:
         campaign = Campaign(session, numbers=numbers)
     except ValueError as exc:
         raise CliError(str(exc))
-    result = campaign.run(jobs=args.jobs, remote=args.remote,
-                          resume=args.resume, echo=print)
+    result = campaign.run(jobs=jobs, resume=args.resume, echo=print)
     if args.echo_tables:
         for number in sorted(result.tables):
             print(result.tables[number])
@@ -639,10 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes (default: $REPRO_JOBS, "
                              "then the CPU count)")
-    p_camp.add_argument("--remote", default=None, metavar="HOST:PORT",
-                        help="dispatch run cells to a running "
-                             "'repro serve' endpoint instead of a "
-                             "local process pool")
     p_camp.add_argument("--resume", action="store_true",
                         help="skip cells whose manifest entry matches "
                              "the current code digest and whose "
@@ -659,7 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result-cache directory "
                              "(default: .repro_cache)")
     p_camp.add_argument("--no-disk-cache", action="store_true",
-                        help="disable the on-disk result cache")
+                        help="disable the on-disk result cache (cells "
+                             "are then computed in this process: "
+                             "workers would have nowhere to publish)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_srv = sub.add_parser(

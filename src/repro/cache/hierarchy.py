@@ -12,17 +12,12 @@ state, write-allocate at both levels).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.cache.config import CacheConfig
-from repro.cache.lru import BoundedCache
-from repro.cache.model import (Cache, TraceSource, _AccessTally,
-                               _block_vars, _chunk_columns,
-                               _emit_cache_state, _emit_cache_update,
-                               source_access_counts)
-from repro.machine.trace import LOAD, ChunkStream, MemoryTrace
+from repro.cache.model import Cache, TraceSource, _chunk_columns
+from repro.machine.trace import LOAD
 
 
 @dataclass(frozen=True)
@@ -116,108 +111,3 @@ def simulate_trace_hierarchy(source: TraceSource,
         l1_store_misses=l1_store_misses,
         l2_store_misses=l2_store_misses,
     )
-
-
-def _compile_hierarchy_replay(configs: Sequence[HierarchyConfig]):
-    """Generate a single-pass replay over N two-level hierarchies.
-
-    Same code-generation scheme as ``model._compile_replay``; the L2
-    update is emitted *inside* the L1 miss branch, matching the
-    fill-into-both-levels model of :func:`simulate_trace_hierarchy`.
-    """
-    flat = [c for pair in configs for c in (pair.l1, pair.l2)]
-    blocks = _block_vars(flat)
-    lines = ["def replay(columns):"]
-    for index, config in enumerate(configs):
-        lines += _emit_cache_state(f"{index}a", config.l1)
-        lines += _emit_cache_state(f"{index}b", config.l2)
-        lines += [f"    l1m{index} = []",
-                  f"    l1ma{index} = l1m{index}.append",
-                  f"    l2m{index} = []",
-                  f"    l2ma{index} = l2m{index}.append",
-                  f"    s1_{index} = 0",
-                  f"    s2_{index} = 0"]
-    # Chunk loop at indent 4, row loop at indent 6: per-access code
-    # below keeps its materialized-path indentation, cache state folds
-    # across chunk boundaries in the function locals.
-    lines.append("    for pcs, addresses, kinds in columns:")
-    lines.append("      for pc, address, kind in zip(pcs, addresses,"
-                 " kinds):")
-    for size, name in blocks.items():
-        lines.append(f"        {name} = address // {size}")
-    lines.append(f"        if kind == {LOAD}:")
-    for index, config in enumerate(configs):
-        inner = _emit_cache_update(f"{index}b", config.l2,
-                                   blocks[config.l2.block_size],
-                                   [f"l2ma{index}(pc)"], 0)
-        lines += _emit_cache_update(f"{index}a", config.l1,
-                                    blocks[config.l1.block_size],
-                                    [f"l1ma{index}(pc)"] + inner, 12)
-    lines.append("        else:")
-    for index, config in enumerate(configs):
-        inner = _emit_cache_update(f"{index}b", config.l2,
-                                   blocks[config.l2.block_size],
-                                   [f"s2_{index} += 1"], 0)
-        lines += _emit_cache_update(f"{index}a", config.l1,
-                                    blocks[config.l1.block_size],
-                                    [f"s1_{index} += 1"] + inner, 12)
-    results = ", ".join(f"(l1m{i}, l2m{i}, s1_{i}, s2_{i})"
-                        for i in range(len(configs)))
-    lines.append(f"    return [{results}]")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # trusted, generated source
-    return namespace["replay"]
-
-
-_HIERARCHY_REPLAY_CACHE = BoundedCache(64)
-
-
-def simulate_trace_hierarchy_multi(source: TraceSource,
-                                   configs: Sequence[HierarchyConfig]
-                                   ) -> list[HierarchyStats]:
-    """Replay a trace source once through N cold two-level hierarchies.
-
-    Single-pass counterpart of :func:`simulate_trace_hierarchy`: the
-    trace decode, kind dispatch, block division and per-PC load-access
-    counting happen once; per-config state is the two levels' sets and
-    miss recorders.  Results are bit-identical to N separate calls.
-    """
-    configs = list(configs)
-    if not configs:
-        return []
-    key = tuple((c.num_sets, c.assoc, c.block_size, c.replacement,
-                 c.rng_seed)
-                for pair in configs for c in (pair.l1, pair.l2))
-    replay = _HIERARCHY_REPLAY_CACHE.get(key)
-    if replay is None:
-        replay = _compile_hierarchy_replay(configs)
-        _HIERARCHY_REPLAY_CACHE.put(key, replay)
-    if isinstance(source, MemoryTrace) or (
-            isinstance(source, ChunkStream)
-            and source._load_accesses is not None):
-        raw = replay(_chunk_columns(source))
-        load_accesses, stores, prefetch_ops = \
-            source_access_counts(source)
-    else:
-        # One-shot (or metadata-less) stream: tally inline so the
-        # replay pass is the only pass.
-        tally = _AccessTally()
-        raw = replay(tally.feed(_chunk_columns(source)))
-        load_accesses, stores = tally.access_counts()
-        prefetch_ops = tally.prefetch_ops
-    # The hierarchy model routes every non-load access down the store
-    # path, so its store total includes prefetch records.
-    store_accesses = sum(stores.values()) + prefetch_ops
-    return [
-        HierarchyStats(
-            config=config,
-            load_accesses=dict(load_accesses),
-            l1_load_misses=dict(Counter(l1_miss_pcs)),
-            l2_load_misses=dict(Counter(l2_miss_pcs)),
-            store_accesses=store_accesses,
-            l1_store_misses=l1_stores,
-            l2_store_misses=l2_stores,
-        )
-        for config, (l1_miss_pcs, l2_miss_pcs, l1_stores, l2_stores)
-        in zip(configs, raw)
-    ]

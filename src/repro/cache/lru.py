@@ -1,7 +1,7 @@
 """Bounded mapping with ordered LRU eviction.
 
 Shared by the compiled-replay caches (:mod:`repro.cache.model`,
-:mod:`repro.cache.hierarchy`) and the memory side of every keyed JSON
+:mod:`repro.cache.stackdist`) and the memory side of every keyed JSON
 cache tier (:mod:`repro.store.tier`).  Lookups refresh the entry and inserts
 evict only the least-recently-used entry once ``capacity`` is exceeded
 — replacing the earlier wholesale ``clear()`` backstop, which threw

@@ -13,12 +13,17 @@ A campaign is planned as four kinds of content-hashed cells:
 * ``table`` — one formatted exhibit, depending on its spec's run,
   analytic and scenario cells.
 
-Run, analytic and scenario cells are computed on a process pool (or
-dispatched to a running service endpoint with ``remote=``).  A cell is
-submitted once its dependencies are done, so scenario cells queue
-behind every run and analytic cell.  Each table renders in the parent
-the moment its last dependency lands, so a slow workload never stalls
-unrelated tables, and the parent makes no trace pass of its own.
+Run, analytic and scenario cells are computed on a process pool.  A
+cell is submitted once its dependencies are done, so scenario cells
+queue behind every run and analytic cell.  The disk tiers are the one
+hand-off between processes: a worker publishes its cell there, and the
+parent reads it back (:func:`_compute_cell` again, now a tier hit); a
+cell that never reached disk is logged on the ``repro.campaign`` logger
+and computed again in the parent.  With ``jobs=1``, or a session
+without a disk tier for workers to publish to, every cell is computed
+in the parent.  Each table renders in the parent the moment its last
+dependency lands, so a slow workload never stalls unrelated tables,
+and with a pool the parent makes no trace pass of its own.
 Every finished cell appends provenance (content digest, code digest,
 seed/config or scenario parameters, wall time, cache tier) to the
 JSON-lines manifest; with ``resume=True`` any cell whose latest
@@ -33,30 +38,30 @@ test uses it to prove that completed cells are never re-executed.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import time
 import uuid
 from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, ThreadPoolExecutor,
-                                wait)
+                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from repro.cache.config import DEFAULT_RNG_SEED
-from repro.cache.model import cache_config_to_dict
 from repro.campaign.manifest import Manifest, campaign_dir
 from repro.experiments.common import Table
 from repro.experiments.grid import (GridCell, campaign_cells,
                                     scenario_spec, table_specs)
 from repro.pipeline.session import RunKey, Session, _resolve_jobs
-from repro.scenario import ScenarioSpec, encode_scenario, remote_payload
+from repro.scenario import ScenarioSpec
 
 #: Block size of the analytic profiles the tables read (Table 15 uses
 #: the baseline geometry's blocks).
 _ANALYTIC_BLOCK_SIZE = 32
 
 _FORBID_ENV = "REPRO_CAMPAIGN_FORBID"
+
+_log = logging.getLogger("repro.campaign")
 
 
 def code_digest() -> str:
@@ -256,8 +261,7 @@ class Campaign:
                 and self._artifacts_warm(plan, entry))
 
     # -- execution ---------------------------------------------------
-    def run(self, jobs: Optional[int] = None,
-            remote: Optional[str] = None, resume: bool = False,
+    def run(self, jobs: Optional[int] = None, resume: bool = False,
             echo: Optional[Callable[[str], None]] = None
             ) -> CampaignResult:
         start = time.perf_counter()
@@ -285,15 +289,9 @@ class Campaign:
                 continue
             if plan.kind != "table":
                 compute.append(plan)
-        for plan in compute:
-            if plan.id in forbidden:
-                raise RuntimeError(
-                    f"campaign tripwire: would recompute completed "
-                    f"cell {plan.id}")
-
         tables = [plan for plan in plans if plan.kind == "table"
                   and plan.id not in done]
-        for plan in tables:
+        for plan in compute + tables:
             if plan.id in forbidden:
                 raise RuntimeError(
                     f"campaign tripwire: would recompute completed "
@@ -301,8 +299,13 @@ class Campaign:
         waiting = {plan.id: set(plan.deps) - done for plan in tables}
         table_plans = {plan.id: plan for plan in tables}
 
+        jobs = min(_resolve_jobs(jobs), len(compute) or 1)
+        where = ""
+        if jobs > 1 and not self.session.use_disk_cache:
+            jobs, where = 1, " in the parent (no disk tier to publish to)"
         say(f"[campaign {campaign_id}] {len(plans)} cell(s): "
-            f"{len(compute)} to compute, {result.skipped} resumed")
+            f"{len(compute)} to compute{where}, "
+            f"{result.skipped} resumed")
 
         def finish_cell(plan: CellPlan, wall: float, tier: str) -> None:
             if tier == "computed":
@@ -356,12 +359,12 @@ class Campaign:
                 output_sha1=hashlib.sha1(text.encode()).hexdigest())
             done.add(plan.id)
 
-        if remote is not None:
-            self._run_remote(compute, remote, finish_cell,
-                             render_ready, say)
+        if jobs == 1:
+            for plan in compute:    # plan order puts dependencies first
+                finish_cell(plan, *_compute_cell(self.session, plan))
+                render_ready()
         else:
-            self._run_local(compute, jobs, finish_cell,
-                            render_ready, say)
+            self._run_pool(compute, jobs, finish_cell, render_ready)
         render_ready()
         if waiting:  # every dep either computed or resumed: impossible
             raise RuntimeError(f"unsatisfied table deps: {waiting}")
@@ -390,186 +393,69 @@ class Campaign:
                                    f"differs from its rebuild")
         return dict(sorted(tables.items()))
 
-    # -- local execution ---------------------------------------------
-    def _run_local(self, compute: list[CellPlan],
-                   jobs: Optional[int],
-                   finish_cell: Callable[[CellPlan, float, str], None],
-                   render_ready: Callable[[], None],
-                   say: Callable[[str], None]) -> None:
-        session = self.session
-        jobs = min(_resolve_jobs(jobs), len(compute) or 1)
-        if jobs == 1:
-            for plan in compute:    # plan order puts dependencies first
-                wall, tier, _ = _compute_cell(session, plan)
-                finish_cell(plan, wall, tier)
-                render_ready()
-            return
+    # -- pool execution ----------------------------------------------
+    def _run_pool(self, compute: list[CellPlan], jobs: int,
+                  finish_cell: Callable[[CellPlan, float, str], None],
+                  render_ready: Callable[[], None]) -> None:
+        """Compute ``compute`` on ``jobs`` worker processes.
 
-        def absorb(plan: CellPlan, outcome: tuple) -> tuple[float, str]:
-            wall, tier, response, counters = outcome
-            for name, count in counters.items():
-                self._store_counters[name] = \
-                    self._store_counters.get(name, 0) + count
-            if response is not None:
-                _absorb(session, plan, response)
-            return wall, tier
-
-        context = (session.scale, session.max_steps,
-                   session.use_disk_cache, str(session.cache_dir))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            _run_gated(compute,
-                       lambda plan: pool.submit(_cell_worker,
-                                                context, plan),
-                       absorb, finish_cell, render_ready)
-
-    # -- remote execution --------------------------------------------
-    def _run_remote(self, compute: list[CellPlan], address: str,
-                    finish_cell: Callable[[CellPlan, float, str], None],
-                    render_ready: Callable[[], None],
-                    say: Callable[[str], None]) -> None:
-        """Dispatch run and scenario cells to a ``repro serve`` endpoint.
-
-        One ``simulate`` request per run cell (the scheduler merges
-        concurrent requests for one trace into a single replay); the
-        response's full per-PC columns and block profile rebuild the
-        local session state.  A scenario cell, once its run cell is
-        done, sends the ``tlb`` request for its geometries and
-        threshold plus the ``redundancy`` request; the parent decodes
-        the pair as it decodes a local worker's result.  Analytic cells
-        are computed locally — they are static analysis, cheaper than a
-        round trip.
-
-        Cells the protocol cannot express are refused before anything
-        is dispatched: the wire form of a config carries no ``random``
-        seed (the service would simulate it under the default seed),
-        and the ``tlb`` op evaluates PCAX at its first geometry's page
-        size and dedups repeated geometries.
+        A cell is submitted once the cells it depends on are done;
+        dependencies outside ``compute`` were resumed, so they count as
+        done.  A worker publishes its cell to the shared disk tiers and
+        returns only its wall time, tier and profile-store counters.
+        The parent then reads the cell back through the same
+        :func:`_compute_cell`: a tier hit that makes no trace pass and
+        writes nothing.  A cell's dependants are submitted before the
+        parent reads it or renders a table, so the workers never wait
+        on the parent.
         """
-        from repro.service.client import ServiceClient
-
         session = self.session
-        remote = [plan for plan in compute if plan.kind != "analytic"]
-        local = [plan for plan in compute if plan.kind == "analytic"]
-        for plan in remote:
-            if plan.kind == "scenario":
-                spec = plan.spec
-                if not spec.tlb \
-                        or spec.pcax_page_size != spec.tlb[0].page_size \
-                        or len(set(spec.tlb)) != len(spec.tlb):
-                    raise ValueError(
-                        f"cell {plan.id} cannot run remotely: the tlb "
-                        f"op evaluates PCAX at the first of distinct "
-                        f"geometries, not {spec.describe()}")
-                continue
-            seeded = [config.describe() for config in plan.cell.configs
-                      if config.replacement == "random"
-                      and config.rng_seed != DEFAULT_RNG_SEED]
-            if seeded:
-                raise ValueError(
-                    f"cell {plan.id} cannot run remotely: the service "
-                    f"protocol carries no rng_seed for {seeded}")
-        say(f"[campaign] dispatching {len(remote)} run/scenario "
-            f"cell(s) to {address}")
+        context = (session.scale, session.max_steps,
+                   str(session.cache_dir))
+        ids = {plan.id for plan in compute}
+        blocked = {plan.id: set(plan.deps) & ids for plan in compute}
+        running: dict[Future, CellPlan] = {}
 
-        def dispatch(plan: CellPlan, source: str) -> tuple[float, dict]:
-            started = time.perf_counter()
-            options = {"source": source, "optimize": plan.cell.optimize,
-                       "max_steps": session.max_steps}
-            with ServiceClient.connect(address) as client:
-                if plan.kind == "run":
-                    response = client.call("simulate", {
-                        **options, "configs": [cache_config_to_dict(c)
-                                               for c in plan.cell.configs]})
-                else:
-                    response = remote_payload(
-                        client.call("tlb", {
-                            **options,
-                            "geometries": [c.to_dict()
-                                           for c in plan.spec.tlb],
-                            "threshold": plan.spec.threshold}),
-                        client.call("redundancy", options))
-            return time.perf_counter() - started, response
+        def submit_ready() -> None:
+            for plan in compute:
+                if plan.id in blocked and not blocked[plan.id]:
+                    del blocked[plan.id]
+                    running[pool.submit(_cell_worker, context,
+                                        plan)] = plan
 
-        def submit(plan: CellPlan) -> Future:
-            source = session.source(plan.cell.workload,
-                                    plan.cell.input_name)
-            return pool.submit(dispatch, plan, source)
-
-        def absorb(plan: CellPlan, outcome: tuple) -> tuple[float, str]:
-            wall, response = outcome
-            _absorb(session, plan, response)
-            return wall, "computed"
-
-        with ThreadPoolExecutor(max_workers=min(8, len(remote)
-                                                or 1)) as pool:
-            _run_gated(remote, submit, absorb, finish_cell, render_ready)
-        for plan in local:
-            wall, tier, _ = _compute_cell(session, plan)
-            finish_cell(plan, wall, tier)
-            render_ready()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            submit_ready()
+            while running:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                outcomes = [(running.pop(future), future.result())
+                            for future in finished]
+                for plan, _ in outcomes:
+                    for deps in blocked.values():
+                        deps.discard(plan.id)
+                submit_ready()
+                for plan, (wall, tier, counters) in outcomes:
+                    for name, count in counters.items():
+                        self._store_counters[name] = \
+                            self._store_counters.get(name, 0) + count
+                    if _compute_cell(session, plan)[1] == "computed":
+                        _log.warning(
+                            "campaign cell %s never reached the disk "
+                            "tier; the parent computed it again",
+                            plan.id)
+                    finish_cell(plan, wall, tier)
+                render_ready()
+        if blocked:     # a dependency cycle or a missing cell: impossible
+            raise RuntimeError(f"unsatisfied cell deps: {blocked}")
 
 
-def _run_gated(compute: list[CellPlan],
-               submit: Callable[[CellPlan], Future],
-               absorb: Callable[[CellPlan, Any], tuple[float, str]],
-               finish_cell: Callable[[CellPlan, float, str], None],
-               render_ready: Callable[[], None]) -> None:
-    """Submit each cell once the cells it depends on are done.
-
-    Dependencies outside ``compute`` were resumed, so they count as
-    done.  Results are absorbed in completion order; a cell's
-    dependants are submitted before any ready table renders, so the
-    workers never wait on the parent.
-    """
-    ids = {plan.id for plan in compute}
-    blocked = {plan.id: set(plan.deps) & ids for plan in compute}
-    running: dict[Future, CellPlan] = {}
-
-    def submit_ready() -> None:
-        for plan in compute:
-            if plan.id in blocked and not blocked[plan.id]:
-                del blocked[plan.id]
-                running[submit(plan)] = plan
-
-    submit_ready()
-    while running:
-        finished, _ = wait(running, return_when=FIRST_COMPLETED)
-        for future in finished:
-            plan = running.pop(future)
-            wall, tier = absorb(plan, future.result())
-            finish_cell(plan, wall, tier)
-            for deps in blocked.values():
-                deps.discard(plan.id)
-        submit_ready()
-        render_ready()
-    if blocked:     # a dependency cycle or a missing cell: impossible
-        raise RuntimeError(f"unsatisfied cell deps: {blocked}")
-
-
-def _absorb(session: Session, plan: CellPlan,
-            response: dict[str, Any]) -> None:
-    """Adopt a worker's or a service's result for one cell."""
-    key = RunKey(*plan.cell.run_key)
-    if plan.kind == "scenario":
-        session.absorb_scenario(key, plan.spec, response)
-    else:
-        session.absorb(key, plan.cell.configs, response)
-
-
-def _compute_cell(session: Session, plan: CellPlan,
-                  respond: bool = False
-                  ) -> tuple[float, str, Optional[dict]]:
+def _compute_cell(session: Session, plan: CellPlan) -> tuple[float, str]:
     """Compute one run, analytic or scenario cell in ``session``.
 
-    Returns the wall time, the tier that served it (``disk`` when its
-    artifacts were already cached) and, with ``respond``, the payload
-    the parent absorbs: a run cell's ``simulate``-shaped response or a
-    scenario cell's payload (analytic profiles travel via the shared
-    profile store).
+    Returns the wall time and the tier that served it (``disk`` when
+    its artifacts were already cached).
     """
     started = time.perf_counter()
     key = RunKey(*plan.cell.run_key)
-    response = None
     if plan.kind == "analytic":
         tier = "disk" if session._profile_store.get_analytic(
             session._program_digest(key),
@@ -580,33 +466,27 @@ def _compute_cell(session: Session, plan: CellPlan,
     elif plan.kind == "scenario":
         tier = "disk" if session._scenario_warm(key, plan.spec) \
             else "computed"
-        result = session.scenario(key.workload, key.input_name,
-                                  key.optimize, spec=plan.spec)
-        if respond:
-            response = encode_scenario(result)
+        session.scenario(key.workload, key.input_name, key.optimize,
+                         spec=plan.spec)
     else:
         tier = "disk" if all(session._is_warm(key, c)
                              for c in plan.cell.configs) \
             else "computed"
-        if respond:
-            response = session.simulate_response(key, plan.cell.configs)
-        else:
-            session.stats_multi(key.workload, key.input_name,
-                                key.optimize, plan.cell.configs)
-    return time.perf_counter() - started, tier, response
+        session.stats_multi(key.workload, key.input_name, key.optimize,
+                            plan.cell.configs)
+    return time.perf_counter() - started, tier
 
 
 def _cell_worker(context: tuple, plan: CellPlan
-                 ) -> tuple[float, str, Optional[dict], dict]:
+                 ) -> tuple[float, str, dict]:
     """Process-pool worker: one cell in a private session.
 
-    Shares the on-disk caches with the parent and returns the payload a
-    remote service would, so the parent absorbs both the same way, plus
-    the worker's ProfileStore counters for aggregation.
+    The session shares the parent's disk tiers, which carry the cell
+    back: the worker returns only its wall time, its tier and its
+    ProfileStore counters for aggregation.
     """
-    scale, max_steps, use_disk_cache, cache_dir = context
+    scale, max_steps, cache_dir = context
     session = Session(scale=scale, cache_dir=Path(cache_dir),
-                      use_disk_cache=use_disk_cache,
                       max_steps=max_steps)
-    wall, tier, response = _compute_cell(session, plan, respond=True)
-    return wall, tier, response, session._profile_store.counters
+    wall, tier = _compute_cell(session, plan)
+    return wall, tier, session._profile_store.counters

@@ -16,6 +16,11 @@ experiments can share work:
 * **scenario** — the run's dTLB, PCAX and redundancy results from one
   fused pass over the trace (:mod:`repro.scenario`), persisted the same
   way in a second tier.
+
+The disk tiers are also how sessions in different processes share
+work: a campaign worker's session publishes each cell it computes, and
+the parent's session reads it back as a disk hit (see
+:mod:`repro.campaign.engine`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.asm.program import Program
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
@@ -63,10 +68,18 @@ def default_cache_dir() -> Path:
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker-count knob: explicit argument > $REPRO_JOBS > CPU count."""
+    """Worker-count knob: explicit argument > $REPRO_JOBS > CPU count.
+
+    Raises ``ValueError`` naming the variable when ``$REPRO_JOBS`` is
+    set to something other than an integer.
+    """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
-        jobs = int(env) if env else (os.cpu_count() or 1)
+        try:
+            jobs = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"REPRO_JOBS must be an integer, not "
+                             f"{env!r}") from None
     return max(1, jobs)
 
 
@@ -281,13 +294,6 @@ class Session:
     def _scenario_warm(self, key: RunKey, spec: ScenarioSpec) -> bool:
         return self._scenarios.contains(self._scenario_key(key, spec))
 
-    def absorb_scenario(self, key: RunKey, spec: ScenarioSpec,
-                        payload: dict[str, Any]) -> None:
-        """Adopt a scenario payload — a campaign worker's, or a remote
-        ``tlb`` plus ``redundancy`` pair — as if computed here."""
-        self._scenarios.put(self._scenario_key(key, spec),
-                            decode_scenario(payload, spec), payload)
-
     # -- analytic (trace-free) prediction -----------------------------
     def _program_digest(self, key: RunKey) -> str:
         from repro.analytic import program_digest
@@ -400,31 +406,6 @@ class Session:
 
     def _is_warm(self, key: RunKey, config: CacheConfig) -> bool:
         return self._results.contains(self._entry_key(key, config))
-
-    def simulate_response(self, key: RunKey,
-                          configs: Sequence[CacheConfig]
-                          ) -> dict[str, Any]:
-        """:meth:`stats_multi` for one run, shaped like the service's
-        ``simulate`` response (the rows, steps and block counts)."""
-        stats_list = self.stats_multi(key.workload, key.input_name,
-                                      key.optimize, configs)
-        return {
-            "steps": self._steps[key],
-            "results": [stats_to_row(stats) for stats in stats_list],
-            "block_counts": {str(a): c for a, c in
-                             self._profiles[key].block_counts.items()},
-        }
-
-    def absorb(self, key: RunKey, configs: Sequence[CacheConfig],
-               response: dict[str, Any]) -> None:
-        """Adopt a ``simulate`` response for ``configs`` of one run —
-        from a campaign worker or a remote service — into the result
-        tier, as if this session had simulated them."""
-        self._adopt(key, int(response["steps"]),
-                    {int(a): int(c) for a, c in
-                     response.get("block_counts", {}).items()})
-        for config, row in zip(configs, response["results"]):
-            self._put(key, config, stats_from_row(row, config))
 
 
 @dataclass

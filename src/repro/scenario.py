@@ -11,10 +11,10 @@ The results are bit-identical to the three separate calls (the fuzz
 ``tlb`` and ``redundancy`` oracles check it).
 
 A :class:`ScenarioSpec` names what one pass computes.  Its results
-travel as one JSON payload whose parts are exactly the rows the
-service's ``tlb`` and ``redundancy`` ops return, so
-:func:`decode_scenario` reads a session's cached entry, a campaign
-worker's result and a pair of remote responses alike.
+are kept as one JSON entry in the session's scenario tier, whose parts
+are exactly the rows the service's ``tlb`` and ``redundancy`` ops
+return; :func:`decode_scenario` reads it back, in the session that
+wrote it or in the campaign parent after a worker published it.
 """
 
 from __future__ import annotations
@@ -127,14 +127,6 @@ def encode_scenario(result: ScenarioResult) -> dict[str, Any]:
     return {"tlb": [encode_tlb(stats) for stats in result.tlb],
             "pcax": encode_pcax(result.pcax),
             "redundancy": encode_redundancy(result.redundancy)}
-
-
-def remote_payload(tlb: dict[str, Any],
-                   redundancy: dict[str, Any]) -> dict[str, Any]:
-    """The scenario payload carried by a ``tlb`` and a ``redundancy``
-    response (extra response fields are ignored by the decoder)."""
-    return {"tlb": tlb["results"], "pcax": tlb["pcax"],
-            "redundancy": redundancy}
 
 
 def _column(row: dict[str, Any], name: str) -> dict[int, int]:

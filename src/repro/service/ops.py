@@ -89,11 +89,11 @@ def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
     response = {
         "steps": handle.steps,
         "num_loads": handle.program.num_loads(),
-        # Full per-PC store and prefetch columns: remote campaign
-        # cells rebuild a complete CacheStats from this response.
+        # Full per-PC store and prefetch columns: a client can
+        # rebuild a complete CacheStats from this response.
         "results": [stats_to_row(stats) for stats in sweep],
     }
-    # The block profile lets remote callers reconstruct the
+    # The block profile lets a client reconstruct the
     # BlockProfile (hotspot loads, exec counts) without executing.
     if handle.block_counts:
         response["block_counts"] = {str(a): int(c) for a, c in

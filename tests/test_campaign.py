@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -32,6 +33,7 @@ from repro.experiments.grid import (CACHE_16K, GridCell, TableSpec,
                                     sweep_configs, table_specs)
 from repro.experiments.runner import run_tables
 from repro.pipeline.session import Session
+from repro.store.tier import PIPELINE, SCENARIO, JsonTier
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -238,19 +240,6 @@ class TestCampaign:
         assert result.skipped == 0
         assert result.cached > 0     # but the disk caches are warm
 
-    @pytest.mark.usefixtures("small_grid")
-    def test_remote_matches_local_byte_for_byte(self, tmp_path):
-        from repro.service.server import ServerConfig, serve_in_thread
-        local = Campaign(_session(tmp_path), numbers=TABLES).run(jobs=1)
-        config = ServerConfig(port=0, workers=0,
-                              cache_dir=tmp_path / "served")
-        with serve_in_thread(config) as handle:
-            session = Session(scale=SCALE, cache_dir=tmp_path / "remote")
-            remote = Campaign(session, numbers=TABLES).run(
-                remote=handle.address)
-        assert remote.tables == local.tables
-        assert remote.computed == local.computed
-
     @pytest.mark.usefixtures("scenario_grid")
     def test_scenario_cells_sit_between_runs_and_tables(self, tmp_path):
         plans = {plan.id: plan
@@ -267,10 +256,30 @@ class TestCampaign:
 
     @pytest.mark.usefixtures("scenario_grid")
     def test_scenario_cells_on_the_pool_match_the_serial_runner(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        # The disk tiers are the one hand-off: the parent reads each
+        # worker's cell back, with no trace pass and no tier write.
+        # (Forked workers inherit the wrappers but fill their own
+        # copies of the lists.)
+        replays, writes = [], []
+        replay, put = Session._replay, JsonTier.put
+
+        def counted_replay(self, key, compute):
+            replays.append(key)
+            return replay(self, key, compute)
+
+        def counted_put(self, key, value, payload):
+            writes.append((self.layout.name, key))
+            return put(self, key, value, payload)
+
+        monkeypatch.setattr(Session, "_replay", counted_replay)
+        monkeypatch.setattr(JsonTier, "put", counted_put)
         session = _session(tmp_path)
         campaign = Campaign(session, numbers=[16, 17])
         result = campaign.run(jobs=2)
+        assert replays == []
+        assert [write for write in writes
+                if write[0] in (PIPELINE.name, SCENARIO.name)] == []
         serial = Session(scale=SCALE, cache_dir=tmp_path / "serial")
         expected = {n: t.render() for n, t in
                     run_tables(serial, [16, 17], echo=False).items()}
@@ -280,6 +289,47 @@ class TestCampaign:
         scenario = f"scenario:{SCENARIO_PROGRAM}:input1:base"
         assert cells.index(run) < cells.index(scenario) \
             < cells.index("table:16")
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_a_cell_that_never_reaches_disk_is_recomputed_loudly(
+            self, tmp_path, caplog):
+        # A file where the scenario tier's directory belongs: every
+        # scenario write fails, in the workers as in the parent, and
+        # the failure is swallowed where it happens.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "scenario").write_text("")
+        with caplog.at_level(logging.WARNING, logger="repro.campaign"):
+            result = Campaign(_session(tmp_path),
+                              numbers=[16, 17]).run(jobs=2)
+        serial = Session(scale=SCALE, cache_dir=tmp_path / "serial")
+        expected = {n: t.render() for n, t in
+                    run_tables(serial, [16, 17], echo=False).items()}
+        assert result.tables == expected
+        warnings = [record.getMessage() for record in caplog.records
+                    if record.name == "repro.campaign"]
+        assert len(warnings) == 1
+        assert f"scenario:{SCENARIO_PROGRAM}:input1:base" in warnings[0]
+
+    @pytest.mark.usefixtures("small_grid")
+    def test_no_disk_tier_computes_every_cell_in_the_parent(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+        from repro.campaign import engine
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the campaign started a process pool")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        assert main(["campaign", "--tables", "6,10",
+                     "--scale", str(SCALE), "--jobs", "2",
+                     "--no-disk-cache", "--echo-tables",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        out = capsys.readouterr().out
+        assert "in the parent" in out.splitlines()[0]
+        serial = Session(scale=SCALE, cache_dir=tmp_path / "serial")
+        for table in run_tables(serial, [6, 10], echo=False).values():
+            assert table.render() in out
 
     @pytest.mark.usefixtures("scenario_grid")
     def test_scenario_manifest_entry_records_parameters_and_tier(
@@ -322,39 +372,6 @@ class TestCampaign:
                     if entry["campaign"] == result.campaign_id}
         assert recorded == {scenario: "computed", "table:16": "computed"}
         assert "16-entry" in result.tables[16]
-
-    @pytest.mark.usefixtures("scenario_grid")
-    def test_remote_scenario_cells_leave_no_trace_in_the_parent(
-            self, tmp_path):
-        from repro.service.server import ServerConfig, serve_in_thread
-        local = Campaign(_session(tmp_path), numbers=[17]).run(jobs=1)
-        config = ServerConfig(port=0, workers=0,
-                              cache_dir=tmp_path / "served")
-        with serve_in_thread(config) as handle:
-            parent = tmp_path / "parent"
-            session = Session(scale=SCALE, cache_dir=parent)
-            remote = Campaign(session, numbers=[17]).run(
-                remote=handle.address)
-        assert remote.tables == local.tables
-        assert list((tmp_path / "served" / "traces").glob("tr-*.bin"))
-        assert not list((parent / "traces").glob("tr-*"))
-        assert list((parent / "scenario").glob("sc-*.json"))
-
-    def test_remote_refuses_a_seeded_random_cell(self, tmp_path,
-                                                 monkeypatch):
-        # The wire form of a config has no seed: the service would
-        # simulate this cell under the default one.
-        from repro.experiments import table10
-        seeded = CacheConfig(4096, 4, 32, replacement="random",
-                             rng_seed=7)
-        monkeypatch.setattr(table10, "SPEC", dataclasses.replace(
-            table10.SPEC, names=("129.compress",),
-            configs=table10.SPEC.configs + (seeded,)))
-        campaign = Campaign(_session(tmp_path), numbers=[10])
-        with pytest.raises(ValueError, match=r"run:129\.compress:input1"
-                                             r":base .*rng_seed"):
-            campaign.run(remote="127.0.0.1:1")   # nothing listens
-        assert not campaign.manifest.latest()
 
     def test_empty_repro_jobs_means_the_default(self, tmp_path,
                                                 monkeypatch):

@@ -179,6 +179,16 @@ class TestExitCodes:
         assert err.startswith("repro: error:")
         assert "Traceback" not in err
 
+    def test_bad_repro_jobs_is_a_usage_error(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        code = main(["campaign", "--tables", "6", "--scale", "0.02",
+                     "--cache-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: REPRO_JOBS")
+        assert "'abc'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", sorted(BAD_SOURCES))
     @pytest.mark.parametrize("verb", OP_VERBS + ("run", "disasm", "asm",
                                                  "verify"))

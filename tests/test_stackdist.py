@@ -5,8 +5,7 @@ per-config :func:`simulate_trace` — same dict contents, same prefetch
 fills — whichever route (histogram or replay fallback) serves a config.
 These tests pin that contract over randomized traces, every registry
 workload, and the profile store's disk/extension/corruption behavior,
-plus the shared :class:`BoundedCache` and a randomized hierarchy
-multi-replay equivalence check.
+plus the shared :class:`BoundedCache`.
 """
 
 import json
@@ -17,9 +16,6 @@ from hypothesis import strategies as st
 
 import repro.cache.stackdist as stackdist
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
-from repro.cache.hierarchy import (HierarchyConfig,
-                                   simulate_trace_hierarchy,
-                                   simulate_trace_hierarchy_multi)
 from repro.cache.lru import BoundedCache
 from repro.cache.model import (_REPLAY_CACHE, simulate_trace,
                                simulate_trace_multi)
@@ -295,36 +291,6 @@ class TestBoundedCache:
             ])
         assert len(_REPLAY_CACHE) == _REPLAY_CACHE.capacity
         assert _REPLAY_CACHE.evictions >= 5
-
-
-# -- hierarchy multi-replay (randomized equivalence) -------------------
-
-class TestHierarchyRandomized:
-    CONFIGS = [
-        HierarchyConfig(l1=CacheConfig(1024, 2, 32),
-                        l2=CacheConfig(16 * 1024, 4, 64)),
-        HierarchyConfig(
-            l1=CacheConfig(1024, 2, 32, replacement="fifo"),
-            l2=CacheConfig(32 * 1024, 8, 64, replacement="random")),
-    ]
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(
-        st.tuples(st.sampled_from([4, 8, 12]),
-                  st.integers(min_value=0, max_value=1 << 14)),
-        max_size=150))
-    def test_random_traces_bit_identical(self, accesses):
-        trace = trace_of([(pc, addr, LOAD if pc % 2 else STORE)
-                          for pc, addr in accesses])
-        results = simulate_trace_hierarchy_multi(trace, self.CONFIGS)
-        for config, multi in zip(self.CONFIGS, results):
-            single = simulate_trace_hierarchy(trace, config)
-            assert (multi.load_accesses, multi.l1_load_misses,
-                    multi.l2_load_misses, multi.store_accesses,
-                    multi.l1_store_misses, multi.l2_store_misses) == \
-                   (single.load_accesses, single.l1_load_misses,
-                    single.l2_load_misses, single.store_accesses,
-                    single.l1_store_misses, single.l2_store_misses)
 
 
 # -- pipeline integration ---------------------------------------------
