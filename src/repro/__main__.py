@@ -373,8 +373,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_size=args.queue_size,
-        batch_window=args.batch_window / 1000.0,
-        batch_max=args.batch_max,
         timeout=args.timeout,
         cache_entries=args.cache_entries,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
@@ -677,11 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--queue-size", type=int, default=64,
                        help="pending-request bound before requests "
                             "are rejected as overloaded (default 64)")
-    p_srv.add_argument("--batch-window", type=float, default=2.0,
-                       help="milliseconds the dispatcher waits to "
-                            "batch concurrent requests (default 2)")
-    p_srv.add_argument("--batch-max", type=int, default=8,
-                       help="max requests per batch (default 8)")
     p_srv.add_argument("--timeout", type=float, default=120.0,
                        help="default per-request timeout, seconds "
                             "(default 120)")

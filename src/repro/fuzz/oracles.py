@@ -21,7 +21,10 @@ contract, raising :class:`DivergenceError` on any mismatch:
 ``service``
     in-process :func:`repro.api.analyze_program` vs. the long-lived
     service path, canonical-JSON byte equality for both ``analyze``
-    and the purely static ``classify``;
+    and the purely static ``classify``; and served ``simulate``,
+    ``predict`` and ``tlb`` on up to three of the case's cache configs
+    or TLB geometries vs. an in-process ``execute_op`` on the same
+    normalized params;
 ``pipeline``
     a cold :class:`~repro.pipeline.session.Session` vs. a fresh session
     warmed from the first one's disk cache — stats, block profile and
@@ -300,16 +303,21 @@ def check_streaming(case, ctx: OracleContext) -> None:
 # -- service oracle ----------------------------------------------------
 
 def check_service(case, ctx: OracleContext) -> None:
-    """Served analyze/classify vs. the in-process pipeline.
+    """Served ops vs. the in-process pipeline.
 
     The served payloads must be canonical-JSON byte-equal to the
     in-process result, so the service provably adds nothing to the
     wire.
     """
     from repro.api import analyze_program
+    from repro.cache.model import cache_config_to_dict
     from repro.export import canonical_json, report_to_dict
+    from repro.service.ops import execute_op
+    from repro.service.protocol import normalize
     source = case.source()
     name = "service"
+    # first: starting the server binds the ops' stores that the
+    # in-process execute_op calls below share
     client = ctx.client
     local = canonical_json(report_to_dict(analyze_program(source)))
     served = canonical_json(client.call("analyze", {"source": source}))
@@ -320,6 +328,16 @@ def check_service(case, ctx: OracleContext) -> None:
     served = canonical_json(client.call("classify", {"source": source}))
     if served != local:
         _diverge(name, "classify payload", served[:400], local[:400])
+    configs = [cache_config_to_dict(c) for c in case.cache_configs()[:3]]
+    geometries = [g.to_dict() for g in case.tlb_configs()[:3]]
+    for op, params in (
+            ("simulate", {"source": source, "configs": configs}),
+            ("predict", {"source": source, "configs": configs}),
+            ("tlb", {"source": source, "geometries": geometries})):
+        local = canonical_json(execute_op(op, normalize(op, params)))
+        served = canonical_json(client.call(op, params))
+        if served != local:
+            _diverge(name, f"{op} payload", served[:400], local[:400])
 
 
 # -- pipeline-cache oracle ---------------------------------------------
@@ -618,7 +636,8 @@ ORACLES: dict[str, Oracle] = {
                "chunked/store-streamed replay vs. materialized "
                "(stats, digests, stack-distance profiles)"),
         Oracle("service", ("minic",), check_service,
-               "in-process analyze/classify vs. the served path"),
+               "in-process analyze/classify/simulate/predict/tlb vs. "
+               "the served path"),
         Oracle("pipeline", ("minic",), check_pipeline,
                "cold Session vs. disk-cache-warmed Session"),
         Oracle("analytic", ("minic",), check_analytic,

@@ -271,13 +271,11 @@ class Session:
         (:func:`repro.scenario.scenario_pass`) whose result is kept.
         """
         key = RunKey(workload, input_name, optimize)
-        entry_key = self._scenario_key(key, spec)
-        result = self._scenarios.get(
-            entry_key, lambda entry: decode_scenario(entry, spec))[0]
+        result = self._scenario_lookup(key, spec)
         if result is None:
             result = self._replay(
                 key, lambda source: scenario_pass(source, spec))
-            self._scenarios.put(entry_key, result,
+            self._scenarios.put(self._scenario_key(key, spec), result,
                                 encode_scenario(result))
         return result
 
@@ -291,8 +289,16 @@ class Session:
         safe = key.workload.replace(".", "_")
         return f"{safe}-{self._scenario_digest(key, spec)}"
 
+    def _scenario_lookup(self, key: RunKey, spec: ScenarioSpec
+                         ) -> Optional[ScenarioResult]:
+        return self._scenarios.get(
+            self._scenario_key(key, spec),
+            lambda entry: decode_scenario(entry, spec))[0]
+
     def _scenario_warm(self, key: RunKey, spec: ScenarioSpec) -> bool:
-        return self._scenarios.contains(self._scenario_key(key, spec))
+        """Does the tier hold a readable entry?  A torn one is a miss,
+        as it is for :meth:`scenario`."""
+        return self._scenario_lookup(key, spec) is not None
 
     # -- analytic (trace-free) prediction -----------------------------
     def _program_digest(self, key: RunKey) -> str:
@@ -405,7 +411,9 @@ class Session:
         self._results.put(self._entry_key(key, config), stats, entry)
 
     def _is_warm(self, key: RunKey, config: CacheConfig) -> bool:
-        return self._results.contains(self._entry_key(key, config))
+        """Does the tier hold a readable entry?  A torn one is a miss,
+        as it is for :meth:`stats_multi`."""
+        return self._lookup(key, config) is not None
 
 
 @dataclass

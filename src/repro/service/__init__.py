@@ -14,11 +14,11 @@ requests:
 * :mod:`repro.service.ops` — the pure, picklable compute functions
   behind the scheduled operations;
 * :mod:`repro.service.metrics` — request counters, latency percentiles,
-  cache hit rates, batching statistics;
+  cache hit rates, coalescing and queue statistics;
 * :mod:`repro.service.scheduler` — the result cache (a
   :class:`~repro.store.tier.JsonTier` over the shared on-disk cache
   directory), bounded request queue with overload responses, request
-  coalescing, simulate-batch merging, and a persistent worker pool;
+  coalescing, and a persistent worker pool;
 * :mod:`repro.service.server` — the asyncio TCP front end
   (``python -m repro serve``);
 * :mod:`repro.service.client` — a small blocking client whose

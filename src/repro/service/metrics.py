@@ -1,4 +1,4 @@
-"""Service metrics: counters, latency percentiles, cache and batch stats.
+"""Service metrics: counters, latency percentiles, cache and queue stats.
 
 Everything is plain in-process counting — cheap enough to record on
 every request — snapshotted on demand by the ``metrics`` op and the
@@ -34,12 +34,8 @@ class ServiceMetrics:
         self.responses_ok = 0
         self.errors_by_code: Counter = Counter()
         self.computations = 0
-        self.batches = 0
-        self.batched_requests = 0
         self.coalesced = 0
-        self.merged_simulate_requests = 0
         self.queue_peak = 0
-        self.rejected_connections = 0
         #: worker pools replaced after a pool process died
         self.pool_restarts = 0
         #: scheduled requests currently being handled (gauge, not a
@@ -69,10 +65,6 @@ class ServiceMetrics:
         window = self._latency_s.setdefault(op, deque(maxlen=_WINDOW))
         window.append(elapsed_s)
 
-    def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_requests += size
-
     def observe_queue_depth(self, depth: int) -> None:
         if depth > self.queue_peak:
             self.queue_peak = depth
@@ -95,6 +87,13 @@ class ServiceMetrics:
                  queue_depth: int = 0, queue_capacity: int = 0,
                  workers: int = 0, pool_mode: str = "",
                  profile_store: Optional[dict] = None) -> dict[str, Any]:
+        """The ``metrics`` op's JSON-able payload.
+
+        ``batching`` keeps its name, and ``merged_simulate_requests``
+        stays in it fixed at 0, although the scheduler neither batches
+        nor merges (each request is one pool call): perfbench's
+        ``serve_explore`` workload still reads both.
+        """
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
             "requests": {
@@ -114,11 +113,8 @@ class ServiceMetrics:
             "profile_store": profile_store or {},
             "batching": {
                 "computations": self.computations,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
                 "coalesced_requests": self.coalesced,
-                "merged_simulate_requests":
-                    self.merged_simulate_requests,
+                "merged_simulate_requests": 0,
             },
             "queue": {
                 "depth": queue_depth,

@@ -28,7 +28,7 @@ from repro.store.tracestore import TraceStore, trace_key
 # Both stores are read at call time: the server rebinds them from its
 # ``cache_dir`` / ``use_disk_cache`` config before its pool forks.
 
-#: Stack-distance profiles for the merged ``simulate`` op, sharing the
+#: Stack-distance profiles for the ``simulate`` op, sharing the
 #: pipeline/service warm directory: a re-sweep of a known program with
 #: new LRU geometries is answered from histograms, not a trace replay.
 _PROFILE_STORE = ProfileStore(disk_dir=default_cache_dir() / "stackdist")
@@ -75,9 +75,9 @@ def run_simulate(params: dict[str, Any]) -> dict[str, Any]:
 
     Routes through the dispatching sweep engine
     (:func:`repro.cache.stackdist.simulate_sweep`): a request for N
-    configs — or N batched requests for one config each — costs at most
-    one trace pass, and LRU geometry sweeps collapse to one pass per
-    set mapping with the per-PC distance profile cached on disk.  The
+    configs costs at most one trace pass, and LRU geometry sweeps
+    collapse to one pass per set mapping with the per-PC distance
+    profile cached on disk.  The
     trace itself comes from a :class:`~repro.store.handle.TraceHandle`
     (chunked trace store, one execution ever).
     """

@@ -1,4 +1,4 @@
-"""Request scheduling: bounded queue, batching, coalescing, worker pool.
+"""Request scheduling: bounded queue, coalescing, worker pool.
 
 The flow for one scheduled request (every op in ``protocol.OPS`` with a
 compute function):
@@ -7,24 +7,23 @@ compute function):
 2. **Coalesce** — if an identical request (same content hash) is
    already queued or computing, the new request just awaits the same
    future; concurrent identical requests cost one computation.
-3. **Admit** — otherwise the request must win a slot in a bounded
-   queue; a full queue fails fast with an ``overloaded`` error rather
-   than stacking latency (explicit backpressure).
-4. **Batch** — the dispatcher drains up to ``batch_max`` queued
-   requests that arrive within ``batch_window`` seconds into one batch.
-   ``simulate`` requests for the same (source, optimize, max_steps) are
-   *merged* into a single call of the one-pass multi-config engine;
-   everything else fans out across the worker pool.  Up to ``workers``
-   batches (at least one) run at once, so a slow batch never holds an
-   idle pool process back from the next one.
-5. **Compute** — jobs run on a persistent pool: worker processes
-   (``workers >= 1``) so the event loop never blocks on pipeline work,
-   or one thread (``workers == 0``, handy for tests and single-core
-   boxes).  Results populate the cache before waiters wake.  A pool
-   whose process died is replaced (logged, and counted in the
-   ``metrics`` op's ``pool.restarts``); only the jobs that were on it
-   fail.  A source that does not compile fails its jobs with
-   ``bad_request``: the request was wrong, not the service.
+3. **Admit** — otherwise the request must win a place in a bounded
+   queue of requests waiting for a worker slot; a full queue fails fast
+   with an ``overloaded`` error rather than stacking latency (explicit
+   backpressure).
+4. **Wait for a slot** — the admitted request becomes one task that
+   waits for one of ``workers`` slots (at least one), so at most one
+   request per pool process runs at once and a slow request never
+   holds an idle pool process back from the next one.
+5. **Compute** — the task makes one ``execute_op`` call on a persistent
+   pool: worker processes (``workers >= 1``) so the event loop never
+   blocks on pipeline work, or one thread (``workers == 0``, handy for
+   tests and single-core boxes).  Results populate the cache before
+   waiters wake.  A pool whose process died is replaced (logged, and
+   counted in the ``metrics`` op's ``pool.restarts``); only the
+   requests that were on it fail.  A source that does not compile
+   fails its request with ``bad_request``: the request was wrong, not
+   the service.
 
 Per-request timeouts apply to the *wait*, not the computation: a timed
 out or disconnected waiter abandons a shielded future, the computation
@@ -42,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.compiler.driver import COMPILE_ERRORS
-from repro.export import canonical_json
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
 from repro.service.ops import execute_op
@@ -76,8 +74,6 @@ class BatchScheduler:
                  cache: JsonTier,
                  workers: Optional[int] = None,
                  queue_size: int = 64,
-                 batch_window: float = 0.002,
-                 batch_max: int = 8,
                  default_timeout: float = 120.0,
                  metrics: Optional[ServiceMetrics] = None):
         if workers is None:
@@ -85,18 +81,14 @@ class BatchScheduler:
         self.workers = max(0, workers)
         self.pool_mode = "process" if self.workers else "thread"
         self.queue_size = queue_size
-        self.batch_window = batch_window
-        self.batch_max = max(1, batch_max)
         self.default_timeout = default_timeout
         self.cache = cache
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self._queue: "asyncio.Queue[_Job]" = \
-            asyncio.Queue(maxsize=max(1, queue_size))
         self._inflight: dict[str, "asyncio.Future[Any]"] = {}
         self._executor = None
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._batches: set[asyncio.Task] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._slots = asyncio.Semaphore(max(1, self.workers))
+        self._waiting = 0       # admitted, not yet holding a slot
         self._stopping = False
 
     # -- lifecycle ---------------------------------------------------
@@ -107,23 +99,13 @@ class BatchScheduler:
 
     def start(self) -> None:
         self._executor = self._new_executor()
-        self._dispatcher = asyncio.get_running_loop().create_task(
-            self._run())
 
     async def stop(self) -> None:
         self._stopping = True
-        tasks = list(self._batches)
-        if self._dispatcher is not None:
-            tasks.append(self._dispatcher)
-            self._dispatcher = None
+        tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
-        while not self._queue.empty():
-            job = self._queue.get_nowait()
-            if not job.future.done():
-                job.future.set_exception(ProtocolError(
-                    protocol.SHUTTING_DOWN, "server is shutting down"))
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -149,18 +131,18 @@ class BatchScheduler:
             if existing is not None:
                 self.metrics.coalesced += 1
                 return await self._wait(existing, request.timeout), None
-        future = asyncio.get_running_loop().create_future()
-        job = _Job(request, future)
-        if key is not None:
-            self._inflight[key] = future
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
-            if key is not None and self._inflight.get(key) is future:
-                del self._inflight[key]
+        if self._waiting >= max(1, self.queue_size):
             raise OverloadedError(
                 f"request queue full ({self.queue_size} pending)")
-        self.metrics.observe_queue_depth(self._queue.qsize())
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        if key is not None:
+            self._inflight[key] = future
+        self._waiting += 1
+        self.metrics.observe_queue_depth(self._waiting)
+        task = loop.create_task(self._run(_Job(request, future)))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         return await self._wait(future, request.timeout), None
 
     async def _wait(self, future: "asyncio.Future[Any]",
@@ -177,80 +159,23 @@ class BatchScheduler:
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize()
+        return self._waiting
 
-    # -- dispatch ----------------------------------------------------
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            # a slot per batch in flight: requests queue up (and merge)
-            # while every slot is busy
-            await self._slots.acquire()
-            batch = [await self._queue.get()]
-            while len(batch) < self.batch_max:
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._queue.get(), self.batch_window))
-                except asyncio.TimeoutError:
-                    break
-            self.metrics.record_batch(len(batch))
-            task = loop.create_task(self._run_batch(batch))
-            self._batches.add(task)
-            task.add_done_callback(self._batches.discard)
-
-    async def _run_batch(self, batch: list[_Job]) -> None:
+    # -- execution ---------------------------------------------------
+    async def _run(self, job: _Job) -> None:
+        """One admitted request: wait for a slot, then one pool call."""
         try:
-            await asyncio.gather(
-                *(self._run_group(jobs, op, params)
-                  for jobs, op, params in self._plan(batch)),
-                return_exceptions=True)
-        finally:
-            self._slots.release()
-
-    def _plan(self, batch: list[_Job]
-              ) -> list[tuple[list[_Job], str, dict]]:
-        """Group a batch into executor calls, merging simulations."""
-        groups: list[tuple[list[_Job], str, dict]] = []
-        simulate: dict[str, list[_Job]] = {}
-        for job in batch:
-            if job.request.op == "simulate":
-                base = canonical_json({
-                    "source": job.request.params["source"],
-                    "optimize": job.request.params["optimize"],
-                    "max_steps": job.request.params["max_steps"],
-                })
-                simulate.setdefault(base, []).append(job)
-            else:
-                groups.append(([job], job.request.op,
-                               job.request.params))
-        for jobs in simulate.values():
-            if len(jobs) == 1:
-                groups.append((jobs, "simulate", jobs[0].request.params))
-                continue
-            # one replay for the union of every request's configs
-            merged = dict(jobs[0].request.params)
-            union = []
-            for job in jobs:
-                union.extend(canonical_json(c)
-                             for c in job.request.params["configs"])
-            keys = list(dict.fromkeys(union))
-            merged["configs"] = [
-                next(c for job in jobs
-                     for c in job.request.params["configs"]
-                     if canonical_json(c) == key)
-                for key in keys]
-            self.metrics.merged_simulate_requests += len(jobs)
-            groups.append((jobs, "simulate", merged))
-        return groups
-
-    async def _run_group(self, jobs: list[_Job], op: str,
-                         params: dict) -> None:
-        loop = asyncio.get_running_loop()
+            await self._slots.acquire()
+        except asyncio.CancelledError:     # stop() while it waited
+            self._waiting -= 1
+            self._finish(job, error=ProtocolError(
+                protocol.SHUTTING_DOWN, "server is shutting down"))
+            return
+        self._waiting -= 1
         executor = self._executor
         try:
-            result = await loop.run_in_executor(
-                executor, execute_op, op, params)
-            self.metrics.computations += 1
+            result = await asyncio.get_running_loop().run_in_executor(
+                executor, execute_op, job.request.op, job.request.params)
         except Exception as exc:  # bad source, or worker/pool failure
             if isinstance(exc, BrokenProcessPool):
                 self._replace_pool(executor)
@@ -258,25 +183,16 @@ class BatchScheduler:
                 if isinstance(exc, COMPILE_ERRORS) \
                 else ProtocolError(protocol.INTERNAL,
                                    f"{type(exc).__name__}: {exc}")
-            for job in jobs:
-                self._finish(job, error=error)
+            self._finish(job, error=error)
             return
-        if len(jobs) == 1:
-            self._finish(jobs[0], result=result)
-            return
-        by_config = {canonical_json(entry["config"]): entry
-                     for entry in result["results"]}
-        for job in jobs:
-            # Copy every top-level field, not a fixed allowlist, so
-            # additions to the simulate schema survive merged requests.
-            split = {k: v for k, v in result.items() if k != "results"}
-            split["results"] = [by_config[canonical_json(c)] for c in
-                                job.request.params["configs"]]
-            self._finish(job, result=split)
+        finally:
+            self._slots.release()
+        self.metrics.computations += 1
+        self._finish(job, result=result)
 
     def _replace_pool(self, broken) -> None:
         """Swap in a fresh pool for ``broken``, once per broken pool:
-        every group that was on it sees the breakage, and only the
+        every request that was on it sees the breakage, and only the
         first to report it replaces the pool."""
         if self._stopping or self._executor is not broken:
             return

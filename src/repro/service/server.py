@@ -40,8 +40,6 @@ class ServerConfig:
     port: int = 8642            # 0: pick an ephemeral port
     workers: Optional[int] = None   # None: CPU count; 0: one thread
     queue_size: int = 64
-    batch_window: float = 0.002     # seconds the dispatcher waits
-    batch_max: int = 8              # max requests per batch
     timeout: float = 120.0          # default per-request seconds
     cache_entries: int = 256        # memory-tier LRU capacity
     # Results go to cache_dir itself, traces and stack-distance profiles
@@ -67,8 +65,6 @@ class AnalysisServer:
         self.scheduler = BatchScheduler(
             workers=self.config.workers,
             queue_size=self.config.queue_size,
-            batch_window=self.config.batch_window,
-            batch_max=self.config.batch_max,
             default_timeout=self.config.timeout,
             cache=self.cache,
             metrics=self.metrics)
@@ -252,12 +248,7 @@ def run_server(config: Optional[ServerConfig] = None,
         try:
             await server.serve_until_shutdown()
         finally:
-            holder["snapshot"] = server.metrics.snapshot(
-                cache_stats=server.cache.stats(),
-                queue_capacity=config.queue_size,
-                workers=server.scheduler.workers,
-                pool_mode=server.scheduler.pool_mode,
-                profile_store=server.profile_store.stats())
+            holder["snapshot"] = server._op_metrics()
 
     try:
         asyncio.run(main())

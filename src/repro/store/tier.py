@@ -132,11 +132,6 @@ class JsonTier:
             atomic_write_json(self.path(key),
                               {"version": self.version, **payload})
 
-    def contains(self, key: str) -> bool:
-        """Is ``key`` in memory or on disk?  (Campaign resume.)"""
-        return (self.layout.prefix, key) in self.memory \
-            or self.disk_dir is not None and self.path(key).exists()
-
     def stats(self) -> dict[str, Any]:
         """Counter snapshot with occupancy and hit rate (JSON-able)."""
         c = self.counters

@@ -11,8 +11,8 @@ import pytest
 from repro.compiler.driver import compile_source
 from repro.machine.simulator import run_program
 
-#: Timing-sensitive tests (service backpressure, batching windows,
-#: request timeouts) multiply every sleep and deadline bound by
+#: Timing-sensitive tests (service backpressure, worker slots, request
+#: timeouts) multiply every sleep and deadline bound by
 #: ``$REPRO_TEST_TIMEOUT``.  On a loaded CI runner, exporting e.g.
 #: ``REPRO_TEST_TIMEOUT=3`` stretches the schedule uniformly — the
 #: relative ordering the tests assert is untouched, only the margins

@@ -45,6 +45,16 @@ def _session(tmp_path: Path) -> Session:
     return Session(scale=SCALE, cache_dir=tmp_path / "cache")
 
 
+def _tear(cache: Path, pattern: str) -> list[Path]:
+    """Cut the tier entries under ``cache`` matching ``pattern`` short,
+    as a writer killed mid-file would leave them."""
+    paths = sorted(cache.glob(pattern))
+    assert paths, pattern
+    for path in paths:
+        path.write_text(path.read_text()[:20])
+    return paths
+
+
 #: Tables 16 and 17 cut down to one program: a campaign over them has
 #: one run cell and one scenario cell.
 SCENARIO_PROGRAM = "129.compress"
@@ -372,6 +382,40 @@ class TestCampaign:
                     if entry["campaign"] == result.campaign_id}
         assert recorded == {scenario: "computed", "table:16": "computed"}
         assert "16-entry" in result.tables[16]
+
+    @pytest.mark.usefixtures("scenario_grid")
+    @pytest.mark.parametrize("pattern", [
+        "129_compress-*.json", "scenario/sc-129_compress-*.json"])
+    def test_a_torn_entry_is_computed_not_disk(self, tmp_path, pattern):
+        Campaign(_session(tmp_path), numbers=[16]).run(jobs=1)
+        torn = _tear(tmp_path / "cache", pattern)
+        again = Campaign(_session(tmp_path), numbers=[16])
+        result = again.run(jobs=1)   # no resume: replans every cell
+        recorded = {entry["cell"]: entry["tier"]
+                    for entry in again.manifest.entries()
+                    if entry["campaign"] == result.campaign_id}
+        cell = (f"scenario:{SCENARIO_PROGRAM}:input1:base"
+                if pattern.startswith("scenario/")
+                else f"run:{SCENARIO_PROGRAM}:input1:base")
+        assert recorded[cell] == "computed"
+        assert [tier for name, tier in recorded.items()
+                if name != cell] == ["disk", "computed"]
+        # the recomputation published a whole entry again
+        assert all(json.loads(path.read_text()) for path in torn)
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_resume_recomputes_a_run_cell_whose_entry_is_torn(
+            self, tmp_path):
+        Campaign(_session(tmp_path), numbers=[16]).run(jobs=1)
+        _tear(tmp_path / "cache", "129_compress-*.json")
+        resumed = Campaign(_session(tmp_path), numbers=[16])
+        result = resumed.run(resume=True, jobs=1)
+        run = f"run:{SCENARIO_PROGRAM}:input1:base"
+        recorded = {entry["cell"]: entry["tier"]
+                    for entry in resumed.manifest.entries()
+                    if entry["campaign"] == result.campaign_id}
+        assert recorded[run] == "computed"
+        assert result.skipped == 2           # the scenario and the table
 
     def test_empty_repro_jobs_means_the_default(self, tmp_path,
                                                 monkeypatch):

@@ -100,6 +100,25 @@ class TestOraclesPassOnCleanCode:
         json.dumps(payload)     # report must be JSON-able
 
 
+    @pytest.mark.parametrize("op", ["simulate", "predict", "tlb"])
+    def test_service_oracle_catches_a_wrong_served_payload(
+            self, op, monkeypatch):
+        from repro.service.client import ServiceClient
+        call = ServiceClient.call
+
+        def perturbed(self, name, params=None, **kwargs):
+            result = call(self, name, params, **kwargs)
+            if name == op:
+                result["results"][-1]["total_loads"] = -1
+            return result
+
+        monkeypatch.setattr(ServiceClient, "call", perturbed)
+        with OracleContext() as ctx:
+            with pytest.raises(DivergenceError,
+                               match=f"{op} payload"):
+                ORACLES["service"].check(generate_case("minic", 0), ctx)
+
+
 class TestShrinker:
     def test_list_minimization(self):
         case = generate_case("trace", 0)

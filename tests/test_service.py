@@ -1,14 +1,15 @@
 """Delinquency-analysis service tests.
 
 Covers the wire protocol, served-vs-in-process result equality, request
-coalescing and simulate-batch merging, backpressure/overload behaviour,
-per-request timeouts, malformed-request handling, and both tiers of the
+coalescing, backpressure/overload behaviour, per-request timeouts,
+malformed-request handling, the metrics snapshot, and both tiers of the
 result cache.  Servers run on a background thread (``serve_in_thread``)
 with the single-thread pool (``workers=0``) so the suite stays fast and
 deterministic on one core; the process-pool tests cover concurrent
-batches and recovery from a killed pool process.
+requests and recovery from a killed pool process.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ import pytest
 
 from repro.api import analyze_program
 from repro.cache.config import CacheConfig
+from repro.cache.lru import BoundedCache
 from repro.cache.model import simulate_trace
 from repro.compiler.driver import compile_source
 from repro.export import report_to_dict
@@ -27,7 +29,10 @@ from repro.service.client import (ServiceClient, ServiceError,
                                   parse_address)
 from repro.service.protocol import (PROTOCOL_VERSION, ProtocolError,
                                     parse_request, request_key)
-from repro.service.server import ServerConfig, serve_in_thread
+from repro.service.scheduler import RESULT_VERSION, BatchScheduler
+from repro.service.server import (ServerConfig, run_server,
+                                  serve_in_thread)
+from repro.store.tier import SERVICE, JsonTier
 from tests.conftest import time_scaled
 
 SOURCE = r"""
@@ -169,6 +174,54 @@ class TestRoundTrip:
             assert section in metrics
 
 
+#: Snapshot keys perfbench's ``serve_explore`` workload reads.
+PERFBENCH_KEYS = ("cache.memory_hits", "cache.disk_hits", "cache.misses",
+                  "batching.coalesced_requests",
+                  "batching.merged_simulate_requests", "errors.total",
+                  "queue.peak")
+
+
+def _snapshot_values(snapshot: dict) -> dict:
+    values = {}
+    for dotted in PERFBENCH_KEYS:
+        section, name = dotted.split(".")
+        values[dotted] = snapshot[section][name]
+    return values
+
+
+class TestMetricsSnapshot:
+    def test_final_dump_is_the_metrics_snapshot(self, capsys):
+        config = ServerConfig(port=0, workers=0, use_disk_cache=False)
+        box: dict = {}
+        thread = threading.Thread(
+            target=lambda: box.update(run_server(config)))
+        thread.start()
+        printed = ""
+        deadline = time.monotonic() + 30.0
+        while "listening on" not in printed \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+            printed += capsys.readouterr().out
+        address = printed.split("listening on", 1)[1].split()[0]
+        with ServiceClient.connect(address, timeout=30.0) as c:
+            c.call("analyze", {"source": _variant(42)})
+            c.call("analyze", {"source": _variant(42)})
+            served = c.call("metrics")
+            c.call("shutdown")
+        thread.join(30.0)
+        assert not thread.is_alive()
+        # the dump and the op are built by one function
+        assert set(box) == set(served)
+        for section in ("batching", "cache", "errors", "queue"):
+            assert set(box[section]) == set(served[section])
+        values = _snapshot_values(box)
+        assert values == {
+            "cache.memory_hits": 1, "cache.disk_hits": 0,
+            "cache.misses": 1, "batching.coalesced_requests": 0,
+            "batching.merged_simulate_requests": 0, "errors.total": 0,
+            "queue.peak": 1}
+
+
 class TestCaching:
     def test_repeat_request_hits_memory(self, client):
         source = _variant(11)
@@ -245,54 +298,11 @@ class TestBatching:
         # one computation serves all six (coalesced or cache hits)
         assert after - computed_before == 1
 
-    def test_concurrent_simulates_merge_into_one_replay(self):
-        config = ServerConfig(port=0, workers=0, use_disk_cache=False,
-                              batch_window=time_scaled(0.25),
-                              batch_max=8)
-        sizes = (4 * 1024, 8 * 1024, 16 * 1024)
-        results: dict[int, dict] = {}
-        with serve_in_thread(config) as handle:
-            # hold the dispatcher so the simulates land in one batch
-            blocker = threading.Thread(
-                target=lambda: ServiceClient(
-                    handle.host, handle.port).call(
-                        "sleep", {"seconds": time_scaled(0.4)}))
-            blocker.start()
-            time.sleep(time_scaled(0.1))
-
-            def simulate(size: int) -> None:
-                with ServiceClient(handle.host, handle.port) as c:
-                    results[size] = c.call("simulate", {
-                        "source": SMALL, "configs": [{"size": size}]})
-
-            threads = [threading.Thread(target=simulate, args=(s,))
-                       for s in sizes]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            blocker.join()
-            with ServiceClient(handle.host, handle.port) as c:
-                batching = c.call("metrics")["batching"]
-        assert batching["merged_simulate_requests"] == len(sizes)
-        # one sleep + one merged replay for all three configs
-        assert batching["computations"] == 2
-        for size in sizes:
-            entry = results[size]["results"][0]
-            assert entry["config"]["size"] == size
-            direct = simulate_trace(
-                Machine(compile_source(SMALL),
-                        trace_memory=True).run().trace,
-                CacheConfig(size=size))
-            assert entry["total_load_misses"] \
-                == direct.total_load_misses
-
 
 class TestBackpressure:
     def test_overloaded_queue_rejects_fast(self):
         config = ServerConfig(port=0, workers=0, use_disk_cache=False,
-                              queue_size=1, batch_max=1,
-                              batch_window=0.0)
+                              queue_size=1)
         with serve_in_thread(config) as handle:
             def occupy(seconds: float) -> None:
                 with ServiceClient(handle.host, handle.port) as c:
@@ -324,6 +334,34 @@ class TestBackpressure:
                         timeout=time_scaled(0.2))
         assert err.value.code == "timeout"
         assert time.perf_counter() - started < time_scaled(3.0)
+
+
+class TestScheduler:
+    def test_stop_fails_a_waiting_request_as_shutting_down(self):
+        def sleep(seconds: float):
+            return parse_request(json.dumps(
+                {"op": "sleep", "params": {"seconds": seconds}}).encode())
+
+        async def scenario():
+            scheduler = BatchScheduler(
+                cache=JsonTier(SERVICE, RESULT_VERSION, None,
+                               BoundedCache(4)),
+                workers=0, queue_size=4)
+            scheduler.start()
+            running = asyncio.ensure_future(
+                scheduler.submit(sleep(time_scaled(0.3))))
+            await asyncio.sleep(time_scaled(0.05))   # holds the slot
+            waiting = asyncio.ensure_future(scheduler.submit(sleep(0.0)))
+            await asyncio.sleep(time_scaled(0.05))
+            depth = scheduler.queue_depth
+            await scheduler.stop()
+            with pytest.raises(ProtocolError) as err:
+                await waiting
+            running.cancel()
+            await asyncio.gather(running, return_exceptions=True)
+            return depth, err.value.code, scheduler.queue_depth
+
+        assert asyncio.run(scenario()) == (1, "shutting_down", 0)
 
 
 class TestMalformedRequests:

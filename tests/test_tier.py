@@ -153,13 +153,8 @@ class TestJsonTier:
         tier = self._tier(None)
         tier.put("k", 1, {"v": 1})
         assert tier.get("k", dict) == (1, MEMORY)
-        assert tier.contains("k") and not tier.contains("j")
+        assert tier.get("j", dict) == (None, None)
         assert not list(tmp_path.iterdir())
-
-    def test_contains_sees_disk(self, tmp_path):
-        self._tier(tmp_path).put("k", 1, {"v": 1})
-        fresh = self._tier(tmp_path)
-        assert fresh.contains("k") and not fresh.contains("j")
 
     def test_shared_memory_is_namespaced(self, tmp_path):
         memory = BoundedCache(2)
