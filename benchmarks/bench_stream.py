@@ -19,6 +19,10 @@ ride with the commit that produced them:
   that the streamed CacheStats fingerprint matches a materialized
   subprocess bit for bit.  The compression ratio of the stored blob is
   recorded alongside.
+
+Both recorded compression ratios are gated at no less than the delta +
+zlib codec's (store schema 1) records, so a later codec cannot silently
+grow the store.
 """
 
 import hashlib
@@ -56,6 +60,11 @@ COLD_GRID = [CacheConfig(size=s * a * 32, assoc=a, block_size=32)
 #: chunk decoding (meta access counts + persisted histograms).
 WARM_GRID = [CacheConfig(size=s * a * 32, assoc=a, block_size=32)
              for s in (64, 128, 256) for a in (1, 3, 6)]
+
+#: Compression ratios (raw bytes / stored bytes) that the delta + zlib
+#: codec recorded at scale 0.15 and 100 passes: the floor for any codec.
+DELTA_RATIO_STORE_WARMED = 20.1
+DELTA_RATIO_OUT_OF_CORE = 17.2
 
 _results: dict = {}
 
@@ -126,6 +135,10 @@ def test_store_warmed_reanalysis_speedup():
     # warm re-analysis executes nothing and reads no trace chunks:
     # measured ~100x; the acceptance gate is >= 5x
     assert speedup >= 5.0
+    ratio = _results["store_warmed_reanalysis"]["compression_ratio"]
+    assert ratio >= DELTA_RATIO_STORE_WARMED, (
+        f"store-warmed trace compresses {ratio}x, below the delta "
+        f"codec's {DELTA_RATIO_STORE_WARMED}x")
 
 
 _CHILD = r"""
@@ -234,3 +247,7 @@ def test_out_of_core_rss_bound():
         f"trace {raw_bytes} B only {scale_factor:.1f}x the streamed "
         f"peak RSS {streamed_rss} B")
     assert streamed["rss_kb"] < materialized["rss_kb"] / 2
+    ratio = _results["out_of_core"]["compression_ratio"]
+    assert ratio >= DELTA_RATIO_OUT_OF_CORE, (
+        f"out-of-core trace compresses {ratio}x, below the delta "
+        f"codec's {DELTA_RATIO_OUT_OF_CORE}x")

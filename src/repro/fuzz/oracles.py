@@ -245,8 +245,8 @@ def check_streaming(case, ctx: OracleContext) -> None:
     """Chunked replay — cold and store-warmed — vs. materialized.
 
     Verifies the whole out-of-core pipeline on one case: in-memory
-    chunking at awkward chunk sizes, a store round-trip (delta + zlib
-    columns), the chunk-boundary-independent digest, the stack-distance
+    chunking at awkward chunk sizes, a store round-trip (byte-plane +
+    zlib columns), the chunk-boundary-independent digest, the stack-distance
     profile pass, and (for program cases) streaming execution itself —
     all bit-identical to the materialized path.
     """

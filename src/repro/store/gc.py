@@ -17,10 +17,11 @@ expire on their own:
 :func:`collect_garbage` bounds the whole directory by total size with
 LRU eviction: entries are ranked by mtime (trace store reads touch
 their entry, so recently streamed traces survive) and the oldest are
-deleted until the budget holds.  Undecodable or incomplete entries —
-orphaned trace bins, meta without a bin, malformed JSON, stale ``.tmp``
-leftovers from dead writers — are *reported and removed first*; every
-tier re-creates missing entries on demand, so removal is always safe.
+deleted until the budget holds.  Unusable entries — orphaned trace
+bins, meta without a bin, malformed JSON, trace pairs of another store
+schema (never looked up), stale ``.tmp`` leftovers from dead writers —
+are *reported and removed first*; every tier re-creates missing
+entries on demand, so removal is always safe.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.store.tier import LAYOUTS
+from repro.store.tracestore import _SCHEMA
 
 #: Minimum age (seconds) before a ``*.tmp`` file counts as stale.
 #: Writers publish via per-PID temp files renamed into place; a gc
@@ -90,12 +92,15 @@ def _stat(paths: tuple[Path, ...]) -> tuple[int, float]:
     return size, mtime
 
 
-def _json_ok(path: Path) -> bool:
+_MALFORMED = object()
+
+
+def _load_json(path: Path):
+    """The JSON value stored at ``path``, or ``_MALFORMED``."""
     try:
-        json.loads(path.read_text())
-        return True
+        return json.loads(path.read_text())
     except (OSError, ValueError):
-        return False
+        return _MALFORMED
 
 
 def _tier_files(root: Path, pattern: str):
@@ -137,7 +142,7 @@ def scan_entries(root: Path, tmp_grace: float = TMP_GRACE_SECONDS
         entries.append(GcEntry(tier, name, paths, size, mtime))
 
     for path, tier in _tier_files(root, "*.json"):
-        if _json_ok(path):
+        if _load_json(path) is not _MALFORMED:
             add(tier, path.name, (path,))
         else:
             corrupt.append((tier, path.name, "malformed JSON", (path,)))
@@ -148,11 +153,16 @@ def scan_entries(root: Path, tmp_grace: float = TMP_GRACE_SECONDS
         for meta in traces.glob("tr-*.json"):
             stem = meta.name[:-5]
             bin_path = bins.pop(stem, None)
+            payload = _load_json(meta)
             if bin_path is None:
                 corrupt.append(("traces", meta.name, "meta without bin",
                                 (meta,)))
-            elif not _json_ok(meta):
+            elif payload is _MALFORMED:
                 corrupt.append(("traces", stem, "malformed meta",
+                                (meta, bin_path)))
+            elif not isinstance(payload, dict) \
+                    or payload.get("schema") != _SCHEMA:
+                corrupt.append(("traces", stem, "stale schema",
                                 (meta, bin_path)))
             else:
                 add("traces", stem, (meta, bin_path))

@@ -1,4 +1,4 @@
-"""Delta-encoded, zlib-compressed columnar trace store.
+"""Byte-plane shuffled, zlib-compressed columnar trace store.
 
 One entry persists one complete memory-access stream as a sequence of
 framed chunks, so later sweeps and analyses stream it back from disk
@@ -14,11 +14,10 @@ On-disk layout, per entry ``key``:
     A sequence of frames, one per :class:`TraceChunk`.  Each frame is a
     16-byte little-endian header ``(rows, pc_len, addr_len, kind_len)``
     followed by the three column blobs.  The pc and address columns are
-    delta-encoded first — ``d[0] = x[0]``, ``d[i] = (x[i] - x[i-1]) &
-    0xFFFFFFFF`` — which turns the dominant patterns (straight-line pc
-    runs, strided array walks) into tiny repeating values, then
-    zlib-compressed; the kind column compresses well raw.  Columns are
-    little-endian ``uint32``/``uint8`` regardless of host byteswap.
+    little-endian ``uint32`` split into byte planes — plane ``k`` holds
+    byte ``k`` of every row, planes 0..3 in order — then zlib-compressed:
+    the high planes are long constant runs, and both directions are
+    C-level byte slicing.  The kind column (``uint8``) is deflated raw.
 
 ``tr-<key>.json``
     The metadata sidecar: schema version, row count, canonical rolling
@@ -46,8 +45,6 @@ import sys
 import zlib
 from array import array
 from collections import Counter
-from itertools import accumulate, chain
-from operator import sub
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -55,9 +52,8 @@ from repro.machine.trace import (DEFAULT_CHUNK_ACCESSES, LOAD, PREFETCH,
                                  ChunkStream, MemoryTrace,
                                  RollingTraceDigest, TraceChunk)
 
-_SCHEMA = 1
+_SCHEMA = 2
 _FRAME = struct.Struct("<IIII")      # rows, pc blob, addr blob, kind blob
-_MASK32 = 0xFFFF_FFFF
 _SWAP = sys.byteorder == "big"
 
 
@@ -86,33 +82,29 @@ class TraceStoreCorrupt(Exception):
 
 
 def _le(column: array) -> array:
+    """``column`` in little-endian order, or back: a swap undoes itself."""
     if _SWAP:
         column = array(column.typecode, column)
         column.byteswap()
     return column
 
 
-def _delta_blob(column: array) -> bytes:
-    """Delta-encode a uint32 column and deflate it.
-
-    The subtraction and masking run entirely through C-level ``map``
-    calls — no Python-level loop touches the rows.
-    """
-    deltas = array("I", map(_MASK32.__and__,
-                            map(sub, column, chain((0,), column))))
-    return zlib.compress(_le(deltas).tobytes(), 6)
+def _shuffled_blob(column: array) -> bytes:
+    """Split a uint32 column into its four byte planes and deflate them."""
+    data = _le(column).tobytes()
+    return zlib.compress(b"".join(data[k::4] for k in range(4)), 6)
 
 
-def _undelta_blob(blob: bytes, rows: int) -> array:
-    deltas = array("I")
-    deltas.frombytes(zlib.decompress(blob))
-    if _SWAP:
-        deltas.byteswap()
-    if len(deltas) != rows:
+def _unshuffled_column(blob: bytes, rows: int) -> array:
+    planes = memoryview(zlib.decompress(blob))
+    if len(planes) != 4 * rows:
         raise TraceStoreCorrupt("column length mismatch")
-    # Masked prefix sum inverts the delta encoding; ``accumulate`` and
-    # ``map`` keep the reconstruction at C speed.
-    return array("I", map(_MASK32.__and__, accumulate(deltas)))
+    data = bytearray(4 * rows)
+    for k in range(4):
+        data[k::4] = planes[k * rows:(k + 1) * rows]
+    column = array("I")
+    column.frombytes(data)
+    return _le(column)
 
 
 def _sound(meta: dict) -> bool:
@@ -160,8 +152,8 @@ class TraceStoreWriter:
         self._file = open(self._temp, "wb")
 
     def __call__(self, chunk: TraceChunk) -> None:
-        pc_blob = _delta_blob(chunk.pcs)
-        addr_blob = _delta_blob(chunk.addresses)
+        pc_blob = _shuffled_blob(chunk.pcs)
+        addr_blob = _shuffled_blob(chunk.addresses)
         kind_blob = zlib.compress(chunk.kinds.tobytes(), 6)
         self._file.write(_FRAME.pack(len(chunk), len(pc_blob),
                                      len(addr_blob), len(kind_blob)))
@@ -232,9 +224,6 @@ class TraceStore:
     def _meta(self, key: str) -> Path:
         return self.root / f"tr-{key}.json"
 
-    def contains(self, key: str) -> bool:
-        return self._meta(key).exists() and self._bin(key).exists()
-
     def meta(self, key: str) -> Optional[dict]:
         """The meta sidecar, or None if absent, undecodable or torn.
 
@@ -276,8 +265,8 @@ class TraceStore:
                 if len(body) != pc_len + addr_len + kind_len:
                     raise TraceStoreCorrupt("short frame body")
                 try:
-                    pcs = _undelta_blob(body[:pc_len], count)
-                    addresses = _undelta_blob(
+                    pcs = _unshuffled_column(body[:pc_len], count)
+                    addresses = _unshuffled_column(
                         body[pc_len:pc_len + addr_len], count)
                     kinds = array("B")
                     kinds.frombytes(

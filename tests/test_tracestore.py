@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import zlib
+from array import array
 from pathlib import Path
 
 import pytest
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import BASELINE_CONFIG, CacheConfig
 from repro.cache.model import simulate_trace_multi
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.campaign import Campaign
@@ -19,8 +22,11 @@ from repro.machine.simulator import Machine
 from repro.machine.trace import (LOAD, PREFETCH, STORE, MemoryTrace,
                                  TraceChunk)
 from repro.pipeline.session import Session
-from repro.store import TraceStore, TraceStoreCorrupt, trace_key
+from repro.store import (TraceHandle, TraceStore, TraceStoreCorrupt,
+                         trace_key)
+from repro.store import tracestore
 from repro.store.gc import collect_garbage, parse_size, scan_entries
+from tests.conftest import SAMPLE_SOURCE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -194,6 +200,122 @@ class TestStoreRoundTrip:
         assert not list((tmp_path / "traces").glob("*.tmp"))
 
 
+# -- column codec ------------------------------------------------------
+
+#: sha1 of the pinned chunk's frame as a reader sees it: the header's
+#: row count, then each column blob inflated.  Deflate output bytes
+#: differ between zlib builds (zlib vs zlib-ng), so the pin covers the
+#: format, not one compressor's bytes.  Whenever this pin changes,
+#: bump ``tracestore._SCHEMA`` so stale entries are never read.
+FRAME_PIN = "70ce93e77971b7013aed3858757e3186a1a7be07"
+
+
+def pinned_chunk() -> TraceChunk:
+    """Extreme values, a stride-4 walk and repeated pcs."""
+    pcs = array("I", [0x1000, 0x1004, 0x1008] * 5 + [0xFFFF_FFFF])
+    addresses = array("I", [0xFFFF_FFFF, 0]
+                      + [0x7FFF_FFF8 + 4 * i for i in range(14)])
+    kinds = array("B", [LOAD, STORE, PREFETCH] * 5 + [LOAD])
+    return TraceChunk(pcs, addresses, kinds, 0)
+
+
+def inflated_frames(data: bytes) -> list[tuple[int, list[bytes]]]:
+    """Every frame of a bin as ``(rows, [pc, address, kind planes])``."""
+    frames = []
+    offset = 0
+    while offset < len(data):
+        rows, *lengths = tracestore._FRAME.unpack_from(data, offset)
+        offset += tracestore._FRAME.size
+        blobs = []
+        for length in lengths:
+            blobs.append(zlib.decompress(data[offset:offset + length]))
+            offset += length
+        frames.append((rows, blobs))
+    return frames
+
+
+def shorten_first_pc_plane(path: Path) -> None:
+    """Make the first frame's pc blob valid zlib of one row too few."""
+    data = path.read_bytes()
+    rows, pc_len, addr_len, kind_len = tracestore._FRAME.unpack_from(data)
+    blob = zlib.compress(bytes(4 * rows - 4))
+    path.write_bytes(tracestore._FRAME.pack(rows, len(blob), addr_len,
+                                            kind_len)
+                     + blob + data[tracestore._FRAME.size + pc_len:])
+
+
+class TestColumnCodec:
+    def write_chunk(self, tmp_path: Path, chunk: TraceChunk) -> bytes:
+        store = TraceStore(tmp_path / "traces")
+        writer = store.writer("k")
+        writer(chunk)
+        writer.close()
+        return store._bin("k").read_bytes()
+
+    def test_format_pin(self, tmp_path):
+        chunk = pinned_chunk()
+        ((rows, (pcs, addresses, kinds)),) = inflated_frames(
+            self.write_chunk(tmp_path, chunk))
+        assert rows == 16
+        # plane k holds byte k of every row
+        assert pcs[:16] == bytes([0x00, 0x04, 0x08] * 5 + [0xFF])
+        assert addresses[48:] == bytes([0xFF, 0x00, 0x7F, 0x7F] + [0x80] * 12)
+        assert kinds == chunk.kinds.tobytes()
+        digest = hashlib.sha1(rows.to_bytes(4, "little") + pcs
+                              + addresses + kinds).hexdigest()
+        assert digest == FRAME_PIN
+
+    def test_wrong_plane_length_is_corrupt_lazily(self, tmp_path):
+        store = TraceStore(tmp_path / "traces")
+        store.put_trace("k", sawtooth_trace(100), chunk_accesses=64)
+        shorten_first_pc_plane(store._bin("k"))
+        stream = store.open("k")          # the sidecar is fine
+        assert stream is not None
+        with pytest.raises(TraceStoreCorrupt, match="length mismatch"):
+            for _ in stream:
+                pass
+
+    def test_wrong_plane_length_reexecutes_once(self, tmp_path,
+                                                monkeypatch):
+        program = compile_source(SAMPLE_SOURCE)
+        store = TraceStore(tmp_path / "traces")
+
+        def compute(source):
+            return simulate_trace_multi(source, [BASELINE_CONFIG])
+        reference = TraceHandle(program, "k", store).replay(compute)
+        shorten_first_pc_plane(store._bin("k"))
+        runs = []
+        original = Machine.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(1)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(Machine, "run", counting)
+        assert TraceHandle(program, "k", store).replay(compute) \
+            == reference
+        assert runs == [1]
+        assert store.meta("k") is None    # the entry was dropped
+
+    def test_big_endian_path_round_trips(self, tmp_path, monkeypatch):
+        trace = sawtooth_trace(300)
+        store = TraceStore(tmp_path / "traces")
+        store.put_trace("le", trace, chunk_accesses=64)
+        monkeypatch.setattr(tracestore, "_SWAP", True)
+        store.put_trace("be", trace, chunk_accesses=64)
+        rebuilt = MemoryTrace()
+        for chunk in store.open("be"):
+            rebuilt.extend(chunk.pcs, chunk.addresses, chunk.kinds)
+        assert rebuilt.pcs == trace.pcs
+        assert rebuilt.addresses == trace.addresses
+        assert rebuilt.kinds == trace.kinds
+        # the swapped writer laid the planes out in the opposite order
+        (_, (le_pcs, _, _)), *_ = inflated_frames(
+            store._bin("le").read_bytes())
+        (_, (be_pcs, _, _)), *_ = inflated_frames(
+            store._bin("be").read_bytes())
+        assert be_pcs[:64] == le_pcs[192:] != le_pcs[:64]
+
+
 # -- corruption --------------------------------------------------------
 
 class TestCorruption:
@@ -292,7 +414,7 @@ class TestSessionStore:
         session.stats("129.compress")
         source = session.source("129.compress")
         key = trace_key(source, False, session.max_steps)
-        assert TraceStore(tmp_path / "traces").contains(key)
+        assert TraceStore(tmp_path / "traces").meta(key) is not None
 
     @pytest.mark.usefixtures("small_grid")
     def test_concurrent_warm_writers_share_store(self, tmp_path):
@@ -354,6 +476,23 @@ class TestCacheGc:
         assert not (tmp_path / "bad.json").exists()
         assert not (tmp_path / "traces" / "tr-orphan.bin").exists()
         assert not scan_entries(tmp_path)[1]
+
+    def test_stale_schema_pairs_reported_and_removed(self, tmp_path):
+        self.populate(tmp_path)
+        store = TraceStore(tmp_path / "traces")
+        store.put_trace("old", sawtooth_trace(50))
+        meta = json.loads(store._meta("old").read_text())
+        meta["schema"] = 1
+        store._meta("old").write_text(json.dumps(meta))
+        report = collect_garbage(tmp_path, 1 << 30, dry_run=True)
+        assert report.corrupt == [("traces", "tr-old", "stale schema")]
+        assert store._bin("old").exists() and store._meta("old").exists()
+        report = collect_garbage(tmp_path, 1 << 30)
+        assert report.corrupt == [("traces", "tr-old", "stale schema")]
+        assert not store._bin("old").exists()
+        assert not store._meta("old").exists()
+        assert store.keys() == ["aa", "bb"]   # current pairs are kept
+        assert not report.evicted
 
     def test_gc_spares_a_concurrent_writers_temp_files(self, tmp_path):
         """A fresh per-PID ``*.tmp`` belongs to a live writer mid-
