@@ -19,14 +19,15 @@ replay with bounded RSS.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from repro.cache.config import CacheConfig
 from repro.cache.lru import BoundedCache
-from repro.machine.trace import (LOAD, PREFETCH, STORE, ChunkStream,
-                                 MemoryTrace, TraceChunk)
+from repro.machine.trace import (LOAD, PREFETCH, STORE, AccessTally,
+                                 ChunkStream, MemoryTrace, TraceChunk)
 
 #: Anything the replay engines can consume.
 TraceSource = Union[MemoryTrace, ChunkStream, Iterable[TraceChunk]]
@@ -209,46 +210,35 @@ def _chunk_columns(source: TraceSource
         yield chunk.pcs, chunk.addresses, chunk.kinds
 
 
-#: Public spelling of the column iterator for the scenario families
-#: (``repro.tlb``, ``repro.redundancy``): any analysis that folds state
-#: over the access sequence should consume this, never the raw chunks,
-#: so materialized and streamed inputs stay bit-identical by
-#: construction.
-chunk_columns = _chunk_columns
+def _tallied(tally: AccessTally, columns: Iterable[tuple]
+             ) -> Iterator[tuple]:
+    """Pass ``columns`` through unchanged, tallying each triple."""
+    for pcs, addresses, kinds in columns:
+        tally.update(pcs, kinds)
+        yield pcs, addresses, kinds
 
 
-class _AccessTally:
-    """Per-PC access counts accumulated while chunks flow past.
+def _counted_columns(source: TraceSource
+                    ) -> tuple[Iterator[tuple],
+                               Callable[[], tuple[dict[int, int],
+                                                  dict[int, int], int]]]:
+    """The column feed of ``source`` and its per-PC access counts.
 
-    One-shot chunk iterators cannot be rescanned after the replay, so
-    the counting work :func:`shared_access_counts` does for materialized
-    traces happens inline: wrap the column feed with :meth:`feed`, then
-    read the totals after the replay has drained it.
+    Returns ``(columns, counts)``: ``counts()`` gives the per-PC (load,
+    store) access counts and the prefetch total once ``columns`` has
+    been drained.  Materialized traces use the memoized column scan and
+    store-backed streams the counts recorded at write time; any other
+    source is tallied while its columns flow past, so a one-shot chunk
+    iterator is read only once.
     """
-
-    def __init__(self):
-        self.counts: Counter = Counter()
-        self.kind_of: dict[int, int] = {}
-        self.prefetch_ops = 0
-
-    def feed(self, columns: Iterable[tuple]) -> Iterator[tuple]:
-        for pcs, addresses, kinds in columns:
-            self.counts.update(pcs)
-            self.kind_of.update(zip(pcs, kinds))
-            self.prefetch_ops += kinds.count(PREFETCH)
-            yield pcs, addresses, kinds
-
-    def access_counts(self) -> tuple[dict[int, int], dict[int, int]]:
-        load_accesses: dict[int, int] = {}
-        store_accesses: dict[int, int] = {}
-        kind_of = self.kind_of
-        for pc, count in self.counts.items():
-            kind = kind_of[pc]
-            if kind == LOAD:
-                load_accesses[pc] = count
-            elif kind != PREFETCH:
-                store_accesses[pc] = count
-        return load_accesses, store_accesses
+    if isinstance(source, MemoryTrace) or (
+            isinstance(source, ChunkStream)
+            and source._load_accesses is not None):
+        return (_chunk_columns(source),
+                lambda: source_access_counts(source))
+    tally = AccessTally()
+    return (_tallied(tally, _chunk_columns(source)),
+            tally.split)
 
 
 def source_access_counts(source: TraceSource
@@ -264,11 +254,10 @@ def source_access_counts(source: TraceSource
         return load_accesses, store_accesses, source.prefetch_count
     if isinstance(source, ChunkStream):
         return source.access_counts()
-    tally = _AccessTally()
-    for _ in tally.feed(_chunk_columns(source)):
+    columns, counts = _counted_columns(source)
+    for _ in columns:
         pass
-    load_accesses, store_accesses = tally.access_counts()
-    return load_accesses, store_accesses, tally.prefetch_ops
+    return counts()
 
 
 def simulate_trace(source: TraceSource, config: CacheConfig) -> CacheStats:
@@ -342,11 +331,13 @@ def simulate_trace(source: TraceSource, config: CacheConfig) -> CacheStats:
 # instruction to a closure" idiom): geometry constants are folded into
 # the bytecode, the trace decode and kind dispatch are shared across all
 # configs, distinct block sizes are divided once per access, and misses
-# are recorded through bound ``list.append``s and aggregated with
+# are recorded through bound ``array('I').append``s and aggregated with
 # ``collections.Counter`` (C speed) after the pass.  The replacement
 # logic is emitted verbatim from :func:`simulate_trace`'s loop, so the
 # per-config results — including the pseudo-random victim sequence —
-# are bit-identical to per-config replays.
+# are bit-identical to per-config replays.  :class:`ReplayFold`s add
+# other per-row analyses (the scenario pass's PCAX predictor and
+# redundancy state) to the same loop.
 
 
 def _emit_cache_update(tag: str, config: CacheConfig, block_var: str,
@@ -387,46 +378,86 @@ def _emit_cache_state(tag: str, config: CacheConfig) -> list[str]:
     return lines
 
 
-def _block_vars(configs: Sequence[CacheConfig]) -> dict[int, str]:
-    """One ``block = address // size`` variable per distinct size."""
-    return {config.block_size: f"block{config.block_size}"
-            for config in configs}
+@dataclass(frozen=True)
+class ReplayFold:
+    """Per-row work a compiled replay runs beside its caches.
+
+    The fields are lines of generated source without their base
+    indentation: ``state`` opens the replay function, and ``load`` and
+    ``store`` run in that kind's branch after the cache updates.  They
+    may read ``pc``, ``address`` and ``block{size}`` (the address
+    shifted to a ``size``-byte block) for each size in ``blocks``.
+    ``result`` is the expression the replay hands back for the fold,
+    and ``finish(value, load_accesses)`` turns it into the fold's
+    result.  Folds compare by their source, so equal folds share one
+    compiled replay.
+    """
+
+    state: tuple[str, ...]
+    load: tuple[str, ...] = ()
+    store: tuple[str, ...] = ()
+    blocks: tuple[int, ...] = ()
+    result: str = "None"
+    finish: Callable[[Any, dict[int, int]], Any] = field(
+        default=lambda value, load_accesses: value, compare=False)
 
 
-def _compile_replay(configs: Sequence[CacheConfig]):
-    """Build ``replay(columns) -> [(lm, sm, fills), ...]``.
+def _block_expression(size: int) -> str:
+    if size & (size - 1):
+        return f"address // {size}"
+    return f"address >> {size.bit_length() - 1}"
+
+
+def _compile_replay(configs: Sequence[CacheConfig],
+                    folds: Sequence[ReplayFold] = ()):
+    """Build ``replay(columns) -> ([(lm, sm, fills), ...], [value, ...])``.
 
     ``columns`` is an iterable of ``(pcs, addresses, kinds)`` triples
     (one for a materialized trace, one per chunk for a stream); all
-    cache state lives in locals and folds across the triples, so chunk
-    boundaries are invisible to the replay semantics.
+    cache and fold state lives in locals and folds across the triples,
+    so chunk boundaries are invisible to the replay semantics.  The
+    second list holds each fold's ``result``.
     """
-    blocks = _block_vars(configs)
+    sizes = dict.fromkeys([c.block_size for c in configs]
+                          + [size for fold in folds for size in fold.blocks])
     lines = ["def replay(columns):"]
     for index, config in enumerate(configs):
         lines += _emit_cache_state(str(index), config)
-        lines += [f"    lm{index} = []",
+        lines += [f"    lm{index} = array('I')",
                   f"    lma{index} = lm{index}.append",
-                  f"    sm{index} = []",
+                  f"    sm{index} = array('I')",
                   f"    sma{index} = sm{index}.append",
                   f"    fills{index} = 0"]
+    for fold in folds:
+        lines += [f"    {line}" for line in fold.state]
     lines.append("    for pcs, addresses, kinds in columns:")
     lines.append("      for pc, address, kind in zip(pcs, addresses,"
                  " kinds):")
-    for size, name in blocks.items():
-        lines.append(f"        {name} = address // {size}")
-    for kind, miss in ((LOAD, "lma{i}(pc)"), (STORE, "sma{i}(pc)"),
-                       (PREFETCH, "fills{i} += 1")):
-        head = "if" if kind == LOAD else "elif"
-        lines.append(f"        {head} kind == {kind}:")
+    for size in sizes:
+        lines.append(f"        block{size} = {_block_expression(size)}")
+    head = "if"
+    for kind, miss, part in ((LOAD, "lma{i}(pc)", "load"),
+                             (STORE, "sma{i}(pc)", "store"),
+                             (PREFETCH, "fills{i} += 1", None)):
+        body = []
         for index, config in enumerate(configs):
-            lines += _emit_cache_update(
-                str(index), config, blocks[config.block_size],
+            body += _emit_cache_update(
+                str(index), config, f"block{config.block_size}",
                 [miss.format(i=index)], 12)
-    results = ", ".join(f"(lm{i}, sm{i}, fills{i})"
+        if part is not None:
+            body += [f"            {line}" for fold in folds
+                     for line in getattr(fold, part)]
+        if body:
+            lines.append(f"        {head} kind == {kind}:")
+            lines += body
+            head = "elif"
+    if head == "if":
+        lines.append("        pass")
+    triples = ", ".join(f"(lm{i}, sm{i}, fills{i})"
                         for i in range(len(configs)))
-    lines.append(f"    return [{results}]")
-    namespace: dict = {}
+    values = ", ".join(fold.result for fold in folds)
+    lines.append(f"    return [{triples}], [{values}]")
+    namespace: dict = {"array": array}
     exec("\n".join(lines), namespace)  # trusted, generated source
     return namespace["replay"]
 
@@ -434,13 +465,14 @@ def _compile_replay(configs: Sequence[CacheConfig]):
 _REPLAY_CACHE = BoundedCache(64)
 
 
-def _replay_for(configs: Sequence[CacheConfig]):
-    key = tuple((c.num_sets, c.assoc, c.block_size, c.replacement,
-                 c.rng_seed)
-                for c in configs)
+def _replay_for(configs: Sequence[CacheConfig],
+                folds: Sequence[ReplayFold] = ()):
+    key = (tuple((c.num_sets, c.assoc, c.block_size, c.replacement,
+                  c.rng_seed)
+                 for c in configs), tuple(folds))
     replay = _REPLAY_CACHE.get(key)
     if replay is None:
-        replay = _compile_replay(configs)
+        replay = _compile_replay(configs, folds)
         _REPLAY_CACHE.put(key, replay)
     return replay
 
@@ -449,8 +481,8 @@ def shared_access_counts(trace: MemoryTrace
                          ) -> tuple[dict[int, int], dict[int, int]]:
     """Per-PC (load, store) access counts, shared by every config.
 
-    A static PC has a single access kind, so the counts reduce to one
-    C-speed ``Counter`` over the PC column plus a kind lookup table.
+    The counts are one C-speed
+    :class:`~repro.machine.trace.AccessTally` pass over the columns.
     The result is memoized on the trace (every consumer copies the
     dicts into its ``CacheStats``), so a histogram-served re-sweep
     never rescans the columns.
@@ -458,23 +490,16 @@ def shared_access_counts(trace: MemoryTrace
     memo = getattr(trace, "_access_counts", None)
     if memo is not None and memo[0] == len(trace):
         return memo[1], memo[2]
-    kind_of = dict(zip(trace.pcs, trace.kinds))
-    counts = Counter(trace.pcs)
-    load_accesses: dict[int, int] = {}
-    store_accesses: dict[int, int] = {}
-    for pc, count in counts.items():
-        kind = kind_of[pc]
-        if kind == LOAD:
-            load_accesses[pc] = count
-        elif kind != PREFETCH:
-            store_accesses[pc] = count
+    tally = AccessTally()
+    tally.update(trace.pcs, trace.kinds)
+    load_accesses, store_accesses, _ = tally.split()
     trace._access_counts = (len(trace), load_accesses, store_accesses)
     return load_accesses, store_accesses
 
 
 def simulate_trace_multi(source: TraceSource,
-                         configs: Sequence[CacheConfig]
-                         ) -> list[CacheStats]:
+                         configs: Sequence[CacheConfig],
+                         folds: Sequence[ReplayFold] = ()) -> list[Any]:
     """Replay an access stream once through N cold caches.
 
     Produces bit-identical results to N separate :func:`simulate_trace`
@@ -484,25 +509,16 @@ def simulate_trace_multi(source: TraceSource,
     per-config.  Chunked sources replay with bounded RSS; when the
     stream carries no producer-recorded counts, the access tally rides
     the same single pass.
+
+    Returns one :class:`CacheStats` per config, followed by one result
+    per fold of ``folds``, which ride the same pass.
     """
     configs = list(configs)
-    if not configs:
+    if not configs and not folds:
         return []
-    replay = _replay_for(configs)
-    if isinstance(source, MemoryTrace):
-        raw = replay(_chunk_columns(source))
-        load_accesses, store_accesses = shared_access_counts(source)
-        prefetch_ops = source.prefetch_count
-    elif (isinstance(source, ChunkStream)
-          and source._load_accesses is not None):
-        raw = replay(_chunk_columns(source))
-        load_accesses, store_accesses, prefetch_ops = \
-            source.access_counts()
-    else:
-        tally = _AccessTally()
-        raw = replay(tally.feed(_chunk_columns(source)))
-        load_accesses, store_accesses = tally.access_counts()
-        prefetch_ops = tally.prefetch_ops
+    columns, counts = _counted_columns(source)
+    raw, values = _replay_for(configs, folds)(columns)
+    load_accesses, store_accesses, prefetch_ops = counts()
     return [
         CacheStats(
             config=config,
@@ -515,4 +531,5 @@ def simulate_trace_multi(source: TraceSource,
         )
         for config, (load_miss_pcs, store_miss_pcs, fills)
         in zip(configs, raw)
-    ]
+    ] + [fold.finish(value, load_accesses)
+         for fold, value in zip(folds, values)]

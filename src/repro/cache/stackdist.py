@@ -35,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Counter as CounterType, Optional, Sequence
+from typing import Any, Counter as CounterType, Optional, Sequence
 
 from collections import Counter
 
 from repro.cache.config import CacheConfig
 from repro.cache.lru import BoundedCache
-from repro.cache.model import (CacheStats, TraceSource, _chunk_columns,
-                               simulate_trace_multi,
+from repro.cache.model import (CacheStats, ReplayFold, TraceSource,
+                               _chunk_columns, simulate_trace_multi,
                                source_access_counts)
 from repro.machine.trace import (LOAD, PREFETCH, STORE, ChunkStream,
                                  MemoryTrace)
@@ -352,8 +352,8 @@ _DEFAULT_STORE = ProfileStore()
 
 def simulate_sweep(source: TraceSource,
                    configs: Sequence[CacheConfig],
-                   store: Optional[ProfileStore] = None
-                   ) -> list[CacheStats]:
+                   store: Optional[ProfileStore] = None,
+                   folds: Sequence[ReplayFold] = ()) -> list[Any]:
     """Simulate every config with the cheapest exact engine.
 
     LRU configs are grouped by block size: when a group sweeps more
@@ -371,12 +371,17 @@ def simulate_sweep(source: TraceSource,
     than once: the fused profile pass plus the fallback replay).  A
     one-shot chunk iterator is replayed in a single
     :func:`simulate_trace_multi` pass with no profile serving.
+
+    ``folds`` ride the fallback replay (a replay of no configs when
+    every config is served by profiles); their results follow the
+    configs' stats in the returned list, as in
+    :func:`simulate_trace_multi`.
     """
     configs = list(configs)
-    if not configs:
+    if not configs and not folds:
         return []
     if not isinstance(source, (MemoryTrace, ChunkStream)):
-        return simulate_trace_multi(source, configs)
+        return simulate_trace_multi(source, configs, folds)
     if store is None:
         store = _DEFAULT_STORE
 
@@ -429,10 +434,10 @@ def simulate_sweep(source: TraceSource,
             config = configs[index]
             results[index] = profiles[config.block_size].evaluate(
                 config, load_accesses, store_accesses, prefetch_ops)
-    if fallback:
-        for index, stats in zip(
-                fallback,
-                simulate_trace_multi(source,
-                                     [configs[i] for i in fallback])):
-            results[index] = stats
-    return [results[index] for index in range(len(configs))]
+    values: list[Any] = []
+    if fallback or folds:
+        replayed = simulate_trace_multi(
+            source, [configs[i] for i in fallback], folds)
+        results.update(zip(fallback, replayed))
+        values = replayed[len(fallback):]
+    return [results[index] for index in range(len(configs))] + values

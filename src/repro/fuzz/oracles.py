@@ -39,7 +39,7 @@ contract, raising :class:`DivergenceError` on any mismatch:
     the page-granular dTLB model (:mod:`repro.tlb`) — the sweep-served
     stats vs. a direct per-geometry replay, bit-identical across
     materialized / chunked / store-round-tripped inputs, and the PCAX
-    predictor profile independent of chunking;
+    predictor profile vs. a list-based reference over every input;
 ``redundancy``
     the streaming redundant-load analyzer (:mod:`repro.redundancy`)
     vs. a naive backward-scanning reference sharing no code with it,
@@ -483,13 +483,14 @@ def check_tlb(case, ctx: OracleContext) -> None:
     Every geometry's sweep-served page-granular stats must equal a
     direct per-config replay; the whole sweep must be bit-identical
     across materialized, in-memory-chunked and store-round-tripped
-    inputs (cold and profile-store-warmed); and the PCAX predictor
-    profile must not depend on chunking either.  The one-pass leg: the
-    fused scenario pass must reproduce the separate sweep and PCAX
-    results over every input, and survive its payload round trip.
+    inputs (cold and profile-store-warmed); and the PCAX profile must
+    equal the list-based :func:`~repro.tlb.naive_pcax` reference over
+    every input.  The one-pass leg: the scenario pass must reproduce
+    the sweep and the PCAX reference over every input, and survive its
+    payload round trip.
     """
     from repro.store import TraceStore
-    from repro.tlb import pcax_profile, simulate_tlb
+    from repro.tlb import naive_pcax, pcax_profile, simulate_tlb
     trace = case_trace(case)
     tlb_configs = case.tlb_configs()
     name = "tlb"
@@ -525,13 +526,13 @@ def check_tlb(case, ctx: OracleContext) -> None:
                              b.cache, reference.cache)
 
     page_size = tlb_configs[0].page_size
-    materialized = pcax_profile(trace, page_size=page_size)
-    chunked = pcax_profile(trace.chunk_stream(7), page_size=page_size)
-    stored = pcax_profile(store.open("case"), page_size=page_size)
-    _require_equal(name, "pcax chunked-vs-materialized",
-                   chunked.loads, materialized.loads)
-    _require_equal(name, "pcax store-vs-materialized",
-                   stored.loads, materialized.loads)
+    naive = naive_pcax(trace, page_size).loads
+    for label, source in (("materialized", trace),
+                          ("chunk7", trace.chunk_stream(7)),
+                          ("store", store.open("case"))):
+        _require_equal(name, f"pcax {label}-vs-naive",
+                       pcax_profile(source, page_size=page_size).loads,
+                       naive)
 
     spec = ScenarioSpec(tlb=tuple(tlb_configs), pcax_page_size=page_size)
     for label, result in _scenario_legs(trace, store, spec):
@@ -545,8 +546,8 @@ def check_tlb(case, ctx: OracleContext) -> None:
             else:
                 _require_stats_equal(name, mapped, f"one-pass {label}",
                                      fused.cache, reference.cache)
-        _require_equal(name, f"one-pass {label} pcax",
-                       result.pcax.loads, materialized.loads)
+        _require_equal(name, f"one-pass {label} pcax-vs-naive",
+                       result.pcax.loads, naive)
 
 
 def _scenario_legs(trace: MemoryTrace, store, spec):
@@ -581,7 +582,7 @@ def check_redundancy(case, ctx: OracleContext) -> None:
     scanning backwards through the materialized rows.  Both must agree
     exactly, and the analyzer must not care whether its input is
     materialized, chunked small, or store-round-tripped — nor whether
-    it runs alone or inside the fused scenario pass.
+    it runs alone or beside the other parts of the scenario pass.
     """
     from repro.redundancy import analyze_redundancy, naive_redundancy
     from repro.store import TraceStore

@@ -28,7 +28,9 @@ that stream:
 from __future__ import annotations
 
 import hashlib
+import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional
@@ -114,6 +116,51 @@ class RollingTraceDigest:
         return combined.hexdigest()
 
 
+#: Byte offsets, within an 8-byte native ``Q`` key, of a row's pc (four
+#: bytes) and kind (one byte), so that the key reads ``pc | kind << 32``.
+_PC_AT, _KIND_AT = (0, 4) if sys.byteorder == "little" else (4, 3)
+
+
+class AccessTally:
+    """Per-PC, per-kind access counts, tallied chunk by chunk.
+
+    Each row is counted under the key ``pc | kind << 32``, built for a
+    whole chunk by interleaving the pc and kind columns' bytes into one
+    ``array('Q')``, so the per-row work is one C-speed
+    ``Counter.update`` and the counts are exact even for a PC that
+    both loads and stores.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+
+    def update(self, pcs: array, kinds: array) -> None:
+        keys = bytearray(8 * len(pcs))
+        raw = pcs.tobytes()
+        for byte in range(4):
+            keys[_PC_AT + byte::8] = raw[byte::4]
+        keys[_KIND_AT::8] = kinds.tobytes()
+        self.counts.update(array("Q", keys))
+
+    def split(self) -> tuple[dict[int, int], dict[int, int], int]:
+        """Per-PC (load, store) access counts, each in the order of the
+        PC's first row of that kind, and the prefetch total."""
+        loads: dict[int, int] = {}
+        stores: dict[int, int] = {}
+        prefetches = 0
+        for key, count in self.counts.items():
+            kind = key >> 32
+            if kind == LOAD:
+                loads[key & 0xFFFFFFFF] = count
+            elif kind == STORE:
+                stores[key & 0xFFFFFFFF] = count
+            else:
+                prefetches += count
+        return loads, stores, prefetches
+
+
 class ChunkStream:
     """A re-openable stream of :class:`TraceChunk` with identity metadata.
 
@@ -160,34 +207,16 @@ class ChunkStream:
         """Per-PC (load, store) access counts plus the prefetch total.
 
         Served from metadata when the producer recorded it; otherwise
-        computed in one C-speed counting pass and memoized.  Like
-        :func:`~repro.cache.model.shared_access_counts`, relies on the
-        one-instruction-one-kind invariant: a static PC has a single
-        access kind, so a Counter over the pc column plus a kind lookup
-        table reproduces the per-kind tallies exactly.
+        computed in one :class:`AccessTally` pass and memoized.
         """
         if self._load_accesses is None:
-            from collections import Counter
-            counts: Counter = Counter()
-            kind_of: dict[int, int] = {}
-            prefetches = 0
+            tally = AccessTally()
             rows = 0
             for chunk in self:
-                counts.update(chunk.pcs)
-                kind_of.update(zip(chunk.pcs, chunk.kinds))
-                prefetches += chunk.kinds.count(PREFETCH)
+                tally.update(chunk.pcs, chunk.kinds)
                 rows += len(chunk)
-            loads: dict[int, int] = {}
-            stores: dict[int, int] = {}
-            for pc, count in counts.items():
-                kind = kind_of[pc]
-                if kind == LOAD:
-                    loads[pc] = count
-                elif kind != PREFETCH:
-                    stores[pc] = count
-            self._load_accesses = loads
-            self._store_accesses = stores
-            self._prefetch_count = prefetches
+            (self._load_accesses, self._store_accesses,
+             self._prefetch_count) = tally.split()
             if self.length is None:
                 self.length = rows
         return (self._load_accesses, self._store_accesses,

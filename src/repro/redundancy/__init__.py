@@ -6,15 +6,13 @@ pass; the cross-tab (:mod:`repro.redundancy.crosstab`) attributes the
 dynamic counts to the paper's AG classes.
 """
 
-from repro.redundancy.analyzer import (LoadRedundancy, RedundancyFold,
-                                       RedundancyStats,
+from repro.redundancy.analyzer import (LoadRedundancy, RedundancyStats,
                                        analyze_redundancy,
                                        naive_redundancy)
 from repro.redundancy.crosstab import ag_crosstab
 
 __all__ = [
     "LoadRedundancy",
-    "RedundancyFold",
     "RedundancyStats",
     "ag_crosstab",
     "analyze_redundancy",

@@ -18,31 +18,23 @@ prefetches are transparent (they neither consume nor produce the
 value, so they neither make a later load redundant nor break a
 reload chain).
 
-Two independent implementations live here on purpose:
-
-* :func:`analyze_redundancy` — the production analyzer: one streaming
-  pass of a :class:`RedundancyFold`, which folds per-address state
-  over :func:`repro.cache.model.chunk_columns`, so it accepts
-  materialized traces and chunked streams bit-identically and never
-  needs the whole trace in RAM (the fused scenario pass of
-  :mod:`repro.scenario` taps the same fold).
-* :func:`naive_redundancy` — the oracle's reference: for every load,
-  scan *backwards* through the materialized rows for the previous
-  access to that address.  Quadratic, obviously correct, and sharing
-  no state-machine code with the analyzer — exactly what a
-  differential oracle wants to diff against.
+:func:`analyze_redundancy` is the production analyzer: the redundancy
+part of the scenario pass (:mod:`repro.scenario`), which steps
+per-address last-access state over the chunk columns, so it
+accepts materialized traces and chunked streams bit-identically and
+never needs the whole trace in RAM.  :func:`naive_redundancy` is the
+fuzz oracle's reference: for every load, scan *backwards* through the
+materialized rows for the previous access to that address.  Quadratic,
+obviously correct, and sharing no state-machine code with the pass —
+exactly what a differential oracle wants to diff against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
-from repro.cache.model import TraceSource, chunk_columns
+from repro.cache.model import TraceSource
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
-
-_LAST_LOAD = 0
-_LAST_STORE = 1
 
 
 @dataclass
@@ -93,60 +85,12 @@ class RedundancyStats:
                       key=lambda kv: (-kv[1].redundant, kv[0]))
 
 
-class RedundancyFold:
-    """Per-address last-access-kind state, folded chunk by chunk.
-
-    :meth:`feed` wraps a column feed (see
-    :func:`repro.cache.model.chunk_columns`) and passes every triple
-    through unchanged after folding it, so one decoded chunk can serve
-    further consumers; :meth:`result` reads the counts once the feed
-    has been drained.
-    """
-
-    def __init__(self):
-        self._last: dict[int, int] = {}
-        self._accesses: dict[int, int] = {}
-        self._redundant: dict[int, int] = {}
-        self._after_store: dict[int, int] = {}
-
-    def feed(self, columns: Iterable[tuple]) -> Iterator[tuple]:
-        last = self._last
-        accesses = self._accesses
-        redundant = self._redundant
-        after_store = self._after_store
-        prefetch, store = PREFETCH, STORE
-        last_load, last_store = _LAST_LOAD, _LAST_STORE
-        for pcs, addresses, kinds in columns:
-            for pc, address, kind in zip(pcs, addresses, kinds):
-                if kind == prefetch:
-                    continue
-                if kind == store:
-                    last[address] = last_store
-                    continue
-                accesses[pc] = accesses.get(pc, 0) + 1
-                previous = last.get(address)
-                if previous is not None:
-                    redundant[pc] = redundant.get(pc, 0) + 1
-                    if previous == last_store:
-                        after_store[pc] = after_store.get(pc, 0) + 1
-                last[address] = last_load
-            yield pcs, addresses, kinds
-
-    def result(self) -> RedundancyStats:
-        loads = {pc: LoadRedundancy(
-                     accesses=count,
-                     redundant=self._redundant.get(pc, 0),
-                     reload_after_store=self._after_store.get(pc, 0))
-                 for pc, count in self._accesses.items()}
-        return RedundancyStats(loads=loads)
-
-
 def analyze_redundancy(source: TraceSource) -> RedundancyStats:
-    """One streaming pass: a drained :class:`RedundancyFold`."""
-    fold = RedundancyFold()
-    for _ in fold.feed(chunk_columns(source)):
-        pass
-    return fold.result()
+    """One streaming pass: the scenario pass with only its redundancy
+    part."""
+    from repro.scenario import ScenarioSpec, scenario_pass
+    return scenario_pass(source, ScenarioSpec(
+        tlb=(), pcax_page_size=None)).redundancy
 
 
 def naive_redundancy(trace: MemoryTrace) -> RedundancyStats:

@@ -1,14 +1,29 @@
-"""The scenario pass: dTLB, PCAX and redundancy from one trace decode.
+"""The scenario pass: dTLB, PCAX and redundancy in one compiled row loop.
 
 Tables 16 and 17 read three per-PC analyses of one run's address
-stream: the dTLB replay (:func:`repro.tlb.simulate_tlb`), the PCAX
-translation predictor (:func:`repro.tlb.pcax_profile`) and the
-redundant-load analyzer (:func:`repro.redundancy.analyze_redundancy`).
-All three are single-pass folds over the same columns, so
-:func:`scenario_pass` decodes each chunk once, taps it through the PCAX
-and redundancy folds, and hands the same chunks on to the TLB replay.
-The results are bit-identical to the three separate calls (the fuzz
-``tlb`` and ``redundancy`` oracles check it).
+stream: the dTLB replay, the PCAX translation predictor and the
+redundant-load analyzer.  All three fold per-row state over the same
+columns, so :func:`scenario_pass` runs them in one loop over
+``zip(pcs, addresses, kinds)``: the compiled multi-config replay of
+:mod:`repro.cache.model`, which updates every TLB geometry, with the
+PCAX predictor (one ``(last page, stride)`` entry per load PC) and the
+redundancy state (one last-access kind per address) added to its load
+and store branches as folds (:class:`~repro.cache.model.ReplayFold`).
+The geometries reach the replay through :func:`repro.tlb.simulate_tlb`,
+whose sweep serves a page size from stack-distance histograms instead
+when more geometries than set mappings share it.
+
+Per-PC load and store access counts are not recounted: the replay
+takes them from the store sidecar for a stored stream.  The folds
+append the PCs of rare events to ``array('I')`` columns (4 bytes an
+event, not a list slot) that ``Counter`` tallies after the pass: PCAX
+mispredictions, fresh loads and reloads after a store.  The predictor
+is right on 85–99% of the suite's loads, so recording its misses
+appends least; the hits are derived from the load counts.  A spec can
+ask for any subset of the parts: :func:`repro.tlb.pcax_profile` and
+:func:`repro.redundancy.analyze_redundancy` are one-part passes.  The
+fuzz ``tlb`` and ``redundancy`` oracles check every part against an
+independent reference.
 
 A :class:`ScenarioSpec` names what one pass computes.  Its results
 are kept as one JSON entry in the session's scenario tier, whose parts
@@ -19,64 +34,148 @@ wrote it or in the campaign parent after a worker published it.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Optional
 
-from repro.cache.model import (CacheStats, TraceSource, _hex_column,
-                               chunk_columns)
-from repro.machine.trace import TraceChunk
-from repro.redundancy import (LoadRedundancy, RedundancyFold,
-                              RedundancyStats)
-from repro.tlb import (DEFAULT_PAGE_SIZE, DEFAULT_THRESHOLD, PcaxFold,
-                       PcaxLoad, PcaxProfile, TlbConfig, TlbStats,
-                       simulate_tlb)
+from repro.cache.model import (CacheStats, ReplayFold, TraceSource,
+                               _hex_column)
+from repro.cache.stackdist import ProfileStore
+from repro.machine.trace import LOAD, STORE
+from repro.redundancy import LoadRedundancy, RedundancyStats
+from repro.tlb import (DEFAULT_PAGE_SIZE, DEFAULT_THRESHOLD, PcaxLoad,
+                       PcaxProfile, TlbConfig, TlbStats, simulate_tlb)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """What one scenario pass computes over a run's trace."""
+    """What one scenario pass computes over a run's trace.
+
+    ``tlb`` may be empty, ``pcax_page_size=None`` leaves the PCAX part
+    out and ``redundancy=False`` the redundancy part.
+    """
 
     tlb: tuple[TlbConfig, ...] = (TlbConfig(),)
-    pcax_page_size: int = DEFAULT_PAGE_SIZE
+    pcax_page_size: Optional[int] = DEFAULT_PAGE_SIZE
     threshold: float = DEFAULT_THRESHOLD
+    redundancy: bool = True
+
+    def __post_init__(self):
+        size = self.pcax_page_size
+        if size is not None and (size <= 0 or size & (size - 1)):
+            raise ValueError(
+                f"page_size must be a power of two, got {size}")
 
     def describe(self) -> str:
         """Canonical text of the spec; part of every content digest."""
         geometries = ",".join(f"{c.page_size}/{c.entries}/{c.assoc}"
                               for c in self.tlb)
-        return (f"tlb[{geometries}]|pcax{self.pcax_page_size}"
+        text = (f"tlb[{geometries}]|pcax{self.pcax_page_size}"
                 f"|t{self.threshold!r}")
+        return text if self.redundancy else text + "|no-redundancy"
 
 
 @dataclass
 class ScenarioResult:
-    """One pass's outputs: a :class:`TlbStats` per geometry, in order."""
+    """One pass's outputs: a :class:`TlbStats` per geometry, in order,
+    and ``None`` for a part the spec left out."""
 
     tlb: list[TlbStats]
-    pcax: PcaxProfile
-    redundancy: RedundancyStats
+    pcax: Optional[PcaxProfile]
+    redundancy: Optional[RedundancyStats]
 
 
-def scenario_pass(source: TraceSource,
-                  spec: ScenarioSpec) -> ScenarioResult:
+def scenario_pass(source: TraceSource, spec: ScenarioSpec,
+                  store: Optional[ProfileStore] = None
+                  ) -> ScenarioResult:
     """Every artifact of ``spec`` from one pass over ``source``.
 
     ``source`` is anything a trace handle replays: a store stream, a
-    materialized trace, or a chunked view of one.
+    materialized trace, a chunked view of one, or a one-shot iterable
+    of chunks.  The TLB geometries go through
+    :func:`repro.tlb.simulate_tlb`, so when more geometries than set
+    mappings share a page size they are served from ``store``'s
+    stack-distance profiles and the folds run in a pass of their own.
     """
-    pcax = PcaxFold(spec.pcax_page_size, spec.threshold)
-    redundancy = RedundancyFold()
-    chunks = _chunks(redundancy.feed(pcax.feed(chunk_columns(source))))
-    tlb = simulate_tlb(chunks, spec.tlb)
-    for _ in chunks:    # no geometries: the folds still see every row
-        pass
-    return ScenarioResult(tlb=tlb, pcax=pcax.result(),
-                          redundancy=redundancy.result())
+    folds = []
+    if spec.pcax_page_size is not None:
+        folds.append(_pcax_fold(spec.pcax_page_size, spec.threshold))
+    if spec.redundancy:
+        folds.append(_REDUNDANCY_FOLD)
+    results = simulate_tlb(source, spec.tlb, store, folds)
+    parts = iter(results[len(spec.tlb):])
+    return ScenarioResult(
+        tlb=results[:len(spec.tlb)],
+        pcax=next(parts) if spec.pcax_page_size is not None else None,
+        redundancy=next(parts) if spec.redundancy else None)
 
 
-def _chunks(columns) -> Iterator[TraceChunk]:
-    for pcs, addresses, kinds in columns:
-        yield TraceChunk(pcs, addresses, kinds)
+# -- the folds -------------------------------------------------------------
+#
+# Each part is a :class:`~repro.cache.model.ReplayFold`: source lines
+# that the compiled replay runs in its load (and store) branch, beside
+# the TLB geometries' cache updates.  A fold appends the PCs of rare
+# events to an ``array('I')`` and derives the common case from the
+# per-PC load counts after the pass.
+
+def _pcax_fold(page_size: int, threshold: float) -> ReplayFold:
+    """The PCAX predictor: the page of a PC's next load is predicted as
+    its last page plus its last page stride.  Records mispredictions
+    (the predictor is right on 85–99% of the suite's loads)."""
+    page = f"block{page_size}"
+    return ReplayFold(
+        state=("pcax = {}", "pcax_get = pcax.get",
+               "wrong = array('I')", "mispredict = wrong.append"),
+        load=("state = pcax_get(pc)",
+              "if state is None:",
+              f"    pcax[pc] = ({page}, 0)",
+              "else:",
+              "    last_page, stride = state",
+              f"    if {page} != last_page + stride:",
+              "        mispredict(pc)",
+              f"        pcax[pc] = ({page}, {page} - last_page)",
+              "    elif stride:",
+              f"        pcax[pc] = ({page}, stride)"),
+        blocks=(page_size,), result="wrong",
+        finish=partial(_pcax_profile, page_size, threshold))
+
+
+def _pcax_profile(page_size: int, threshold: float, wrong: array,
+                  load_accesses: dict[int, int]) -> PcaxProfile:
+    mispredicted = Counter(wrong)
+    return PcaxProfile(
+        page_size=page_size, threshold=threshold,
+        loads={pc: PcaxLoad(accesses=n,
+                            predicted=n - 1 - mispredicted[pc])
+               for pc, n in load_accesses.items()})
+
+
+def _redundancy_stats(events: tuple[array, array],
+                      load_accesses: dict[int, int]) -> RedundancyStats:
+    fresh_loads, reloads = map(Counter, events)
+    return RedundancyStats(loads={
+        pc: LoadRedundancy(accesses=n, redundant=n - fresh_loads[pc],
+                           reload_after_store=reloads[pc])
+        for pc, n in load_accesses.items()})
+
+
+#: Redundancy: one last-access kind per address.  Records a load's PC
+#: when its address is new (a fresh load) or was last stored.
+_REDUNDANCY_FOLD = ReplayFold(
+    state=("last = {}", "last_get = last.get",
+           "fresh = array('I')", "fresh_load = fresh.append",
+           "after = array('I')", "after_store = after.append"),
+    load=("last_kind = last_get(address)",
+          f"if last_kind != {LOAD}:",
+          f"    last[address] = {LOAD}",
+          "    if last_kind is None:",
+          "        fresh_load(pc)",
+          "    else:",
+          "        after_store(pc)"),
+    store=(f"last[address] = {STORE}",),
+    result="(fresh, after)", finish=_redundancy_stats)
 
 
 # -- the wire and disk form ------------------------------------------------
@@ -124,9 +223,13 @@ def encode_redundancy(stats: RedundancyStats) -> dict[str, Any]:
 
 
 def encode_scenario(result: ScenarioResult) -> dict[str, Any]:
-    return {"tlb": [encode_tlb(stats) for stats in result.tlb],
-            "pcax": encode_pcax(result.pcax),
-            "redundancy": encode_redundancy(result.redundancy)}
+    payload: dict[str, Any] = {
+        "tlb": [encode_tlb(stats) for stats in result.tlb]}
+    if result.pcax is not None:
+        payload["pcax"] = encode_pcax(result.pcax)
+    if result.redundancy is not None:
+        payload["redundancy"] = encode_redundancy(result.redundancy)
+    return payload
 
 
 def _column(row: dict[str, Any], name: str) -> dict[int, int]:
@@ -152,21 +255,24 @@ def decode_scenario(payload: dict[str, Any],
             load_misses=_column(row, "load_misses"),
             store_accesses=_column(row, "store_accesses"),
             store_misses=_column(row, "store_misses"))))
-    pcax = payload["pcax"]
-    if (pcax["page_size"], pcax["threshold"]) \
-            != (spec.pcax_page_size, spec.threshold):
-        raise ValueError("payload PCAX parameters differ from the spec")
-    redundancy = payload["redundancy"]
-    return ScenarioResult(
-        tlb=tlb,
-        pcax=PcaxProfile(
+    pcax = None
+    if spec.pcax_page_size is not None:
+        row = payload["pcax"]
+        if (row["page_size"], row["threshold"]) \
+                != (spec.pcax_page_size, spec.threshold):
+            raise ValueError("payload PCAX parameters differ from the "
+                             "spec")
+        pcax = PcaxProfile(
             page_size=spec.pcax_page_size, threshold=spec.threshold,
             loads={int(pc, 16): PcaxLoad(accesses=int(load["accesses"]),
                                          predicted=int(load["predicted"]))
-                   for pc, load in pcax["loads"].items()}),
-        redundancy=RedundancyStats(loads={
+                   for pc, load in row["loads"].items()})
+    redundancy = None
+    if spec.redundancy:
+        redundancy = RedundancyStats(loads={
             int(pc, 16): LoadRedundancy(
                 accesses=int(load["accesses"]),
                 redundant=int(load["redundant"]),
                 reload_after_store=int(load["reload_after_store"]))
-            for pc, load in redundancy["loads"].items()}))
+            for pc, load in payload["redundancy"]["loads"].items()})
+    return ScenarioResult(tlb=tlb, pcax=pcax, redundancy=redundancy)

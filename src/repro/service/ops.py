@@ -165,31 +165,31 @@ def _delinquent_set(handle: TraceHandle) -> set[int]:
 def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
     """``tlb``: per-geometry dTLB stats plus the PCAX cross-tab.
 
-    Rides the same sweep engine and trace store as ``simulate`` — the
-    per-PC distance histograms for each page size persist beside the
-    cache sweeps' — and evaluates the PCAX predictor at the first
-    geometry's page size, cross-tabulating PCAX-friendly loads against
-    the paper's delinquent set.
+    One scenario pass over the stored (or freshly streamed) trace
+    replays the geometries and runs the PCAX predictor at the first
+    geometry's page size in the same row loop.  A page size with more
+    geometries than set mappings is instead swept from the per-PC
+    distance histograms, which persist beside the cache sweeps', and
+    the predictor then runs in a pass of its own.  PCAX-friendly loads
+    are cross-tabulated against the paper's delinquent set.
     """
-    from repro.scenario import encode_pcax, encode_tlb
-    from repro.tlb import (TlbConfig, pcax_crosstab, pcax_profile,
-                           simulate_tlb)
-    configs = [TlbConfig(**entry) for entry in params["geometries"]]
+    from repro.scenario import (ScenarioSpec, encode_pcax, encode_tlb,
+                                scenario_pass)
+    from repro.tlb import TlbConfig, pcax_crosstab
+    configs = tuple(TlbConfig(**entry) for entry in params["geometries"])
+    spec = ScenarioSpec(tlb=configs, pcax_page_size=configs[0].page_size,
+                        threshold=params["threshold"], redundancy=False)
     handle = _trace(params)
-    sweep = handle.replay(
-        lambda source: simulate_tlb(source, configs,
-                                    store=_PROFILE_STORE))
-    page_size = configs[0].page_size
-    profile = handle.replay(
-        lambda source: pcax_profile(source, page_size=page_size,
-                                    threshold=params["threshold"]))
+    result = handle.replay(
+        lambda source: scenario_pass(source, spec, store=_PROFILE_STORE))
+    profile = result.pcax
     friendly = profile.friendly_set()
     delinquent = _delinquent_set(handle)
     universe = set(profile.loads)
     return {
         "steps": handle.steps,
         "num_loads": handle.program.num_loads(),
-        "results": [encode_tlb(stats) for stats in sweep],
+        "results": [encode_tlb(stats) for stats in result.tlb],
         "pcax": {
             **encode_pcax(profile),
             "friendly": [f"{pc:#x}" for pc in sorted(friendly)],

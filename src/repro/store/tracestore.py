@@ -44,11 +44,10 @@ import struct
 import sys
 import zlib
 from array import array
-from collections import Counter
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.machine.trace import (DEFAULT_CHUNK_ACCESSES, LOAD, PREFETCH,
+from repro.machine.trace import (DEFAULT_CHUNK_ACCESSES, AccessTally,
                                  ChunkStream, MemoryTrace,
                                  RollingTraceDigest, TraceChunk)
 
@@ -141,11 +140,7 @@ class TraceStoreWriter:
         self._key = key
         self._chunk_accesses = chunk_accesses
         self._digest = RollingTraceDigest()
-        self._pc_counts: Counter = Counter()
-        self._kind_of: dict[int, int] = {}
-        self._loads = 0
-        self._stores = 0
-        self._prefetches = 0
+        self._tally = AccessTally()
         self._temp = store._bin(key).with_name(
             store._bin(key).name + f".{os.getpid()}.tmp")
         store.root.mkdir(parents=True, exist_ok=True)
@@ -161,11 +156,7 @@ class TraceStoreWriter:
         self._file.write(addr_blob)
         self._file.write(kind_blob)
         self._digest.update(chunk)
-        self._pc_counts.update(chunk.pcs)
-        self._kind_of.update(zip(chunk.pcs, chunk.kinds))
-        self._loads += chunk.load_count
-        self._stores += chunk.store_count
-        self._prefetches += chunk.prefetch_count
+        self._tally.update(chunk.pcs, chunk.kinds)
 
     def abort(self) -> None:
         self._file.close()
@@ -179,22 +170,15 @@ class TraceStoreWriter:
               output: Optional[list[int]] = None) -> dict:
         """Publish the entry: bin first, meta sidecar last."""
         self._file.close()
-        loads: dict[int, int] = {}
-        stores: dict[int, int] = {}
-        for pc, count in self._pc_counts.items():
-            kind = self._kind_of[pc]
-            if kind == LOAD:
-                loads[pc] = count
-            elif kind != PREFETCH:
-                stores[pc] = count
+        loads, stores, prefetches = self._tally.split()
         meta = {
             "schema": _SCHEMA,
             "rows": self._digest.rows,
             "digest": self._digest.hexdigest(),
             "chunk_accesses": self._chunk_accesses,
-            "load_count": self._loads,
-            "store_count": self._stores,
-            "prefetch_count": self._prefetches,
+            "load_count": sum(loads.values()),
+            "store_count": sum(stores.values()),
+            "prefetch_count": prefetches,
             "load_accesses": {str(pc): n for pc, n in loads.items()},
             "store_accesses": {str(pc): n for pc, n in stores.items()},
             "block_counts": {str(pc): n

@@ -8,8 +8,8 @@ and cross-tabulates it against the paper's delinquent set.
 
 from repro.tlb.model import (DEFAULT_ENTRIES, DEFAULT_PAGE_SIZE,
                              TlbConfig, TlbStats, simulate_tlb)
-from repro.tlb.pcax import (DEFAULT_THRESHOLD, MIN_ACCESSES, PcaxFold,
-                            PcaxLoad, PcaxProfile, pcax_crosstab,
+from repro.tlb.pcax import (DEFAULT_THRESHOLD, MIN_ACCESSES, PcaxLoad,
+                            PcaxProfile, naive_pcax, pcax_crosstab,
                             pcax_profile)
 
 __all__ = [
@@ -17,11 +17,11 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_THRESHOLD",
     "MIN_ACCESSES",
-    "PcaxFold",
     "PcaxLoad",
     "PcaxProfile",
     "TlbConfig",
     "TlbStats",
+    "naive_pcax",
     "pcax_crosstab",
     "pcax_profile",
     "simulate_tlb",

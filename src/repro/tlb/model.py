@@ -27,10 +27,10 @@ the TLB vocabulary (accesses, misses, walks) on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cache.config import CacheConfig
-from repro.cache.model import CacheStats, TraceSource
+from repro.cache.model import CacheStats, ReplayFold, TraceSource
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 
 #: A realistic first-level dTLB: 64 entries, 4 KiB pages, fully
@@ -173,19 +173,21 @@ class TlbStats:
 
 def simulate_tlb(source: TraceSource,
                  configs: Sequence[TlbConfig],
-                 store: Optional[ProfileStore] = None
-                 ) -> list[TlbStats]:
+                 store: Optional[ProfileStore] = None,
+                 folds: Sequence[ReplayFold] = ()) -> list[Any]:
     """dTLB stats for every geometry in (at most) one trace pass.
 
     Delegates to the dispatching stack-distance sweep: geometries
     sharing a page size collapse to one profiling pass per set
     mapping, results are bit-identical across materialized, streamed,
     and store-replayed inputs, and per-PC distance histograms persist
-    in ``store`` for replay-free re-sweeps.
+    in ``store`` for replay-free re-sweeps.  ``folds`` ride the
+    sweep's replay pass, and their results follow the geometries'
+    stats (see :func:`~repro.cache.stackdist.simulate_sweep`).
     """
     configs = list(configs)
     sweep = simulate_sweep(source,
                            [c.as_cache_config() for c in configs],
-                           store=store)
+                           store=store, folds=folds)
     return [TlbStats(config=c, cache=stats)
-            for c, stats in zip(configs, sweep)]
+            for c, stats in zip(configs, sweep)] + sweep[len(configs):]

@@ -13,6 +13,9 @@ where access *i* of a PC is predicted at ``last_page + stride`` (the
 stride observed between its two previous accesses; zero until a second
 access has been seen, i.e. "same page again").  The first access of a
 PC is unpredictable by construction and excluded from the ratio.
+:func:`pcax_profile` runs the predictor as the PCAX part of the
+scenario pass (:mod:`repro.scenario`); :func:`naive_pcax` is the fuzz
+oracle's reference, a list-based recount that shares no code with it.
 
 The interesting question for this repo is the cross-tabulation: does
 the paper's *delinquent* set (loads chosen for cache-miss coverage)
@@ -23,10 +26,9 @@ coincide with the PCAX-friendly set?  :func:`pcax_crosstab` counts the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
-from repro.cache.model import TraceSource, chunk_columns
-from repro.machine.trace import LOAD
+from repro.cache.model import TraceSource
+from repro.machine.trace import LOAD, MemoryTrace
 
 #: Minimum prediction ratio for the "friendly" label.
 DEFAULT_THRESHOLD = 0.9
@@ -77,75 +79,41 @@ class PcaxProfile:
         return sum(load.predicted for load in self.loads.values())
 
 
-class PcaxFold:
-    """The per-PC last-page + stride predictor, folded chunk by chunk.
-
-    :meth:`feed` wraps a column feed (see
-    :func:`repro.cache.model.chunk_columns`) and passes every triple
-    through unchanged after folding it, so one decoded chunk can serve
-    further consumers; :meth:`result` reads the profile once the feed
-    has been drained.
-    """
-
-    def __init__(self, page_size: int, threshold: float):
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise ValueError(
-                f"page_size must be a power of two, got {page_size}")
-        self.page_size = page_size
-        self.threshold = threshold
-        self._shift = page_size.bit_length() - 1
-        self._accesses: dict[int, int] = {}
-        self._predicted: dict[int, int] = {}
-        self._last_page: dict[int, int] = {}
-        self._stride: dict[int, int] = {}
-
-    def feed(self, columns: Iterable[tuple]) -> Iterator[tuple]:
-        shift = self._shift
-        accesses = self._accesses
-        predicted = self._predicted
-        last_page = self._last_page
-        stride = self._stride
-        load = LOAD
-        for pcs, addresses, kinds in columns:
-            for pc, address, kind in zip(pcs, addresses, kinds):
-                if kind != load:
-                    continue
-                page = address >> shift
-                previous = last_page.get(pc)
-                if previous is None:
-                    accesses[pc] = 1
-                    predicted[pc] = 0
-                    last_page[pc] = page
-                    stride[pc] = 0
-                    continue
-                accesses[pc] += 1
-                if page == previous + stride[pc]:
-                    predicted[pc] += 1
-                stride[pc] = page - previous
-                last_page[pc] = page
-            yield pcs, addresses, kinds
-
-    def result(self) -> PcaxProfile:
-        loads = {pc: PcaxLoad(accesses=count,
-                              predicted=self._predicted[pc])
-                 for pc, count in self._accesses.items()}
-        return PcaxProfile(page_size=self.page_size,
-                           threshold=self.threshold, loads=loads)
-
-
 def pcax_profile(source: TraceSource,
                  page_size: int = 4096,
                  threshold: float = DEFAULT_THRESHOLD) -> PcaxProfile:
-    """One streaming pass of the per-PC last-page + stride predictor.
+    """One streaming pass of the per-PC last-page + stride predictor:
+    the scenario pass with only its PCAX part."""
+    from repro.scenario import ScenarioSpec, scenario_pass
+    return scenario_pass(source, ScenarioSpec(
+        tlb=(), pcax_page_size=page_size, threshold=threshold,
+        redundancy=False)).pcax
 
-    Drains a :class:`PcaxFold` over
-    :func:`repro.cache.model.chunk_columns`, so materialized traces and
-    chunked streams produce identical profiles.
+
+def naive_pcax(trace: MemoryTrace, page_size: int) -> PcaxProfile:
+    """List-based reference implementation of the predictor.
+
+    Lists each load PC's pages in trace order, then counts the pages
+    equal to the previous page plus the stride between the two before
+    it.  Shares no code with the scenario pass, which is what the
+    fuzz ``tlb`` oracle diffs it against; holds the whole page list in
+    memory, so use it only on bounded traces.
     """
-    fold = PcaxFold(page_size, threshold)
-    for _ in fold.feed(chunk_columns(source)):
-        pass
-    return fold.result()
+    pages: dict[int, list[int]] = {}
+    for pc, address, kind in zip(trace.pcs, trace.addresses,
+                                 trace.kinds):
+        if kind == LOAD:
+            pages.setdefault(pc, []).append(address // page_size)
+    loads = {}
+    for pc, seen in pages.items():
+        predicted = 0
+        for i in range(1, len(seen)):
+            stride = seen[i - 1] - seen[i - 2] if i >= 2 else 0
+            if seen[i] == seen[i - 1] + stride:
+                predicted += 1
+        loads[pc] = PcaxLoad(accesses=len(seen), predicted=predicted)
+    return PcaxProfile(page_size=page_size, threshold=DEFAULT_THRESHOLD,
+                       loads=loads)
 
 
 def pcax_crosstab(friendly: set[int], delinquent: set[int],

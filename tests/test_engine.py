@@ -84,6 +84,22 @@ class TestMultiEquivalence:
             assert stats_key(stats) == stats_key(
                 simulate_trace(trace, config))
 
+    def test_pcs_with_several_kinds_count_each_row(self):
+        # PC 4 loads then stores, PC 8 stores, prefetches then loads:
+        # the shared access tally is per (pc, kind), as the per-row
+        # replay counts, for every input shape
+        trace = trace_of([
+            (4, 0, LOAD), (8, 64, STORE), (4, 0, STORE), (8, 64, PREFETCH),
+            (4, 32, LOAD), (8, 96, LOAD), (8, 64, STORE), (4, 0, STORE),
+        ])
+        expected = [stats_key(simulate_trace(trace, config))
+                    for config in POLICY_CONFIGS]
+        assert expected[0][1] == {4: 2, 8: 1}
+        assert expected[0][3] == {8: 2, 4: 2}
+        for source in (trace, trace.chunk_stream(3), trace.chunks(3)):
+            assert [stats_key(stats) for stats in simulate_trace_multi(
+                source, POLICY_CONFIGS)] == expected
+
     def test_duplicate_configs_have_independent_state(self):
         config = CacheConfig(1024, 2, 32, replacement="random")
         trace = trace_of([(4, a * 32, LOAD) for a in range(200)]

@@ -119,6 +119,36 @@ class TestOraclesPassOnCleanCode:
                 ORACLES["service"].check(generate_case("minic", 0), ctx)
 
 
+    @pytest.mark.parametrize("oracle, result", [
+        ("tlb", "wrong"), ("redundancy", "(fresh, after)")])
+    def test_scenario_oracles_catch_an_off_by_one_kernel(
+            self, oracle, result, monkeypatch):
+        # ``result`` names a scenario fold's event column: the PCAX
+        # mispredictions, or the fresh loads (first of the pair).
+        # Repeating one event is a count off by one in every leg alike,
+        # which only the naive references can see.
+        from repro.cache import model
+        replay_for = model._replay_for
+
+        def off_by_one(configs, folds=()):
+            replay = replay_for(configs, folds)
+
+            def perturbed(columns):
+                raw, values = replay(columns)
+                for fold, value in zip(folds, values):
+                    if fold.result == result:
+                        events = value if result == "wrong" else value[0]
+                        if events:
+                            events.append(events[0])
+                return raw, values
+            return perturbed
+
+        monkeypatch.setattr(model, "_replay_for", off_by_one)
+        with OracleContext() as ctx:
+            with pytest.raises(DivergenceError, match="naive"):
+                ORACLES[oracle].check(generate_case("minic", 0), ctx)
+
+
 class TestShrinker:
     def test_list_minimization(self):
         case = generate_case("trace", 0)

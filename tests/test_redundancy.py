@@ -19,9 +19,11 @@ from repro.pipeline.session import Session
 from repro.redundancy import (LoadRedundancy, RedundancyStats,
                               ag_crosstab, analyze_redundancy,
                               naive_redundancy)
+from repro.scenario import ScenarioSpec, scenario_pass
 from repro.service.ops import execute_op
 from repro.service.protocol import ProtocolError, parse_request
 from repro.store.tracestore import TraceStore
+from repro.tlb import TlbConfig
 from tests.conftest import SAMPLE_SOURCE
 
 
@@ -119,6 +121,36 @@ class TestNaiveReference:
             assert naive_redundancy(trace).loads \
                 == analyze_redundancy(trace).loads
 
+    def test_agrees_on_random_single_kind_traces(self):
+        # one kind per static PC, as in every trace the machine writes
+        kind_of = {0x10: LOAD, 0x20: LOAD, 0x30: LOAD, 0x40: STORE,
+                   0x50: PREFETCH}
+        rng = random.Random(1234)
+        for _ in range(20):
+            rows = []
+            for _ in range(rng.randint(0, 300)):
+                pc = rng.choice(tuple(kind_of))
+                rows.append((pc, rng.choice((100, 104, 200, 204, 300)),
+                             kind_of[pc]))
+            trace = _trace(rows)
+            assert naive_redundancy(trace).loads \
+                == analyze_redundancy(trace).loads
+
+    def test_counts_only_the_load_rows_of_a_mixed_kind_pc(self):
+        # a PC whose first row is a store, then one whose first row is
+        # a load: each counts exactly its load rows
+        rows = [(0x10, 100, STORE), (0x10, 100, LOAD), (0x10, 104, LOAD),
+                (0x20, 104, LOAD), (0x20, 104, STORE), (0x20, 104, LOAD),
+                (0x20, 200, PREFETCH)]
+        trace = _trace(rows)
+        assert analyze_redundancy(trace).loads == {
+            0x10: LoadRedundancy(accesses=2, redundant=1,
+                                 reload_after_store=1),
+            0x20: LoadRedundancy(accesses=2, redundant=2,
+                                 reload_after_store=1)}
+        for source in (trace.chunk_stream(1), trace.chunks(2)):
+            assert analyze_redundancy(source) == analyze_redundancy(trace)
+
 
 class TestStreaming:
     def test_chunked_and_stored_inputs_bit_identical(self, tmp_path):
@@ -133,6 +165,27 @@ class TestStreaming:
         for source in (trace.chunk_stream(7), trace.chunk_stream(1024),
                        store.open("t")):
             assert analyze_redundancy(source).loads == reference.loads
+
+
+class TestScenarioKernel:
+    def test_prefetch_rows_fill_the_tlb_but_not_redundancy(self):
+        rows = [(0x10, 0, LOAD), (0x30, 0x4000, PREFETCH),
+                (0x10, 0x4000, LOAD), (0x10, 0x4000, LOAD)]
+        spec = ScenarioSpec(tlb=(TlbConfig(page_size=64, entries=4),),
+                            pcax_page_size=None)
+        fetched = scenario_pass(_trace(rows), spec)
+        plain = scenario_pass(
+            _trace([row for row in rows if row[2] != PREFETCH]), spec)
+        (tlb,) = fetched.tlb
+        assert (tlb.cache.prefetch_ops, tlb.cache.prefetch_fills) \
+            == (1, 1)
+        # the prefetch brought the load's page in ...
+        assert tlb.load_misses == {0x10: 1}
+        assert plain.tlb[0].load_misses == {0x10: 2}
+        # ... but not its value: that load is still fresh
+        assert fetched.redundancy == plain.redundancy
+        assert fetched.redundancy.loads == {0x10: LoadRedundancy(
+            accesses=3, redundant=1, reload_after_store=0)}
 
 
 class TestAgCrosstab:

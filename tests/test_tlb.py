@@ -9,24 +9,29 @@ op through the service protocol and the CLI.
 """
 
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
 from repro.cache.config import CacheConfig
+from repro.cache import model
+from repro.cache.lru import BoundedCache
 from repro.cache.model import simulate_trace
 from repro.cache.stackdist import ProfileStore
 from repro.machine.trace import LOAD, PREFETCH, STORE, MemoryTrace
 from repro.pipeline.session import Session
-from repro.scenario import ScenarioSpec
+from repro.redundancy import analyze_redundancy
+from repro.scenario import ScenarioSpec, scenario_pass
 from repro.service.ops import execute_op
 from repro.service.protocol import ProtocolError, parse_request
 from repro.store.tracestore import TraceStore
 from repro.tlb import (DEFAULT_ENTRIES, DEFAULT_PAGE_SIZE,
                        DEFAULT_THRESHOLD, MIN_ACCESSES, PcaxLoad,
-                       TlbConfig, pcax_crosstab, pcax_profile,
-                       simulate_tlb)
+                       TlbConfig, naive_pcax, pcax_crosstab,
+                       pcax_profile, simulate_tlb)
 from tests.conftest import SAMPLE_SOURCE
 
 
@@ -267,6 +272,113 @@ class TestPcax:
         assert PcaxLoad(accesses=10, predicted=9).ratio \
             == pytest.approx(1.0)
         assert DEFAULT_THRESHOLD == 0.9
+
+
+# -- the scenario kernel -----------------------------------------------
+
+def _random_trace(seed: int, rows: int = 400,
+                  mixed: bool = False) -> MemoryTrace:
+    """Random rows over a small footprint, one kind per static PC (as
+    in every trace the machine writes) unless ``mixed`` draws each
+    row's kind."""
+    rng = random.Random(seed)
+    kind_of = {0x10: LOAD, 0x14: LOAD, 0x18: LOAD, 0x20: STORE,
+               0x24: STORE, 0x30: PREFETCH}
+    pcs = tuple(kind_of)
+    kinds = (LOAD, LOAD, LOAD, STORE, PREFETCH)
+    return _trace([(pc, rng.randrange(0, 1 << 12, 4),
+                    rng.choice(kinds) if mixed else kind_of[pc])
+                   for pc in (rng.choice(pcs) for _ in range(rows))])
+
+
+#: Two geometries with different page sizes, PCAX at a third size (so
+#: the kernel computes a page number no geometry shares), redundancy.
+FULL_SPEC = ScenarioSpec(tlb=(TlbConfig(page_size=64, entries=4),
+                              TlbConfig(page_size=256, entries=8,
+                                        assoc=2)),
+                         pcax_page_size=128)
+
+
+class TestScenarioKernel:
+    def test_part_only_specs_match_the_full_pass(self):
+        trace = _random_trace(1)
+        full = scenario_pass(trace, FULL_SPEC)
+        tlb_only = scenario_pass(trace, replace(
+            FULL_SPEC, pcax_page_size=None, redundancy=False))
+        assert tlb_only.pcax is None and tlb_only.redundancy is None
+        assert tlb_only.tlb == full.tlb
+        pcax_only = scenario_pass(trace, replace(FULL_SPEC, tlb=(),
+                                                 redundancy=False))
+        assert pcax_only.tlb == [] and pcax_only.redundancy is None
+        assert pcax_only.pcax == full.pcax
+        redundancy_only = scenario_pass(trace, replace(
+            FULL_SPEC, tlb=(), pcax_page_size=None))
+        assert redundancy_only.tlb == [] and redundancy_only.pcax is None
+        assert redundancy_only.redundancy == full.redundancy
+        # the public one-part analyses are those passes
+        assert pcax_profile(trace, page_size=128) == full.pcax
+        assert analyze_redundancy(trace) == full.redundancy
+        assert [stats.cache for stats in full.tlb] \
+            == [stats.cache for stats in simulate_tlb(trace,
+                                                      FULL_SPEC.tlb)]
+
+    def test_one_shot_chunks_match_stream_and_trace(self):
+        trace = _random_trace(2)
+        reference = scenario_pass(trace, FULL_SPEC)
+        assert scenario_pass(trace.chunk_stream(7), FULL_SPEC) == reference
+        assert scenario_pass(trace.chunks(7), FULL_SPEC) == reference
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pcax_matches_naive_reference(self, seed, mixed):
+        # ``mixed`` gives PCs that load, store and prefetch, some of
+        # them first seen as a store or a prefetch
+        trace = _random_trace(seed, mixed=mixed)
+        for page_size in (64, 128, 1024):
+            assert pcax_profile(trace, page_size=page_size).loads \
+                == naive_pcax(trace, page_size).loads
+        stream = scenario_pass(trace.chunk_stream(5), FULL_SPEC)
+        assert stream.pcax.loads == naive_pcax(trace, 128).loads
+        assert [stats.cache for stats in stream.tlb] \
+            == [simulate_trace(trace, config.as_cache_config())
+                for config in FULL_SPEC.tlb]
+
+    @pytest.mark.parametrize("chunk_accesses", [1, 2, 3, 7])
+    def test_stride_survives_chunk_boundaries(self, chunk_accesses):
+        # a two-page stride, interleaved with a same-page PC so the
+        # strided PC's accesses straddle every chunk boundary
+        rows = []
+        for i in range(20):
+            rows += [(0x10, i * 2 * 64, LOAD), (0x20, 8, LOAD)]
+        trace = _trace(rows)
+        spec = ScenarioSpec(tlb=(), pcax_page_size=64, redundancy=False)
+        for source in (trace.chunk_stream(chunk_accesses),
+                       trace.chunks(chunk_accesses)):
+            loads = scenario_pass(source, spec).pcax.loads
+            assert loads == {0x10: PcaxLoad(accesses=20, predicted=18),
+                             0x20: PcaxLoad(accesses=20, predicted=19)}
+
+    def test_kernel_cache_is_bounded_and_keyed_by_spec(self,
+                                                        monkeypatch):
+        # the scenario pass compiles into the cache replays' bounded
+        # cache, one entry per geometries-and-parts
+        assert model._REPLAY_CACHE.capacity is not None
+        cache = BoundedCache(2)
+        monkeypatch.setattr(model, "_REPLAY_CACHE", cache)
+        trace = _random_trace(3)
+        full = scenario_pass(trace, FULL_SPEC)
+        assert len(cache) == 1
+        (kernel,) = cache._entries.values()
+        # the threshold only labels the result: same kernel
+        relabelled = scenario_pass(trace, replace(FULL_SPEC,
+                                                  threshold=0.5))
+        assert len(cache) == 1 and relabelled.tlb == full.tlb
+        scenario_pass(trace, replace(FULL_SPEC, redundancy=False))
+        assert len(cache) == 2
+        scenario_pass(trace, replace(FULL_SPEC, pcax_page_size=64))
+        assert len(cache) == 2 and cache.evictions == 1
+        scenario_pass(trace, FULL_SPEC)
+        assert kernel not in cache._entries.values()
 
 
 # -- wiring: session, service, CLI -------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
-from repro.cache.model import simulate_trace_multi
+from repro.cache.model import simulate_trace_multi, source_access_counts
 from repro.cache.stackdist import ProfileStore, simulate_sweep
 from repro.campaign import Campaign
 from repro.compiler.driver import compile_source
@@ -130,7 +130,6 @@ class TestStoreRoundTrip:
 
     def test_metadata_serves_access_counts_without_reads(self,
                                                          tmp_path):
-        from repro.cache.model import source_access_counts
         trace = sawtooth_trace(300)
         store = TraceStore(tmp_path / "traces")
         store.put_trace("k", trace)
@@ -141,6 +140,37 @@ class TestStoreRoundTrip:
         assert source_access_counts(stream) \
             == source_access_counts(trace)
         assert stream.digest == trace.digest()
+
+    def test_sidecar_counts_pcs_first_seen_in_later_chunks(self,
+                                                          tmp_path):
+        """The writer looks a PC's kind up only in the chunk where the
+        PC first appears; the sidecar text is pinned byte for byte."""
+        # 0x02000100 is first matched by the bytes straddling rows 0
+        # and 1 of its chunk (on a little-endian host), so the lookup
+        # must skip that unaligned match to find its own STORE row.
+        rows = [(0x10, 0, LOAD), (0x20, 4, STORE), (0x10, 8, LOAD),
+                (0x10, 12, LOAD),
+                (0x10, 16, LOAD), (0x30, 20, PREFETCH), (0x40, 24, LOAD),
+                (0x20, 28, STORE),
+                (0x00010000, 32, LOAD), (0x00000002, 36, LOAD),
+                (0x02000100, 40, STORE), (0x40, 44, LOAD)]
+        trace = MemoryTrace()
+        for row in rows:
+            trace.append(*row)
+        store = TraceStore(tmp_path / "traces")
+        store.put_trace("k", trace, chunk_accesses=4)
+        expected = {
+            "schema": tracestore._SCHEMA, "rows": 12,
+            "digest": trace.digest(), "chunk_accesses": 4,
+            "load_count": 8, "store_count": 3, "prefetch_count": 1,
+            "load_accesses": {"16": 4, "64": 2, "65536": 1, "2": 1},
+            "store_accesses": {"32": 2, "33554688": 1},
+            "block_counts": {}, "steps": 0, "exit_code": 0,
+            "output": []}
+        assert store._meta("k").read_text() == json.dumps(expected)
+        assert source_access_counts(store.open("k")) \
+            == source_access_counts(trace) \
+            == source_access_counts(trace.chunks(4))
 
     def test_replay_equivalence_from_store(self, tmp_path):
         trace = sawtooth_trace(2000)
