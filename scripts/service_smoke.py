@@ -23,7 +23,9 @@ waits for its listening banner, then checks with a client that
 ``--pool`` serves with two worker processes instead of one thread,
 SIGKILLs one pool process while a request runs on it, and asserts that
 every later request succeeds and that ``metrics`` counts the pool
-restart.
+restart.  It then sends ``classify`` at two deltas and ``tlb`` at two
+geometry sets for one source, which the workers answer from their
+program memos, and checks each reply against the in-process answer.
 
 Exits non-zero on the first failed check.
 """
@@ -112,6 +114,32 @@ def _check_cli(address: str) -> None:
         bad = _repro("tlb", path, "--remote", "no-port")
         assert bad.returncode == 2, (bad.returncode, bad.stderr)
         print("smoke: malformed --remote address exits 2")
+
+
+def _check_memo(client: ServiceClient, address: str) -> None:
+    """Ops on one source from the workers' program memos agree with the
+    in-process pipeline and with the CLI run locally."""
+    for delta in (0.10, 0.30):
+        served = client.call("classify", {"source": SOURCE,
+                                          "delta": delta})
+        local = report_to_dict(analyze_program(SOURCE, execute=False,
+                                               delta=delta))
+        assert json.dumps(served) == json.dumps(local), \
+            f"classify at delta {delta} diverges from in-process"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "prog.c")
+        Path(path).write_text(SOURCE)
+        for geometries in (("4096,64",), ("4096,16,4", "65536,8")):
+            flags = [arg for g in geometries for arg in ("--geometry", g)]
+            local = _repro("tlb", path, "--json", *flags)
+            remote = _repro("tlb", path, "--json", *flags,
+                            "--remote", address)
+            assert local.returncode == 0, local.stderr
+            assert remote.returncode == 0, remote.stderr
+            assert remote.stdout == local.stdout, \
+                f"tlb {' '.join(geometries)} differs with --remote"
+    print("smoke: classify at 2 deltas and tlb at 2 geometry sets "
+          "identical to in-process")
 
 
 def _stop(proc: subprocess.Popen, client: ServiceClient) -> None:
@@ -213,6 +241,8 @@ def pool_main() -> int:
             restarts = client.call("metrics")["pool"]["restarts"]
             assert restarts >= 1, f"pool restarts: {restarts}"
             print(f"smoke: metrics count {restarts} pool restart(s)")
+
+            _check_memo(client, f"{host}:{port}")
 
             _stop(proc, client)
         print("smoke: clean shutdown — all process-pool checks passed")

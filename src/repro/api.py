@@ -6,6 +6,11 @@ model, and report precision/coverage — the one-call version of what the
 table experiments do per benchmark.  The trace comes from the same
 :class:`~repro.store.handle.TraceHandle` the pipeline session and the
 service use, and the coverage from the same sweep engine.
+
+:class:`ProgramMemo` is the static front end (compile, then address
+patterns) kept per process: a long-lived caller such as a service
+worker passes one to ``analyze_program`` so that a program it has seen
+is not compiled or analysed again.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Optional
 
 from repro.asm.program import Program
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
+from repro.cache.lru import BoundedCache
 from repro.cache.model import CacheStats
 from repro.cache.stackdist import simulate_sweep
 from repro.compiler.driver import compile_source
@@ -27,6 +33,51 @@ from repro.patterns.builder import LoadInfo, build_load_infos
 from repro.profiling.profile import BlockProfile
 from repro.store.handle import TraceHandle
 from repro.store.tracestore import TraceStore, trace_key
+
+
+class ProgramMemo:
+    """Compiled programs and their load infos, keyed by (source, optimize).
+
+    Holds at most ``capacity`` programs, least recently used evicted
+    first.  A program's default :func:`build_load_infos` result is built
+    on first request and kept beside it.  A source that does not compile
+    raises on every call: failures are never kept.  Programs and load
+    infos are not mutated after they are built (the block engine's code
+    kept on ``Program._block_code`` is meant to be shared), so every
+    caller may share one entry.  Not thread-safe: a service worker
+    computes one op at a time.
+    """
+
+    def __init__(self, capacity: int):
+        self._entries = BoundedCache(capacity)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _key(self, source: str, optimize: bool) -> tuple:
+        return (source, optimize)
+
+    def _entry(self, source: str, optimize: bool) -> list:
+        """``[program, load_infos or None]``, compiled on a miss."""
+        key = self._key(source, optimize)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = [compile_source(source, optimize=optimize), None]
+            self._entries.put(key, entry)
+        return entry
+
+    def program(self, source: str, optimize: bool) -> Program:
+        return self._entry(source, optimize)[0]
+
+    def load_infos(self, source: str,
+                   optimize: bool) -> dict[int, LoadInfo]:
+        entry = self._entry(source, optimize)
+        if entry[1] is None:
+            entry[1] = build_load_infos(entry[0])
+        return entry[1]
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
 @dataclass
@@ -94,7 +145,9 @@ def analyze_program(source: str, *,
                     delta: float = DEFAULT_DELTA,
                     use_frequency: Optional[bool] = None,
                     max_steps: int = 300_000_000,
-                    store: Optional[TraceStore] = None) -> AnalysisReport:
+                    store: Optional[TraceStore] = None,
+                    programs: Optional[ProgramMemo] = None
+                    ) -> AnalysisReport:
     """Compile and analyze one MiniC program.
 
     With ``execute=True`` (default) the program runs under the cache
@@ -106,10 +159,16 @@ def analyze_program(source: str, *,
     (the service passes its shared one).  With a store, a program traced
     before executes nothing, and ``execution.trace`` is None unless the
     trace had to be materialized; without one (the default) the trace
-    is materialized.
+    is materialized.  ``programs`` is one too: the memo to take the
+    compiled program and its load infos from (the service passes its
+    per-worker one); without it (the default) every call compiles.
     """
-    program = compile_source(source, optimize=optimize)
-    load_infos = build_load_infos(program)
+    if programs is None:
+        program = compile_source(source, optimize=optimize)
+        load_infos = build_load_infos(program)
+    else:
+        program = programs.program(source, optimize)
+        load_infos = programs.load_infos(source, optimize)
 
     execution: Optional[ExecutionResult] = None
     cache_stats: Optional[CacheStats] = None

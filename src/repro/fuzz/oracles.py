@@ -302,42 +302,65 @@ def check_streaming(case, ctx: OracleContext) -> None:
 
 # -- service oracle ----------------------------------------------------
 
+def _cold_op(op: str, params: dict) -> dict:
+    """``execute_op`` in process from an empty program memo.
+
+    The reference side of the ``service`` oracle: with the in-thread
+    server sharing this process's memo, a memo fault would otherwise
+    reach the served and the local answer alike.
+    """
+    from repro.api import ProgramMemo
+    from repro.service import ops
+    from repro.service.protocol import normalize
+    saved = ops._PROGRAMS
+    ops._PROGRAMS = ProgramMemo(1)
+    try:
+        return ops.execute_op(op, normalize(op, params))
+    finally:
+        ops._PROGRAMS = saved
+
+
 def check_service(case, ctx: OracleContext) -> None:
     """Served ops vs. the in-process pipeline.
 
     The served payloads must be canonical-JSON byte-equal to the
     in-process result, so the service provably adds nothing to the
-    wire.
+    wire.  ``classify`` and ``tlb`` are sent again with
+    ``optimize=True`` after the unoptimized requests, so the server
+    answers them from a program memo that already holds the source.
     """
     from repro.api import analyze_program
     from repro.cache.model import cache_config_to_dict
     from repro.export import canonical_json, report_to_dict
-    from repro.service.ops import execute_op
-    from repro.service.protocol import normalize
     source = case.source()
-    name = "service"
+    configs = [cache_config_to_dict(c) for c in case.cache_configs()[:3]]
+    geometries = [g.to_dict() for g in case.tlb_configs()[:3]]
+    requests = (
+        ("analyze", {"source": source}),
+        ("classify", {"source": source}),
+        ("simulate", {"source": source, "configs": configs}),
+        ("predict", {"source": source, "configs": configs}),
+        ("tlb", {"source": source, "geometries": geometries}),
+        # optimized, from a memo that already holds the source
+        ("classify", {"source": source, "optimize": True}),
+        ("tlb", {"source": source, "geometries": geometries,
+                 "optimize": True}),
+    )
     # first: starting the server binds the ops' stores that the
     # in-process execute_op calls below share
     client = ctx.client
-    local = canonical_json(report_to_dict(analyze_program(source)))
-    served = canonical_json(client.call("analyze", {"source": source}))
-    if served != local:
-        _diverge(name, "analyze payload", served[:400], local[:400])
-    local = canonical_json(report_to_dict(analyze_program(
-        source, execute=False)))
-    served = canonical_json(client.call("classify", {"source": source}))
-    if served != local:
-        _diverge(name, "classify payload", served[:400], local[:400])
-    configs = [cache_config_to_dict(c) for c in case.cache_configs()[:3]]
-    geometries = [g.to_dict() for g in case.tlb_configs()[:3]]
-    for op, params in (
-            ("simulate", {"source": source, "configs": configs}),
-            ("predict", {"source": source, "configs": configs}),
-            ("tlb", {"source": source, "geometries": geometries})):
-        local = canonical_json(execute_op(op, normalize(op, params)))
+    for op, params in requests:
+        optimize = params.get("optimize", False)
+        if op in ("analyze", "classify"):
+            local = report_to_dict(analyze_program(
+                source, optimize=optimize, execute=op == "analyze"))
+        else:
+            local = _cold_op(op, params)
+        local = canonical_json(local)
         served = canonical_json(client.call(op, params))
         if served != local:
-            _diverge(name, f"{op} payload", served[:400], local[:400])
+            what = f"{op} payload" + (" (optimize)" if optimize else "")
+            _diverge("service", what, served[:400], local[:400])
 
 
 # -- pipeline-cache oracle ---------------------------------------------

@@ -7,6 +7,12 @@ on a thread or in a persistent worker process.  ``analyze`` and
 equivalent in-process :func:`repro.api.analyze_program` call — the wire
 schema *is* the export schema, so batch files and served responses are
 interchangeable.
+
+Every op takes its program from :data:`_PROGRAMS`, the process's
+bounded memo of compiled programs and their load infos, so a worker
+compiles and analyses a program once however many ops it serves on it
+(and one request compiles at most once).  Traces and results are not
+memoized here: they stay in the trace store and the result tier.
 """
 
 from __future__ import annotations
@@ -14,11 +20,10 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
-from repro.api import analyze_program
+from repro.api import ProgramMemo, analyze_program
 from repro.cache.config import CacheConfig
 from repro.cache.model import stats_to_row
 from repro.cache.stackdist import ProfileStore, simulate_sweep
-from repro.compiler.driver import compile_source
 from repro.export import report_to_dict
 from repro.heuristic.classes import Weights
 from repro.pipeline.session import default_cache_dir
@@ -41,6 +46,13 @@ _PROFILE_STORE = ProfileStore(disk_dir=default_cache_dir() / "stackdist")
 _TRACE_STORE: Optional[TraceStore] = TraceStore(default_cache_dir()
                                                 / "traces")
 
+#: Compiled programs and their load infos, keyed by (source, optimize),
+#: for the life of the process: a pool worker lives for one server, and
+#: the server empties this memo when it starts, before its pool forks.
+#: Eight programs cover a client exploring a handful of programs at
+#: both optimization levels.
+_PROGRAMS = ProgramMemo(8)
+
 
 def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
     """``analyze`` / ``classify``: the full pipeline, export schema out.
@@ -57,6 +69,7 @@ def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
         delta=params["delta"],
         max_steps=params["max_steps"],
         store=_TRACE_STORE,
+        programs=_PROGRAMS,
     )
     return report_to_dict(report)
 
@@ -64,7 +77,7 @@ def run_analysis(params: dict[str, Any]) -> dict[str, Any]:
 def _trace(params: dict[str, Any]) -> TraceHandle:
     """The request's trace handle over the shared trace store."""
     return TraceHandle(
-        compile_source(params["source"], optimize=params["optimize"]),
+        _PROGRAMS.program(params["source"], params["optimize"]),
         trace_key(params["source"], params["optimize"],
                   params["max_steps"]),
         _TRACE_STORE, params["max_steps"])
@@ -115,8 +128,7 @@ def run_predict(params: dict[str, Any]) -> dict[str, Any]:
     """
     from repro.analytic import analytic_answer, program_digest
 
-    program = compile_source(params["source"],
-                             optimize=params["optimize"])
+    program = _PROGRAMS.program(params["source"], params["optimize"])
     configs = [CacheConfig(**entry) for entry in params["configs"]]
     answer = analytic_answer(
         program, program_digest(params["source"], params["optimize"]),
@@ -139,7 +151,8 @@ def run_predict(params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _delinquent_set(handle: TraceHandle) -> set[int]:
+def _delinquent_set(params: dict[str, Any],
+                    handle: TraceHandle) -> set[int]:
     """The heuristic's delinquent set for one traced workload.
 
     Exec counts and hotspots come from the block profile the trace
@@ -147,9 +160,8 @@ def _delinquent_set(handle: TraceHandle) -> set[int]:
     is identical on cold and store-warmed paths.
     """
     from repro.heuristic.classifier import DelinquencyClassifier
-    from repro.patterns.builder import build_load_infos
     from repro.profiling.profile import BlockProfile
-    load_infos = build_load_infos(handle.program)
+    load_infos = _PROGRAMS.load_infos(params["source"], params["optimize"])
     exec_counts = None
     hotspots = None
     if handle.block_counts:
@@ -184,7 +196,7 @@ def run_tlb(params: dict[str, Any]) -> dict[str, Any]:
         lambda source: scenario_pass(source, spec, store=_PROFILE_STORE))
     profile = result.pcax
     friendly = profile.friendly_set()
-    delinquent = _delinquent_set(handle)
+    delinquent = _delinquent_set(params, handle)
     universe = set(profile.loads)
     return {
         "steps": handle.steps,
@@ -206,13 +218,12 @@ def run_redundancy(params: dict[str, Any]) -> dict[str, Any]:
     the AG-class attribution uses the same exec counts the heuristic
     sees, so the cross-tab matches what the tables print.
     """
-    from repro.patterns.builder import build_load_infos
     from repro.profiling.profile import BlockProfile
     from repro.redundancy import ag_crosstab, analyze_redundancy
     from repro.scenario import encode_redundancy
     handle = _trace(params)
     stats = handle.replay(analyze_redundancy)
-    load_infos = build_load_infos(handle.program)
+    load_infos = _PROGRAMS.load_infos(params["source"], params["optimize"])
     load_exec: dict[int, int] = {}
     if handle.block_counts:
         profile = BlockProfile.from_block_counts(handle.program,

@@ -80,11 +80,13 @@ class AnalysisServer:
     def _bind_stores(self) -> None:
         """Point the ops' trace and profile stores at the configured
         cache, before the worker pool forks so the workers inherit
-        them.  The default config leaves the shared stores alone."""
+        them.  The default config leaves the shared stores alone.  The
+        program memo is emptied, so each server compiles afresh."""
         from repro.cache.stackdist import ProfileStore
         from repro.service import ops
         from repro.store.tracestore import TraceStore
         self._saved_stores = (ops._TRACE_STORE, ops._PROFILE_STORE)
+        ops._PROGRAMS.clear()
         if not self.config.use_disk_cache:
             ops._TRACE_STORE = None
             ops._PROFILE_STORE = ProfileStore()

@@ -118,6 +118,35 @@ class TestOraclesPassOnCleanCode:
                                match=f"{op} payload"):
                 ORACLES["service"].check(generate_case("minic", 0), ctx)
 
+    @staticmethod
+    def _faulty_memo(monkeypatch):
+        """A fresh service program memo to break, unpatched on exit."""
+        from repro.api import ProgramMemo
+        from repro.service import ops
+        memo = ProgramMemo(8)
+        monkeypatch.setattr(ops, "_PROGRAMS", memo)
+        return memo
+
+    def test_service_oracle_catches_a_memo_blind_to_optimize(
+            self, monkeypatch):
+        memo = self._faulty_memo(monkeypatch)
+        memo._key = lambda source, optimize: source
+        with OracleContext() as ctx:
+            with pytest.raises(DivergenceError,
+                               match=r"classify payload \(optimize\)"):
+                ORACLES["service"].check(generate_case("minic", 0), ctx)
+
+    def test_service_oracle_catches_another_programs_load_infos(
+            self, monkeypatch):
+        memo = self._faulty_memo(monkeypatch)
+        load_infos = memo.load_infos
+        other = generate_case("minic", 1).source()
+        memo.load_infos = lambda source, optimize: load_infos(other,
+                                                               optimize)
+        with OracleContext() as ctx:
+            with pytest.raises(DivergenceError, match="analyze payload"):
+                ORACLES["service"].check(generate_case("minic", 0), ctx)
+
 
     @pytest.mark.parametrize("oracle, result", [
         ("tlb", "wrong"), ("redundancy", "(fresh, after)")])

@@ -603,3 +603,104 @@ class TestRemoteCli:
                      "--remote", "127.0.0.1:1"])
         assert code == 3
         assert "service error" in capsys.readouterr().err
+
+
+#: The six ops that compute on a program.
+COMPUTE_OPS = ("analyze", "classify", "simulate", "predict", "tlb",
+               "redundancy")
+
+
+class TestProgramMemo:
+    """One worker compiles and analyses each program once."""
+
+    @pytest.fixture()
+    def calls(self, tmp_path, monkeypatch):
+        """A fresh memo behind private stores, with every compile and
+        pattern build counted through the names the memo calls."""
+        import repro.api
+        from repro.api import ProgramMemo
+        from repro.cache.stackdist import ProfileStore
+        from repro.service import ops
+        from repro.store.tracestore import TraceStore
+        monkeypatch.setattr(ops, "_PROGRAMS", ProgramMemo(8))
+        monkeypatch.setattr(ops, "_TRACE_STORE",
+                            TraceStore(tmp_path / "traces"))
+        monkeypatch.setattr(ops, "_PROFILE_STORE", ProfileStore())
+        seen = {"compile": [], "patterns": 0}
+        compile_, build = repro.api.compile_source, \
+            repro.api.build_load_infos
+
+        def counted_compile(source, optimize=False):
+            seen["compile"].append((source, optimize))
+            return compile_(source, optimize=optimize)
+
+        def counted_build(program):
+            seen["patterns"] += 1
+            return build(program)
+
+        monkeypatch.setattr(repro.api, "compile_source", counted_compile)
+        monkeypatch.setattr(repro.api, "build_load_infos", counted_build)
+        return seen
+
+    @staticmethod
+    def _run(op: str, source: str, optimize: bool = False) -> dict:
+        from repro.service.ops import execute_op
+        from repro.service.protocol import normalize
+        return execute_op(op, normalize(op, {"source": source,
+                                             "optimize": optimize}))
+
+    def test_six_ops_compile_once_per_optimize_flag(self, calls):
+        for optimize in (False, True):
+            for op in COMPUTE_OPS:
+                self._run(op, SOURCE, optimize)
+        assert calls["compile"] == [(SOURCE, False), (SOURCE, True)]
+        assert calls["patterns"] == 2
+
+    def test_low_coverage_predict_with_fallback_compiles_once(self,
+                                                              calls):
+        from tests.test_analytic import CHASE
+        reply = self._run("predict", CHASE)
+        assert reply["analytic"] is False and reply["steps"] > 0
+        assert calls["compile"] == [(CHASE, False)]
+
+    @pytest.mark.parametrize("op", COMPUTE_OPS)
+    def test_hot_reply_equals_cold_reply(self, calls, op):
+        from repro.export import canonical_json
+        from repro.service import ops
+        for optimize in (False, True):
+            self._run("classify", SOURCE, optimize)   # memo now hot
+            hot = canonical_json(self._run(op, SOURCE, optimize))
+            ops._PROGRAMS.clear()
+            cold = canonical_json(self._run(op, SOURCE, optimize))
+            assert hot == cold
+
+    def test_uncompilable_source_is_a_bad_request_every_time(
+            self, calls, client):
+        from repro.service import ops
+        for _ in range(2):
+            response = client.request("classify",
+                                      {"source": "int main( {"})
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+        assert len(calls["compile"]) == 2
+        assert len(ops._PROGRAMS) == 0
+
+    def test_capacity_plus_one_sources_evict_the_oldest(self, calls):
+        from repro.api import ProgramMemo
+        memo = ProgramMemo(8)
+        sources = [_variant(tag) for tag in range(9)]
+        for source in sources:
+            memo.program(source, False)
+        assert len(memo) == 8
+        memo.program(sources[-1], False)            # still held
+        assert len(calls["compile"]) == 9
+        memo.program(sources[0], False)             # evicted: compiles
+        assert calls["compile"][-1] == (sources[0], False)
+        assert len(calls["compile"]) == 10
+
+    def test_analyze_program_without_a_memo_compiles_every_call(
+            self, calls):
+        for _ in range(2):
+            analyze_program(SMALL, execute=False)
+        assert calls["compile"] == [(SMALL, False)] * 2
+        assert calls["patterns"] == 2
