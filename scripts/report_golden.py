@@ -11,6 +11,8 @@ the sha1 of each ``## `` section (Tables 1-17, Ablations A-J) with
 digests are pinned: at this scale some ablation benches' assertions do
 not hold (Ablation I's ``L2 rho > 50`` fails on 197.parser, which has no
 L2 misses), so ``benchmarks/bench_ablations.py`` asserts them at 0.25.
+``scripts/report_check.py`` runs the same campaign at scale 1.0 and
+compares the whole report with the committed EXPERIMENTS.md.
 """
 
 import argparse
@@ -34,17 +36,28 @@ def exhibit_digests(report: str) -> dict[str, str]:
             for section in report.split("\n## ")[1:]}
 
 
-def cold_report() -> str:
+def run_campaign(scale: str, scratch: Path,
+                 launcher: tuple[str, ...] = ("-m", "repro")) -> Path:
+    """Run a cold ``campaign --scale scale --report`` with its cache
+    under ``scratch`` and return the report's path.
+
+    ``launcher`` is what follows the interpreter: ``-m repro`` by
+    default, or any ``-c`` program that hands the remaining arguments
+    to :func:`repro.__main__.main`.
+    """
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    report = scratch / "EXPERIMENTS.md"
+    subprocess.run(
+        [sys.executable, *launcher, "campaign", "--scale", scale,
+         "--cache-dir", str(scratch / "cache"), "--report", str(report)],
+        env=env, cwd=REPO_ROOT, check=True, stdout=subprocess.DEVNULL)
+    return report
+
+
+def cold_report() -> str:
     with tempfile.TemporaryDirectory(prefix="report-golden-") as scratch:
-        path = Path(scratch) / "EXPERIMENTS.md"
-        subprocess.run(
-            [sys.executable, "-m", "repro", "campaign", "--scale", SCALE,
-             "--cache-dir", str(Path(scratch) / "cache"),
-             "--report", str(path)],
-            env=env, cwd=REPO_ROOT, check=True, stdout=subprocess.DEVNULL)
-        return path.read_text()
+        return run_campaign(SCALE, Path(scratch)).read_text()
 
 
 def main() -> int:

@@ -2,10 +2,14 @@
 
 Each is a ``(session) -> Table`` builder in :data:`ABLATIONS`, keyed by
 the number the report files it under (101-110, after the paper's
-tables).  They read only Table 1 runs (input1, -O0, baseline cache), so
-they declare no grid spec and stay out of ``grid.table_specs()`` and
-``runner.TABLE_MODULES``: a full campaign has already warmed them.
-``benchmarks/bench_ablations.py`` asserts each one's expected direction.
+tables).  They declare no grid spec and stay out of
+``grid.table_specs()`` and ``runner.TABLE_MODULES``.  They read Table 1
+runs (input1, -O0, baseline cache), which a full campaign has already
+warmed, and Ablation J also reads two prefetch-rewritten runs per
+workload, which only it asks for: the first report executes them into
+the trace store and the result tier like any session run, and a
+resumed report reads them back.  ``benchmarks/bench_ablations.py``
+asserts each one's expected direction.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from repro.heuristic.training import BenchmarkTrainingData, train_weights
 from repro.metrics.measures import coverage, precision
 from repro.patterns.builder import build_load_infos
 from repro.pipeline.session import Measurement, Session
-from repro.prefetch.evaluate import compare_policies
+from repro.prefetch.evaluate import (PolicyResult, PrefetchComparison,
+                                     policy_prefetches)
 from repro.profiling.combined import combined_delta
 from repro.profiling.sampling import sampled_profile
 
 WORKLOADS = ("181.mcf", "129.compress", "197.parser", "101.tomcatv")
+PREFETCH_WORKLOADS = ("183.equake", "101.tomcatv", "179.art")
 
 
 def _pi_rho_cell(delta: set[int], m: Measurement) -> str:
@@ -201,6 +207,22 @@ def l2_hierarchy(session: Session) -> Table:
     return table
 
 
+def prefetch_comparison(session: Session, name: str) -> PrefetchComparison:
+    """The three policies on ``name``, each a session run: ``none`` is
+    the baseline run, the others are the program rewritten with
+    prefetches for Delta and for every load."""
+    m = session.measurement(name)
+    delta = run_heuristic(m).delinquent_set
+    results = []
+    for policy, pcs in policy_prefetches(m.program, delta).items():
+        # stats before steps: acquiring the trace and simulating it is
+        # then one pass, and steps come with the acquisition
+        stats = session.stats(name, prefetch=pcs)
+        results.append(PolicyResult.from_stats(
+            policy, session.steps(name, prefetch=pcs), stats))
+    return PrefetchComparison(*results)
+
+
 def prefetch_pass(session: Session) -> Table:
     """The motivating client: Delta-guided prefetch insertion vs
     prefetching everything, under the stall-cycle model."""
@@ -208,11 +230,8 @@ def prefetch_pass(session: Session) -> Table:
                   "(cycle model, penalty=30)",
                   ["Benchmark", "Delta speedup", "all-loads speedup",
                    "Delta pref ops", "all pref ops"])
-    for name in ("183.equake", "101.tomcatv", "179.art"):
-        m = session.measurement(name)
-        heuristic = run_heuristic(m)
-        comparison = compare_policies(m.program,
-                                      heuristic.delinquent_set)
+    for name in PREFETCH_WORKLOADS:
+        comparison = prefetch_comparison(session, name)
         table.add_row(
             name,
             f"{comparison.speedup(comparison.delta):.2f}x",

@@ -3,7 +3,8 @@
 A :class:`Session` memoizes the expensive stages so the fourteen table
 experiments can share work:
 
-* **compile** — (workload, input, optimize) -> Program (cheap, memoized);
+* **compile** — (workload, input, optimize) -> Program (cheap, memoized),
+  rewritten with prefetches when the run key names a prefetch set;
 * **analyze** — static address patterns per program (cheap, memoized);
 * **execute** — instruction-level run producing the block profile and the
   memory trace, acquired through a :class:`~repro.store.handle.TraceHandle`
@@ -30,7 +31,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Optional, Sequence, TypeVar
 
 from repro.asm.program import Program
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
@@ -88,6 +89,18 @@ class RunKey:
     workload: str
     input_name: str
     optimize: bool
+    #: The load PCs :func:`~repro.prefetch.pass_.apply_prefetching`
+    #: prefetches in the compiled program; empty: no rewrite.
+    prefetch: frozenset[int] = frozenset()
+
+    @property
+    def rewrite(self) -> str:
+        """The rewrite as the run's trace key and digest hash it;
+        empty for an unrewritten run, whose keys it leaves unchanged."""
+        if not self.prefetch:
+            return ""
+        return "prefetch " + ",".join(f"{pc:x}"
+                                      for pc in sorted(self.prefetch))
 
 
 @dataclass
@@ -177,24 +190,37 @@ class Session:
         return self._sources[key]
 
     def program(self, workload: str, input_name: str = "input1",
-                optimize: bool = False) -> Program:
-        key = RunKey(workload, input_name, optimize)
+                optimize: bool = False,
+                prefetch: Collection[int] = frozenset()) -> Program:
+        """The compiled program, with a ``pref`` before each load in
+        ``prefetch`` (see :func:`~repro.prefetch.pass_.apply_prefetching`)."""
+        return self._program(RunKey(workload, input_name, optimize,
+                                    frozenset(prefetch)))
+
+    def _program(self, key: RunKey) -> Program:
         if key not in self._programs:
-            self._programs[key] = compile_source(
-                self.source(workload, input_name), optimize=optimize)
+            if key.prefetch:
+                from repro.prefetch.pass_ import apply_prefetching
+                base = (key.workload, key.input_name, key.optimize)
+                self._programs[key] = apply_prefetching(
+                    self.program(*base), set(key.prefetch),
+                    self.load_infos(*base)).program
+            else:
+                self._programs[key] = compile_source(
+                    self.source(key.workload, key.input_name),
+                    optimize=key.optimize)
         return self._programs[key]
 
     def load_infos(self, workload: str, input_name: str = "input1",
                    optimize: bool = False) -> dict[int, LoadInfo]:
         key = RunKey(workload, input_name, optimize)
         if key not in self._analyses:
-            self._analyses[key] = build_load_infos(
-                self.program(workload, input_name, optimize))
+            self._analyses[key] = build_load_infos(self._program(key))
         return self._analyses[key]
 
     def _trace_key(self, key: RunKey) -> str:
         return trace_key(self.source(key.workload, key.input_name),
-                         key.optimize, self.max_steps)
+                         key.optimize, self.max_steps, key.rewrite)
 
     def _replay(self, key: RunKey,
                 compute: Callable[[TraceSource], T]) -> T:
@@ -207,9 +233,8 @@ class Session:
         """
         handle = self._traces.get(key)
         if handle is None:
-            handle = TraceHandle(
-                self.program(key.workload, key.input_name, key.optimize),
-                self._trace_key(key), self._trace_store, self.max_steps)
+            handle = TraceHandle(self._program(key), self._trace_key(key),
+                                 self._trace_store, self.max_steps)
         else:
             self._traces.move_to_end(key)
         result = handle.replay(compute)
@@ -221,23 +246,33 @@ class Session:
         return result
 
     def profile(self, workload: str, input_name: str = "input1",
-                optimize: bool = False) -> BlockProfile:
-        key = RunKey(workload, input_name, optimize)
+                optimize: bool = False,
+                prefetch: Collection[int] = frozenset()) -> BlockProfile:
+        key = RunKey(workload, input_name, optimize, frozenset(prefetch))
         if key not in self._profiles:
             self._lookup(key, BASELINE_CONFIG)   # a disk hit adopts it
         if key not in self._profiles:
             self._replay(key, lambda source: None)   # acquire only
         return self._profiles[key]
 
+    def steps(self, workload: str, input_name: str = "input1",
+              optimize: bool = False,
+              prefetch: Collection[int] = frozenset()) -> int:
+        """The run's executed instruction count."""
+        self.profile(workload, input_name, optimize, prefetch)
+        return self._steps[RunKey(workload, input_name, optimize,
+                                  frozenset(prefetch))]
+
     def stats_multi(self, workload: str, input_name: str = "input1",
                     optimize: bool = False,
-                    configs: Sequence[CacheConfig] = (BASELINE_CONFIG,)
+                    configs: Sequence[CacheConfig] = (BASELINE_CONFIG,),
+                    prefetch: Collection[int] = frozenset()
                     ) -> list[CacheStats]:
         """Per-config stats, simulating every uncached config in ONE
         pass over the trace: LRU geometry sweeps go through the
         stack-distance engine (see :func:`simulate_sweep`), everything
         else through the single-pass multi-config replay."""
-        key = RunKey(workload, input_name, optimize)
+        key = RunKey(workload, input_name, optimize, frozenset(prefetch))
         found: dict[CacheConfig, CacheStats] = {}
         missing: list[CacheConfig] = []
         for config in dict.fromkeys(configs):
@@ -257,9 +292,10 @@ class Session:
 
     def stats(self, workload: str, input_name: str = "input1",
               optimize: bool = False,
-              cache_config: CacheConfig = BASELINE_CONFIG) -> CacheStats:
+              cache_config: CacheConfig = BASELINE_CONFIG,
+              prefetch: Collection[int] = frozenset()) -> CacheStats:
         return self.stats_multi(workload, input_name, optimize,
-                                (cache_config,))[0]
+                                (cache_config,), prefetch)[0]
 
     # -- scenario families (TLB, PCAX, redundancy) --------------------
     def scenario(self, workload: str, input_name: str = "input1",
@@ -354,26 +390,30 @@ class Session:
         return Measurement(
             key=key,
             cache_config=cache_config,
-            program=self.program(workload, input_name, optimize),
+            program=self._program(key),
             load_infos=self.load_infos(workload, input_name, optimize),
             profile=profile,
             load_misses=dict(stats.load_misses),
             load_exec=profile.load_exec_counts(),
-            steps=self._steps.get(key, profile.total_cycles),
+            steps=self._steps[key],
         )
 
     # -- the result tier -----------------------------------------------
     def _digest(self, key: RunKey, config: CacheConfig) -> str:
         # The execution engine is deliberately NOT part of the digest:
         # both engines are bit-identical (same trace, same profile), so
-        # entries warmed under either engine are interchangeable.
-        text = "|".join((
+        # entries warmed under either engine are interchangeable.  A
+        # rewrite is, when there is one.
+        parts = [
             str(_SCHEMA_VERSION),
             self.source(key.workload, key.input_name),
             str(key.optimize),
             config.describe(),
             str(self.max_steps),
-        ))
+        ]
+        if key.rewrite:
+            parts.append(key.rewrite)
+        text = "|".join(parts)
         return hashlib.sha1(text.encode()).hexdigest()
 
     def _entry_key(self, key: RunKey, config: CacheConfig) -> str:
@@ -385,8 +425,7 @@ class Session:
         """Record the run's execution facts, once."""
         if key not in self._profiles:
             self._profiles[key] = BlockProfile.from_block_counts(
-                self.program(key.workload, key.input_name, key.optimize),
-                block_counts)
+                self._program(key), block_counts)
             self._steps[key] = steps
 
     def _lookup(self, key: RunKey,

@@ -1,9 +1,15 @@
-"""Evaluation harness for Delta-guided prefetching.
+"""The cycle model for Delta-guided prefetching, and its three policies.
 
 Cycle model: ``cycles = instructions + penalty * (load misses + store
 misses)`` — the simple stall model the profiling extension also uses.
-``compare_policies`` measures the three policies the paper's introduction
-contrasts: prefetch nothing, prefetch only Delta, prefetch every load.
+:meth:`PolicyResult.from_stats` is that model, applied to one run's
+step count and cache stats wherever they come from: Ablation J reads
+them from the pipeline session, where a prefetch-rewritten program is
+an ordinary run keyed by its prefetch set, and :func:`compare_policies`
+acquires each policy's trace through a store-less
+:class:`~repro.store.handle.TraceHandle`.  The three policies are the
+ones the paper's introduction contrasts: prefetch nothing, prefetch only
+Delta, prefetch every load.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from dataclasses import dataclass
 
 from repro.asm.program import Program
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
-from repro.cache.stackdist import simulate_sweep
-from repro.machine.simulator import Machine
+from repro.cache.model import CacheStats, simulate_trace
 from repro.prefetch.pass_ import apply_prefetching
+from repro.store.handle import TraceHandle
 
 DEFAULT_PENALTY = 30
 
@@ -30,9 +36,16 @@ class PolicyResult:
     prefetch_ops: int
     cycles: int
 
-    @property
-    def total_misses(self) -> int:
-        return self.load_misses + self.store_misses
+    @classmethod
+    def from_stats(cls, policy: str, steps: int, stats: CacheStats,
+                   penalty: int = DEFAULT_PENALTY) -> "PolicyResult":
+        """The cycle model over one run's steps and cache stats."""
+        load_misses = stats.total_load_misses
+        store_misses = stats.total_store_misses
+        return cls(policy=policy, instructions=steps,
+                   load_misses=load_misses, store_misses=store_misses,
+                   prefetch_ops=stats.prefetch_ops,
+                   cycles=steps + penalty * (load_misses + store_misses))
 
 
 @dataclass
@@ -61,29 +74,13 @@ class PrefetchComparison:
         return "\n".join(rows)
 
 
-def measure_policy(program: Program, policy: str,
-                   cache: CacheConfig = BASELINE_CONFIG,
-                   penalty: int = DEFAULT_PENALTY,
-                   max_steps: int = 300_000_000) -> PolicyResult:
-    """Execute ``program`` and evaluate it under the cycle model.
-
-    Cache simulation goes through the dispatching sweep engine, so a
-    policy evaluated under several LRU geometries (or re-evaluated
-    after a profile is cached) shares one trace pass.
-    """
-    result = Machine(program, max_steps=max_steps).run()
-    stats = simulate_sweep(result.trace, (cache,))[0]
-    load_misses = stats.total_load_misses
-    store_misses = stats.total_store_misses
-    cycles = result.steps + penalty * (load_misses + store_misses)
-    return PolicyResult(
-        policy=policy,
-        instructions=result.steps,
-        load_misses=load_misses,
-        store_misses=store_misses,
-        prefetch_ops=stats.prefetch_ops,
-        cycles=cycles,
-    )
+def policy_prefetches(program: Program, delta: set[int]
+                      ) -> dict[str, frozenset[int]]:
+    """The PCs each policy prefetches, in :class:`PrefetchComparison`
+    order; the empty set is the program as compiled."""
+    return {"none": frozenset(),
+            "delta-guided": frozenset(delta),
+            "all-loads": frozenset(program.load_addresses())}
 
 
 def compare_policies(program: Program,
@@ -92,13 +89,12 @@ def compare_policies(program: Program,
                      penalty: int = DEFAULT_PENALTY,
                      max_steps: int = 300_000_000) -> PrefetchComparison:
     """Prefetch nothing vs Delta-only vs every load."""
-    baseline = measure_policy(program, "none", cache, penalty, max_steps)
-    delta_program = apply_prefetching(program, delta).program
-    delta_result = measure_policy(delta_program, "delta-guided", cache,
-                                  penalty, max_steps)
-    every = set(program.load_addresses())
-    all_program = apply_prefetching(program, every).program
-    all_result = measure_policy(all_program, "all-loads", cache,
-                                penalty, max_steps)
-    return PrefetchComparison(none=baseline, delta=delta_result,
-                              all_loads=all_result)
+    results = []
+    for policy, pcs in policy_prefetches(program, delta).items():
+        rewritten = apply_prefetching(program, set(pcs)).program \
+            if pcs else program
+        handle = TraceHandle(rewritten, policy, max_steps=max_steps)
+        stats = handle.replay(lambda source: simulate_trace(source, cache))
+        results.append(PolicyResult.from_stats(policy, handle.steps,
+                                               stats, penalty))
+    return PrefetchComparison(*results)

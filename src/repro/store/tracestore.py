@@ -56,19 +56,26 @@ _FRAME = struct.Struct("<IIII")      # rows, pc blob, addr blob, kind blob
 _SWAP = sys.byteorder == "big"
 
 
-def trace_key(source: str, optimize: bool, max_steps: int) -> str:
+def trace_key(source: str, optimize: bool, max_steps: int,
+              rewrite: str = "") -> str:
     """Content key of one workload's trace.
 
     Hashes everything that determines the access stream: the program
     text (workload inputs are baked into the generated source), the
-    optimization level, the step budget, and the store schema.  The
-    execution engine is deliberately excluded — both engines are
-    bit-identical by contract, so entries written under either are
-    interchangeable.  The pipeline session and the service share this
-    key, so a workload executed by one is a store hit for the other.
+    optimization level, the step budget, the store schema, and the
+    rewrite applied to the compiled program, if any (``rewrite`` names
+    it; an empty one adds nothing to the hash, so stored unrewritten
+    traces keep their keys).  The execution engine is deliberately
+    excluded — both engines are bit-identical by contract, so entries
+    written under either are interchangeable.  The pipeline session and
+    the service share this key, so a workload executed by one is a
+    store hit for the other.
     """
-    text = "|".join(("trace", str(_SCHEMA), source, str(bool(optimize)),
-                     str(max_steps)))
+    parts = ["trace", str(_SCHEMA), source, str(bool(optimize)),
+             str(max_steps)]
+    if rewrite:
+        parts.append(rewrite)
+    text = "|".join(parts)
     return hashlib.sha1(text.encode()).hexdigest()
 
 

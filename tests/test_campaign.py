@@ -447,9 +447,12 @@ class TestReport:
         from repro.__main__ import main
         from repro.experiments import ablations
         from repro.experiments.report import render_report
+        from repro.machine.simulator import Machine
         monkeypatch.setattr(ablations, "WORKLOADS", (SCENARIO_PROGRAM,))
+        monkeypatch.setattr(ablations, "PREFETCH_WORKLOADS", ("179.art",))
         monkeypatch.setattr(ablations, "ABLATIONS",
-                            {101: ablations.slot_recurrence})
+                            {101: ablations.slot_recurrence,
+                             110: ablations.prefetch_pass})
         tables = ",".join(map(str, TABLES))
         command = ["campaign", "--tables", tables, "--scale", str(SCALE),
                    "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
@@ -459,15 +462,23 @@ class TestReport:
         serial = Session(scale=SCALE, cache_dir=tmp_path / "serial")
         exhibits = run_tables(serial, list(TABLES), echo=False)
         exhibits[101] = ablations.slot_recurrence(serial)
+        exhibits[110] = ablations.prefetch_pass(serial)
         expected = render_report(exhibits, scale=SCALE)
         assert cold.read_text() == expected
         assert f"`python -m repro campaign --tables {tables} " \
                f"--scale {SCALE} --report EXPERIMENTS.md`" in expected
 
-        # resumed tables are rebuilt from the warm tiers: no trace pass
+        # resumed tables and ablations (Ablation J's prefetch-rewritten
+        # runs included) are rebuilt from the warm tiers: no trace pass
+        # and no execution
         def no_replay(*args, **kwargs):
             raise AssertionError("resumed report replayed a trace")
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("resumed report executed a program")
         monkeypatch.setattr(Session, "_replay", no_replay)
+        monkeypatch.setattr(Machine, "run", no_execution)
+        monkeypatch.setattr(Machine, "run_streaming", no_execution)
         resumed = tmp_path / "resumed.md"
         assert main(command + ["--resume", "--report",
                                str(resumed)]) == 0

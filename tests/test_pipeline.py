@@ -91,3 +91,76 @@ class TestMeasurement:
         for name in ("129.compress", "099.go", "181.mcf"):
             session.stats(name)
         assert len(session._traces) <= 2
+
+
+class TestRewrittenRuns:
+    """A run key naming a prefetch set is a run of its own."""
+
+    def _loads(self, session):
+        return sorted(session.program(WL).load_addresses())
+
+    def test_program_is_rewritten(self, session):
+        loads = self._loads(session)
+        rewritten = session.program(WL, prefetch=loads[:2])
+        assert rewritten is session.program(WL, prefetch=loads[1::-1])
+        assert session.program(WL, prefetch=()) is session.program(WL)
+        assert sum(1 for i in rewritten.instructions
+                   if i.mnemonic == "pref") \
+            == 2
+
+    def test_keys_change_with_the_prefetch_set(self, session):
+        loads = self._loads(session)
+        keys = [RunKey(WL, "input1", False, frozenset(pcs))
+                for pcs in ((), loads[:1], loads[:2], loads[1:2])]
+        assert len({session._trace_key(k) for k in keys}) == len(keys)
+        assert len({session._digest(k, BASELINE_CONFIG)
+                    for k in keys}) == len(keys)
+        # the set, not the order it was given in, is hashed
+        again = RunKey(WL, "input1", False, frozenset(loads[1::-1]))
+        assert session._trace_key(again) == session._trace_key(keys[2])
+        assert session._digest(again, BASELINE_CONFIG) \
+            == session._digest(keys[2], BASELINE_CONFIG)
+
+    def test_unrewritten_keys_are_unchanged(self, tmp_path):
+        # Values computed before run keys could name a rewrite: an
+        # unrewritten run's trace key, result digest and the default
+        # campaign plan must not move, so warm caches stay warm.
+        import hashlib
+        from repro.campaign import Campaign
+        session = Session(scale=0.03, cache_dir=tmp_path / "cache")
+        key = RunKey("179.art", "input1", False)
+        assert key == RunKey("179.art", "input1", False, frozenset())
+        assert session._trace_key(key) \
+            == "3031f5f22b3e31bb4ca85e1ec47b18c12d152ad7"
+        assert session._digest(key, BASELINE_CONFIG) \
+            == "7ad97856c2db64cd416727b31ca2a7e305b63a58"
+        plans = Campaign(session).plan()
+        text = "\n".join(f"{plan.id} {plan.digest}" for plan in plans)
+        assert (len(plans), hashlib.sha1(text.encode()).hexdigest()) \
+            == (93, "9fe424f5b4ea62ce02dd5319fdf64a0d443dcc29")
+
+    def test_rewritten_run_is_stored_and_resumed(self, tmp_path,
+                                                 monkeypatch):
+        from repro.machine.simulator import Machine
+        cache_dir = tmp_path / "c"
+        one = Session(scale=SCALE, cache_dir=cache_dir)
+        pcs = self._loads(one)[:3]
+        stats = one.stats(WL, prefetch=pcs)
+        steps = one.steps(WL, prefetch=pcs)
+        assert stats.prefetch_ops > 0
+        assert steps > one.steps(WL)
+        assert stats.load_misses != one.stats(WL).load_misses
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("a warm rewritten run executed")
+        monkeypatch.setattr(Machine, "run", no_execution)
+        monkeypatch.setattr(Machine, "run_streaming", no_execution)
+        two = Session(scale=SCALE, cache_dir=cache_dir)
+        again = two.stats(WL, prefetch=pcs)
+        assert (again.load_misses, again.prefetch_ops) \
+            == (stats.load_misses, stats.prefetch_ops)
+        assert two.steps(WL, prefetch=pcs) == steps
+        # a config the result tier lacks replays the stored trace
+        other = CacheConfig(16 * 1024, 4, 32)
+        assert two.stats(WL, cache_config=other,
+                         prefetch=pcs).prefetch_ops == stats.prefetch_ops

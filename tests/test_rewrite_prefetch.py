@@ -3,16 +3,22 @@
 import pytest
 
 from repro.asm.assembler import assemble
+from repro.cache.config import BASELINE_CONFIG
+from repro.cache.model import simulate_trace
 from repro.compiler.driver import compile_source
+from repro.experiments import ablations
 from repro.heuristic.classifier import DelinquencyClassifier
 from repro.isa.instructions import Instruction
-from repro.machine.simulator import run_program
+from repro.machine.simulator import Machine, run_program
 from repro.patterns.builder import build_load_infos
-from repro.prefetch.evaluate import compare_policies, measure_policy
+from repro.pipeline.session import Session
+from repro.prefetch.evaluate import compare_policies
 from repro.prefetch.pass_ import apply_prefetching, plan_prefetches
+from repro.profiling.profile import BlockProfile
 from repro.rewrite.inserter import (
     RewriteError, RewriteResult, insert_instructions,
 )
+from repro.workloads.registry import get as get_workload
 from tests.conftest import SAMPLE_EXPECTED, SAMPLE_SOURCE
 
 STRIDED_SRC = r"""
@@ -187,3 +193,73 @@ class TestPrefetchEndToEnd:
     def test_miss_reduction_metric(self, comparison):
         assert comparison.miss_reduction(comparison.delta) > 0.8
         assert comparison.miss_reduction(comparison.none) == 0.0
+
+
+class TestAblationJ:
+    """Ablation J's session runs against fresh materialized executions."""
+
+    NAME = "179.art"
+    SCALE = 0.03
+
+    @pytest.fixture(scope="class")
+    def session(self, tmp_path_factory):
+        return Session(scale=self.SCALE,
+                       cache_dir=tmp_path_factory.mktemp("ablation-j"))
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """steps, load misses and store misses of each policy, from a
+        materializing ``Machine.run`` plus ``simulate_trace``."""
+        program = compile_source(get_workload(self.NAME).generate(
+            "input1", scale=self.SCALE))
+        base = Machine(program).run()
+        profile = BlockProfile.from_execution(program, base)
+        infos = build_load_infos(program)
+        delta = DelinquencyClassifier().classify(
+            infos, profile.load_exec_counts(),
+            profile.hotspot_loads()).delinquent_set
+        measured = {}
+        for policy, pcs in (("none", set()), ("delta-guided", delta),
+                            ("all-loads", set(program.load_addresses()))):
+            rewritten = apply_prefetching(program, pcs).program \
+                if pcs else program
+            result = Machine(rewritten).run()
+            stats = simulate_trace(result.trace, BASELINE_CONFIG)
+            measured[policy] = (result.steps, stats.total_load_misses,
+                                stats.total_store_misses,
+                                stats.prefetch_ops)
+        return measured
+
+    def test_rows_match_materialized_reference(self, session, reference,
+                                               monkeypatch):
+        monkeypatch.setattr(ablations, "PREFETCH_WORKLOADS", (self.NAME,))
+        table = ablations.prefetch_pass(session)
+
+        def cycles(policy):
+            steps, load_misses, store_misses, _ = reference[policy]
+            return steps + 30 * (load_misses + store_misses)
+
+        none = cycles("none")
+        assert table.rows == [[
+            self.NAME,
+            f"{none / cycles('delta-guided'):.2f}x",
+            f"{none / cycles('all-loads'):.2f}x",
+            f"{reference['delta-guided'][3]:,}",
+            f"{reference['all-loads'][3]:,}"]]
+
+    def test_each_policy_matches_reference(self, session, reference):
+        comparison = ablations.prefetch_comparison(session, self.NAME)
+        for result in (comparison.none, comparison.delta,
+                       comparison.all_loads):
+            assert (result.instructions, result.load_misses,
+                    result.store_misses, result.prefetch_ops) \
+                == reference[result.policy]
+
+    def test_none_is_the_baseline_run(self, session):
+        none = ablations.prefetch_comparison(session, self.NAME).none
+        m = session.measurement(self.NAME)
+        stats = session.stats(self.NAME)
+        assert none.instructions == m.steps
+        assert none.load_misses == m.total_load_misses
+        assert none.store_misses == stats.total_store_misses
+        assert none.prefetch_ops == 0
