@@ -8,8 +8,9 @@ Three phases, each against its own cold cache directory:
    workflow, not a strawman),
 2. **campaign** — the DAG engine fanning run/analytic/scenario cells
    across a process pool sized to the machine,
-3. **resume** — the same campaign re-run with ``--resume`` semantics:
-   must compute zero cells and finish in seconds.
+3. **rerun** — the same campaign run again over its warm cache: every
+   cell, tables included, comes from the content-keyed tiers, so it
+   computes zero cells and finishes in seconds.
 
 Results land in ``BENCH_campaign.json`` at the repository root.  The
 acceptance gate — campaign >= 3x faster than serial — is enforced only
@@ -89,28 +90,28 @@ def test_campaign_parallel(tmp_path_factory):
         "cached": result.cached,
         "profile_store": result.profile_store,
     }
-    # the resume phase reuses this campaign's cache + manifest
+    # the rerun phase reuses this campaign's cache
     _results["_campaign_cache"] = str(cache_dir)
     _flush()
 
 
-def test_campaign_resume():
+def test_campaign_rerun():
     cache_dir = _results.pop("_campaign_cache", None)
     assert cache_dir, "run the campaign phase first"
     session = Session(scale=SCALE, cache_dir=Path(cache_dir))
     campaign = Campaign(session, numbers=TABLES)
     start = time.perf_counter()
-    result = campaign.run(resume=True)
+    result = campaign.run()
     wall = time.perf_counter() - start
-    _results["resume"] = {
+    _results["rerun"] = {
         "wall_s": round(wall, 3),
         "computed": result.computed,
-        "skipped": result.skipped,
+        "cached": result.cached,
     }
     _flush()
-    # the whole point of the manifest: zero recomputation
+    # the whole point of the tiers: zero recomputation
     assert result.computed == 0
-    assert result.skipped == len(campaign.plan())
+    assert result.cached == len(campaign.plan())
     assert {n: t for n, t in result.tables.items()} \
         == _tables["campaign"]
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Campaign smoke probe: run, SIGKILL mid-flight, resume, verify.
+"""Campaign smoke probe: run, SIGKILL mid-flight, rerun, verify.
 
 Run from the repository root (CI does)::
 
@@ -10,10 +10,11 @@ Exercises the ``python -m repro campaign`` CLI end to end:
 1. launches a three-table campaign subprocess against a scratch cache
    directory and SIGKILLs it as soon as the manifest records a finished
    ``scenario`` cell (Table 17's fused dTLB/PCAX/redundancy pass),
-2. resumes with ``--resume`` while the ``REPRO_CAMPAIGN_FORBID``
-   tripwire lists every completed cell — any attempt to recompute one
-   raises, so a clean exit *proves* zero redundant work,
-3. checks ``--status`` reports the finished ledger with no stale
+2. reruns the same command through a ``-c`` launcher that makes
+   computing any completed cell raise, so a clean exit *proves* zero
+   redundant work, and checks that the rerun recorded every completed
+   cell, tables included, as ``disk``,
+3. checks ``--status`` reports the finished manifest with no stale
    cells,
 4. re-runs the whole campaign in a second scratch directory without
    interruption and asserts the rendered tables are byte-identical.
@@ -38,6 +39,26 @@ from repro.campaign import Manifest, campaign_dir      # noqa: E402
 SCALE = "0.03"
 TABLES = "6,10,17"
 
+#: ``python -c`` program: the CLI, with computing a cell raising for
+#: every cell id listed in the file argv[1] names.
+_TRIPWIRE_CLI = """
+import sys
+from pathlib import Path
+from repro.__main__ import main
+from repro.campaign import engine
+
+completed = set(Path(sys.argv[1]).read_text().split())
+compute = engine._compute_cell
+
+def compute_cold(session, plan):
+    if plan.id in completed:
+        raise RuntimeError(f"tripwire: recomputed completed {plan.id}")
+    return compute(session, plan)
+
+engine._compute_cell = compute_cold
+sys.exit(main(sys.argv[2:]))
+"""
+
 
 def _env() -> dict:
     env = dict(os.environ)
@@ -46,8 +67,9 @@ def _env() -> dict:
     return env
 
 
-def _campaign_cmd(cache: Path, *extra: str) -> list:
-    return [sys.executable, "-m", "repro", "campaign",
+def _campaign_cmd(cache: Path, *extra: str,
+                  launcher: tuple = ("-m", "repro")) -> list:
+    return [sys.executable, *launcher, "campaign",
             "--tables", TABLES, "--scale", SCALE, "--jobs", "1",
             "--cache-dir", str(cache), *extra]
 
@@ -85,20 +107,26 @@ def main() -> int:
     print(f"smoke: killed campaign with {len(completed)} cell(s) "
           f"recorded (interrupted={interrupted})")
 
-    # 2. resume with the tripwire armed on every completed cell
+    # 2. a plain rerun, with the tripwire on every completed cell
     forbid = scratch / "forbid.txt"
     forbid.write_text("\n".join(sorted(completed)) + "\n")
-    env = _env()
-    env["REPRO_CAMPAIGN_FORBID"] = str(forbid)
-    resumed = subprocess.run(
-        _campaign_cmd(killed_cache, "--resume"),
-        env=env, cwd=REPO_ROOT, capture_output=True, text=True)
-    assert resumed.returncode == 0, \
-        f"resume failed (tripwire?):\n{resumed.stderr}"
-    print("smoke: resume completed without recomputing any "
-          "finished cell")
+    seen = {entry["campaign"] for entry in manifest.entries()}
+    rerun = subprocess.run(
+        _campaign_cmd(killed_cache, launcher=("-c", _TRIPWIRE_CLI,
+                                              str(forbid))),
+        env=_env(), cwd=REPO_ROOT, capture_output=True, text=True)
+    assert rerun.returncode == 0, \
+        f"rerun failed (tripwire?):\n{rerun.stderr}"
+    tiers = {entry["cell"]: entry["tier"]
+             for entry in manifest.entries()
+             if entry["campaign"] not in seen}
+    stale = sorted(cell for cell in completed if tiers.get(cell) != "disk")
+    assert not stale, f"completed cells not read back from disk: {stale}"
+    print(f"smoke: rerun read all {len(completed)} completed cell(s) "
+          f"back from disk and computed "
+          f"{sum(tier == 'computed' for tier in tiers.values())}")
 
-    # 3. the ledger is complete and current
+    # 3. the manifest is complete and current
     status = subprocess.run(
         _campaign_cmd(killed_cache, "--status"),
         env=_env(), cwd=REPO_ROOT, capture_output=True, text=True)
@@ -117,13 +145,13 @@ def main() -> int:
     assert fresh.returncode == 0, fresh.stderr
     for number in (6, 10, 17):
         name = f"table{number:02d}.txt"
-        resumed_text = (campaign_dir(killed_cache) / "tables"
-                        / name).read_text()
+        rerun_text = (campaign_dir(killed_cache) / "tables"
+                      / name).read_text()
         fresh_text = (campaign_dir(clean_cache) / "tables"
                       / name).read_text()
-        assert resumed_text == fresh_text, \
-            f"{name} diverges between resumed and clean campaigns"
-    print("smoke: resumed tables byte-identical to a clean run — "
+        assert rerun_text == fresh_text, \
+            f"{name} diverges between rerun and clean campaigns"
+    print("smoke: rerun tables byte-identical to a clean run — "
           "all checks passed")
     return 0
 

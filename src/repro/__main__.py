@@ -16,8 +16,8 @@
     python -m repro asm PROG.c [--optimize]
     python -m repro verify PROG.c [--optimize]
     python -m repro campaign [--tables 1,7] [--scale S] [--report F]
-                             [--jobs N] [--resume]
-                             [--status]        (aliases: warm, tables)
+                             [--jobs N] [--status]
+                                               (aliases: warm, tables)
     python -m repro cache gc [--limit SIZE] [--dry-run]
     python -m repro serve [--port P] [--workers N] [--stats]
     python -m repro fuzz [--seed N] [--cases N] [--time S]
@@ -473,7 +473,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         campaign = Campaign(session, numbers=numbers)
     except ValueError as exc:
         raise CliError(str(exc))
-    result = campaign.run(jobs=jobs, resume=args.resume, echo=print)
+    result = campaign.run(jobs=jobs, echo=print)
     if args.echo_tables:
         for number in sorted(result.tables):
             print(result.tables[number])
@@ -481,7 +481,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.report:
         from repro.experiments.ablations import ABLATIONS
         from repro.experiments.report import write_report
-        exhibits = campaign.exhibits(result)
+        exhibits = dict(result.exhibits)
         for number, build in sorted(ABLATIONS.items()):
             exhibits[number] = build(session)
         write_report(exhibits, args.report, scale=args.scale)
@@ -630,8 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp = sub.add_parser(
         "campaign", aliases=["warm", "tables"],
         help="regenerate the experiment grid through the DAG-aware "
-             "campaign engine (parallel, resumable, provenance-"
-             "recorded; see repro.campaign); fills .repro_cache")
+             "campaign engine (parallel, provenance-recorded, reusing "
+             "every cached cell; see repro.campaign); fills "
+             ".repro_cache")
     p_camp.add_argument("--tables", default="all",
                         help="comma-separated table numbers "
                              "(default: all)")
@@ -640,10 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes (default: $REPRO_JOBS, "
                              "then the CPU count)")
-    p_camp.add_argument("--resume", action="store_true",
-                        help="skip cells whose manifest entry matches "
-                             "the current code digest and whose "
-                             "artifacts are still warm")
     p_camp.add_argument("--status", action="store_true",
                         help="print a summary of the campaign "
                              "manifest and exit")

@@ -14,7 +14,7 @@ is the loaded value a pointer?
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,6 @@ class FieldDesc:
 INT = TypeDesc("int", 4)
 FLOAT = TypeDesc("float", 4)
 CHAR = TypeDesc("char", 1)
-
-
-def pointer_to(elem: TypeDesc) -> TypeDesc:
-    return TypeDesc("pointer", 4, elem=elem)
-
-
-def array_of(elem: TypeDesc, count: int) -> TypeDesc:
-    return TypeDesc("array", elem.size * count, elem=elem, count=count)
-
-
-def struct_of(name: str, fields: Iterable[tuple[str, TypeDesc]]) -> TypeDesc:
-    descs = []
-    offset = 0
-    for fname, ftype in fields:
-        align = 4 if ftype.size >= 4 or ftype.kind in ("int", "float",
-                                                       "pointer") else 1
-        offset = (offset + align - 1) & ~(align - 1)
-        descs.append(FieldDesc(fname, offset, ftype))
-        offset += ftype.size
-    total = (offset + 3) & ~3
-    return TypeDesc("struct", total, fields=tuple(descs), struct_name=name)
 
 
 @dataclass

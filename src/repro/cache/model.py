@@ -345,8 +345,8 @@ def _emit_cache_update(tag: str, config: CacheConfig, block_var: str,
                        indent: int) -> list[str]:
     """Emit one cache's per-access update at ``indent``.
 
-    ``miss_lines`` (relative indentation, possibly a nested update for
-    a second-level cache) are placed in the miss branch after the fill.
+    ``miss_lines`` (relative indentation) are placed in the miss branch
+    after the fill.
     """
     pad = " " * indent
     set_mask = config.num_sets - 1

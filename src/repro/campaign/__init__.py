@@ -5,13 +5,13 @@ canonical grid (:mod:`repro.experiments.grid`): the full workload ×
 input × optimize × geometry grid expands into content-hashed cells,
 cells are scheduled with dependency awareness (trace/sweep runs,
 analytic profiles and the per-run scenario passes behind Tables 16 and
-17 fan out across a process pool or a running service endpoint, each
-cell submitted once its dependencies are done; each table formats as
-soon as its dependencies land), and
-every cell's provenance is appended to a queryable JSON-lines manifest
-under ``.repro_cache/campaign/``.  Interrupted campaigns resume by
-skipping any cell whose manifest entry matches the current code digest
-and whose artifacts are still warm — zero recomputation after a kill.
+17 fan out across a process pool, each cell submitted once its
+dependencies are done; each table formats as soon as its dependencies
+land), and every cell's provenance is appended to a queryable
+JSON-lines manifest under ``.repro_cache/campaign/``.  Every run reuses
+what the content-keyed tiers hold: a cell or rendered table already
+there is read back, not recomputed, so a rerun after a kill computes
+only what the killed run did not finish.
 """
 
 from repro.campaign.engine import (Campaign, CampaignResult, CellPlan,

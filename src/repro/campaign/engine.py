@@ -13,33 +13,34 @@ A campaign is planned as four kinds of content-hashed cells:
 * ``table`` — one formatted exhibit, depending on its spec's run,
   analytic and scenario cells.
 
-Run, analytic and scenario cells are computed on a process pool.  A
-cell is submitted once its dependencies are done, so scenario cells
-queue behind every run and analytic cell.  The disk tiers are the one
+The content-keyed tiers are the campaign's one way to reuse work.
+Every run first looks each run, analytic and scenario cell up in the
+session's tiers (:func:`_cell_lookup`); a warm cell finishes as
+``disk`` at once.  Cold cells are computed on a process pool, each
+submitted once its dependencies are done, so scenario cells queue
+behind every run and analytic cell.  The disk tiers are also the one
 hand-off between processes: a worker publishes its cell there, and the
-parent reads it back (:func:`_compute_cell` again, now a tier hit); a
-cell that never reached disk is logged on the ``repro.campaign`` logger
-and computed again in the parent.  With ``jobs=1``, or a session
-without a disk tier for workers to publish to, every cell is computed
-in the parent.  Each table renders in the parent the moment its last
-dependency lands, so a slow workload never stalls unrelated tables,
-and with a pool the parent makes no trace pass of its own.
-Every finished cell appends provenance (content digest, code digest,
-seed/config or scenario parameters, wall time, cache tier) to the
-JSON-lines manifest; with ``resume=True`` any cell whose latest
-manifest entry matches both digests and whose on-disk artifacts are
-still warm is skipped without recomputation.
+parent reads it back; a cell that never reached disk is logged on the
+``repro.campaign`` logger and computed again in the parent.  With
+``jobs=1``, or a session without a disk tier for workers to publish
+to, every cold cell is computed in the parent.
 
-The execution tripwire: when ``$REPRO_CAMPAIGN_FORBID`` names a file of
-cell ids, deciding to *compute* any of them raises — the crash-resume
-test uses it to prove that completed cells are never re-executed.
+Each table is ready the moment its last dependency lands, so a slow
+workload never stalls unrelated tables.  A ready table whose every
+dependency was served from the tiers is read from the rendered-table
+tier (:data:`repro.store.tier.TABLE`), keyed by the table cell's
+digest and the code digest, so a formatter change renders it again;
+otherwise the parent renders it.  Every finished cell appends
+provenance (content digest, code digest, seed/config or scenario
+parameters, wall time, tier) to the JSON-lines manifest.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import logging
-import os
 import time
 import uuid
 from concurrent.futures import (FIRST_COMPLETED, Future,
@@ -48,28 +49,31 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
+from repro.cache.lru import BoundedCache
 from repro.campaign.manifest import Manifest, campaign_dir
 from repro.experiments.common import Table
 from repro.experiments.grid import (GridCell, campaign_cells,
                                     scenario_spec, table_specs)
 from repro.pipeline.session import RunKey, Session, _resolve_jobs
 from repro.scenario import ScenarioSpec
+from repro.store.tier import TABLE, JsonTier
 
 #: Block size of the analytic profiles the tables read (Table 15 uses
 #: the baseline geometry's blocks).
 _ANALYTIC_BLOCK_SIZE = 32
 
-_FORBID_ENV = "REPRO_CAMPAIGN_FORBID"
+_TABLE_VERSION = 1
 
 _log = logging.getLogger("repro.campaign")
 
 
+@functools.cache
 def code_digest() -> str:
     """Content hash of every ``src/repro`` Python source.
 
-    Part of each manifest entry: a resumed campaign only trusts cells
-    recorded under the exact code that would recompute them, so any
-    source change invalidates the whole ledger at once.
+    Part of each manifest entry and of each rendered table's tier key,
+    so a code change renders every table again.  Computed once per
+    process: the running code is fixed at import.
     """
     import repro
     root = Path(repro.__file__).resolve().parent
@@ -100,20 +104,23 @@ class CampaignResult:
     """Outcome of one :meth:`Campaign.run`."""
 
     campaign_id: str
-    tables: dict[int, str] = field(default_factory=dict)  # rendered
-    # The Table objects rendered this run (resumed tables: text only).
+    #: Every requested table, rendered or read from the table tier.
     exhibits: dict[int, Table] = field(default_factory=dict)
-    computed: int = 0               # cells executed this run
-    skipped: int = 0                # cells resumed from the manifest
-    cached: int = 0                 # cells warm in the session caches
+    computed: int = 0               # cells computed this run
+    cached: int = 0                 # cells served by the tiers
     elapsed: float = 0.0
     profile_store: dict[str, Any] = field(default_factory=dict)
 
+    @property
+    def tables(self) -> dict[int, str]:
+        """Each exhibit's rendered text, by table number."""
+        return {number: table.render()
+                for number, table in sorted(self.exhibits.items())}
+
     def describe(self) -> str:
-        return (f"{len(self.tables)} table(s), "
+        return (f"{len(self.exhibits)} table(s), "
                 f"{self.computed} cell(s) computed, "
-                f"{self.skipped} resumed, {self.cached} cached, "
-                f"{self.elapsed:.1f}s")
+                f"{self.cached} cached, {self.elapsed:.1f}s")
 
 
 def _run_cell_id(cell: GridCell) -> str:
@@ -132,16 +139,9 @@ def _scenario_cell_id(cell: GridCell) -> str:
     return f"scenario:{cell.workload}:{cell.input_name}:{mode}"
 
 
-def _forbidden_cells() -> frozenset[str]:
-    path = os.environ.get(_FORBID_ENV)
-    if not path:
-        return frozenset()
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return frozenset()
-    return frozenset(line.strip() for line in text.splitlines()
-                     if line.strip())
+def _decode_table(entry: dict) -> Table:
+    return Table(**{f.name: entry[f.name]
+                    for f in dataclasses.fields(Table)})
 
 
 class Campaign:
@@ -161,7 +161,10 @@ class Campaign:
             else campaign_dir(session.cache_dir)
         self.tables_dir = self.directory / "tables"
         self.manifest = Manifest(self.directory)
-        self.code = code_digest()
+        self._tables = JsonTier(
+            TABLE, _TABLE_VERSION,
+            session.cache_dir / "table" if session.use_disk_cache
+            else None, BoundedCache(None))
         # Parent + worker ProfileStore lookups, folded per run.
         self._store_counters: dict[str, int] = {}
 
@@ -225,109 +228,44 @@ class Campaign:
                 deps=tuple(deps), number=number))
         return plans
 
-    # -- resume ------------------------------------------------------
-    def _artifacts_warm(self, plan: CellPlan,
-                        entry: dict[str, Any]) -> bool:
-        """Are the cell's outputs still on disk after a restart?"""
-        session = self.session
-        if plan.kind == "run":
-            key = RunKey(*plan.cell.run_key)
-            return all(session._is_warm(key, config)
-                       for config in plan.cell.configs)
-        if plan.kind == "analytic":
-            key = RunKey(*plan.cell.run_key)
-            return session._profile_store.get_analytic(
-                session._program_digest(key),
-                _ANALYTIC_BLOCK_SIZE) is not None
-        if plan.kind == "scenario":
-            return session._scenario_warm(RunKey(*plan.cell.run_key),
-                                          plan.spec)
-        path = self.tables_dir / f"table{plan.number:02d}.txt"
-        try:
-            # write_text appended one newline to the rendered text;
-            # undo exactly that so the hash matches the recorded one.
-            text = path.read_text().removesuffix("\n")
-        except OSError:
-            return False
-        return hashlib.sha1(text.encode()).hexdigest() \
-            == entry.get("output_sha1")
-
-    def _resumable(self, plan: CellPlan,
-                   ledger: dict[str, dict[str, Any]]) -> bool:
-        entry = ledger.get(plan.id)
-        return (entry is not None
-                and entry.get("digest") == plan.digest
-                and entry.get("code") == self.code
-                and self._artifacts_warm(plan, entry))
-
     # -- execution ---------------------------------------------------
-    def run(self, jobs: Optional[int] = None, resume: bool = False,
+    def run(self, jobs: Optional[int] = None,
             echo: Optional[Callable[[str], None]] = None
             ) -> CampaignResult:
         start = time.perf_counter()
         say = echo or (lambda text: None)
+        session = self.session
         campaign_id = uuid.uuid4().hex[:12]
         self._store_counters = {}
-        parent_before = dict(self.session._profile_store.counters)
+        parent_before = dict(session._profile_store.counters)
+        code = code_digest()
         plans = self.plan()
-        ledger = self.manifest.latest() if resume else {}
-        forbidden = _forbidden_cells()
         result = CampaignResult(campaign_id=campaign_id)
-
-        compute: list[CellPlan] = []
-        done: set[str] = set()
-        rendered_from_disk: dict[int, str] = {}
-        for plan in plans:
-            if resume and self._resumable(plan, ledger):
-                done.add(plan.id)
-                result.skipped += 1
-                if plan.kind == "table":
-                    path = self.tables_dir \
-                        / f"table{plan.number:02d}.txt"
-                    rendered_from_disk[plan.number] = \
-                        path.read_text().removesuffix("\n")
-                continue
-            if plan.kind != "table":
-                compute.append(plan)
-        tables = [plan for plan in plans if plan.kind == "table"
-                  and plan.id not in done]
-        for plan in compute + tables:
-            if plan.id in forbidden:
-                raise RuntimeError(
-                    f"campaign tripwire: would recompute completed "
-                    f"cell {plan.id}")
-        waiting = {plan.id: set(plan.deps) - done for plan in tables}
+        computed: set[str] = set()
+        tables = [plan for plan in plans if plan.kind == "table"]
+        waiting = {plan.id: set(plan.deps) for plan in tables}
         table_plans = {plan.id: plan for plan in tables}
 
-        jobs = min(_resolve_jobs(jobs), len(compute) or 1)
-        where = ""
-        if jobs > 1 and not self.session.use_disk_cache:
-            jobs, where = 1, " in the parent (no disk tier to publish to)"
-        say(f"[campaign {campaign_id}] {len(plans)} cell(s): "
-            f"{len(compute)} to compute{where}, "
-            f"{result.skipped} resumed")
-
-        def finish_cell(plan: CellPlan, wall: float, tier: str) -> None:
+        def finish_cell(plan: CellPlan, wall: float, tier: str,
+                        **extra: Any) -> None:
             if tier == "computed":
                 result.computed += 1
+                computed.add(plan.id)
             else:
                 result.cached += 1
-            extra: dict[str, Any] = {}
             if plan.kind == "run":
                 extra["configs"] = [c.describe()
                                     for c in plan.cell.configs]
                 extra["seeds"] = sorted({c.rng_seed
                                          for c in plan.cell.configs})
-                extra["scale"] = self.session.scale
+                extra["scale"] = session.scale
             elif plan.kind == "scenario":
                 extra["tlb"] = [c.describe() for c in plan.spec.tlb]
                 extra["pcax_page_size"] = plan.spec.pcax_page_size
                 extra["threshold"] = plan.spec.threshold
-                extra["scale"] = self.session.scale
+                extra["scale"] = session.scale
             self.manifest.record(plan.id, plan.kind, plan.digest,
-                                 self.code, wall, tier, campaign_id,
-                                 **extra)
-            done.add(plan.id)
+                                 code, wall, tier, campaign_id, **extra)
             for pending in waiting.values():
                 pending.discard(plan.id)
 
@@ -338,76 +276,79 @@ class Campaign:
                 del waiting[cell_id]
                 plan = table_plans[cell_id]
                 started = time.perf_counter()
-                from repro.experiments.runner import EXPERIMENTS
-                table = EXPERIMENTS[plan.number](self.session)
+                key = hashlib.sha1(
+                    f"{plan.digest}|{code}".encode()).hexdigest()
+                # A recomputed dependency renders its tables again.
+                table = None if computed.intersection(plan.deps) \
+                    else self._tables.get(key, _decode_table)[0]
+                tier = "disk"
+                if table is None:
+                    from repro.experiments.runner import EXPERIMENTS
+                    table = EXPERIMENTS[plan.number](session)
+                    self._tables.put(key, table,
+                                     dataclasses.asdict(table))
+                    tier = "computed"
                 text = table.render()
                 self.tables_dir.mkdir(parents=True, exist_ok=True)
                 path = self.tables_dir / f"table{plan.number:02d}.txt"
                 path.write_text(text + "\n")
-                result.tables[plan.number] = text
                 result.exhibits[plan.number] = table
-                finish_cell_table(plan,
-                                  time.perf_counter() - started, text)
+                finish_cell(plan, time.perf_counter() - started, tier,
+                            output_sha1=hashlib.sha1(
+                                text.encode()).hexdigest())
                 say(f"[campaign {campaign_id}] {plan.id} rendered")
 
-        def finish_cell_table(plan: CellPlan, wall: float,
-                              text: str) -> None:
-            result.computed += 1
-            self.manifest.record(
-                plan.id, "table", plan.digest, self.code, wall,
-                "computed", campaign_id,
-                output_sha1=hashlib.sha1(text.encode()).hexdigest())
-            done.add(plan.id)
+        compute: list[CellPlan] = []
+        for plan in plans:
+            if plan.kind == "table":
+                continue
+            started = time.perf_counter()
+            if _cell_lookup(session, plan):
+                finish_cell(plan, time.perf_counter() - started, "disk")
+            else:
+                compute.append(plan)
+
+        jobs = min(_resolve_jobs(jobs), len(compute) or 1)
+        where = ""
+        if jobs > 1 and not session.use_disk_cache:
+            jobs, where = 1, " in the parent (no disk tier to publish to)"
+        say(f"[campaign {campaign_id}] {len(plans)} cell(s): "
+            f"{len(compute)} to compute{where}, "
+            f"{result.cached} cached")
 
         if jobs == 1:
+            render_ready()
             for plan in compute:    # plan order puts dependencies first
-                finish_cell(plan, *_compute_cell(self.session, plan))
+                finish_cell(plan, _compute_cell(session, plan),
+                            "computed")
                 render_ready()
         else:
             self._run_pool(compute, jobs, finish_cell, render_ready)
         render_ready()
-        if waiting:  # every dep either computed or resumed: impossible
+        if waiting:  # every dep either computed or cached: impossible
             raise RuntimeError(f"unsatisfied table deps: {waiting}")
-        result.tables.update(rendered_from_disk)
         result.elapsed = time.perf_counter() - start
-        for name, count in \
-                self.session._profile_store.counters.items():
+        for name, count in session._profile_store.counters.items():
             delta = count - parent_before.get(name, 0)
             self._store_counters[name] = \
                 self._store_counters.get(name, 0) + delta
         result.profile_store = dict(self._store_counters)
         return result
 
-    def exhibits(self, result: CampaignResult) -> dict[int, Table]:
-        """Every table of ``result`` as a :class:`Table`, for the report.
-
-        A table resumed from disk is rebuilt from the warm tiers its
-        cells filled (no trace pass) and must render to the text on disk.
-        """
-        from repro.experiments.runner import EXPERIMENTS
-        tables = dict(result.exhibits)
-        for number in result.tables.keys() - tables.keys():
-            tables[number] = EXPERIMENTS[number](self.session)
-            if tables[number].render() != result.tables[number]:
-                raise RuntimeError(f"table {number} resumed from disk "
-                                   f"differs from its rebuild")
-        return dict(sorted(tables.items()))
-
     # -- pool execution ----------------------------------------------
     def _run_pool(self, compute: list[CellPlan], jobs: int,
                   finish_cell: Callable[[CellPlan, float, str], None],
                   render_ready: Callable[[], None]) -> None:
-        """Compute ``compute`` on ``jobs`` worker processes.
+        """Compute the cold cells ``compute`` on ``jobs`` processes.
 
         A cell is submitted once the cells it depends on are done;
-        dependencies outside ``compute`` were resumed, so they count as
+        dependencies outside ``compute`` were cached, so they count as
         done.  A worker publishes its cell to the shared disk tiers and
-        returns only its wall time, tier and profile-store counters.
-        The parent then reads the cell back through the same
-        :func:`_compute_cell`: a tier hit that makes no trace pass and
-        writes nothing.  A cell's dependants are submitted before the
-        parent reads it or renders a table, so the workers never wait
-        on the parent.
+        returns only its wall time and profile-store counters.  The
+        parent then reads the cell back through :func:`_cell_lookup`,
+        which makes no trace pass and writes nothing.  A cell's
+        dependants are submitted before the parent reads it or renders
+        a table, so the workers never wait on the parent.
         """
         session = self.session
         context = (session.scale, session.max_steps,
@@ -425,6 +366,7 @@ class Campaign:
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             submit_ready()
+            render_ready()      # tables whose every cell was cached
             while running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 outcomes = [(running.pop(future), future.result())
@@ -433,60 +375,66 @@ class Campaign:
                     for deps in blocked.values():
                         deps.discard(plan.id)
                 submit_ready()
-                for plan, (wall, tier, counters) in outcomes:
+                for plan, (wall, counters) in outcomes:
                     for name, count in counters.items():
                         self._store_counters[name] = \
                             self._store_counters.get(name, 0) + count
-                    if _compute_cell(session, plan)[1] == "computed":
+                    if not _cell_lookup(session, plan):
                         _log.warning(
                             "campaign cell %s never reached the disk "
                             "tier; the parent computed it again",
                             plan.id)
-                    finish_cell(plan, wall, tier)
+                        _compute_cell(session, plan)
+                    finish_cell(plan, wall, "computed")
                 render_ready()
         if blocked:     # a dependency cycle or a missing cell: impossible
             raise RuntimeError(f"unsatisfied cell deps: {blocked}")
 
 
-def _compute_cell(session: Session, plan: CellPlan) -> tuple[float, str]:
-    """Compute one run, analytic or scenario cell in ``session``.
+def _cell_lookup(session: Session, plan: CellPlan) -> bool:
+    """Is the run, analytic or scenario cell in ``session``'s tiers?
 
-    Returns the wall time and the tier that served it (``disk`` when
-    its artifacts were already cached).
+    A hit is read into the session's memory tier; a torn entry is a
+    miss, as it is for the computation.
     """
+    key = RunKey(*plan.cell.run_key)
+    if plan.kind == "analytic":
+        return session._profile_store.get_analytic(
+            session._program_digest(key),
+            _ANALYTIC_BLOCK_SIZE) is not None
+    if plan.kind == "scenario":
+        return session._scenario_lookup(key, plan.spec) is not None
+    return all(session._lookup(key, config) is not None
+               for config in plan.cell.configs)
+
+
+def _compute_cell(session: Session, plan: CellPlan) -> float:
+    """Compute one run, analytic or scenario cell in ``session``;
+    returns its wall time."""
     started = time.perf_counter()
     key = RunKey(*plan.cell.run_key)
     if plan.kind == "analytic":
-        tier = "disk" if session._profile_store.get_analytic(
-            session._program_digest(key),
-            _ANALYTIC_BLOCK_SIZE) is not None else "computed"
         session.analytic_profile(key.workload, key.input_name,
                                  key.optimize,
                                  block_size=_ANALYTIC_BLOCK_SIZE)
     elif plan.kind == "scenario":
-        tier = "disk" if session._scenario_warm(key, plan.spec) \
-            else "computed"
         session.scenario(key.workload, key.input_name, key.optimize,
                          spec=plan.spec)
     else:
-        tier = "disk" if all(session._is_warm(key, c)
-                             for c in plan.cell.configs) \
-            else "computed"
         session.stats_multi(key.workload, key.input_name, key.optimize,
                             plan.cell.configs)
-    return time.perf_counter() - started, tier
+    return time.perf_counter() - started
 
 
-def _cell_worker(context: tuple, plan: CellPlan
-                 ) -> tuple[float, str, dict]:
-    """Process-pool worker: one cell in a private session.
+def _cell_worker(context: tuple, plan: CellPlan) -> tuple[float, dict]:
+    """Process-pool worker: one cold cell in a private session.
 
     The session shares the parent's disk tiers, which carry the cell
-    back: the worker returns only its wall time, its tier and its
-    ProfileStore counters for aggregation.
+    back: the worker returns only its wall time and its ProfileStore
+    counters for aggregation.
     """
     scale, max_steps, cache_dir = context
     session = Session(scale=scale, cache_dir=Path(cache_dir),
                       max_steps=max_steps)
-    wall, tier = _compute_cell(session, plan)
-    return wall, tier, session._profile_store.counters
+    wall = _compute_cell(session, plan)
+    return wall, session._profile_store.counters

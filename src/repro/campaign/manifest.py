@@ -3,10 +3,9 @@
 One line per completed cell, appended (with a flush) the moment the
 cell finishes, so a SIGKILL loses at most the line being written.  The
 loader is last-wins per cell id and tolerates a truncated final line —
-exactly what a killed writer leaves behind.  The manifest is the resume
-source of truth: a cell is skipped when its latest entry matches the
-current content digest and code digest and its artifacts are still on
-disk.
+exactly what a killed writer leaves behind.  The manifest is
+provenance only: what a campaign computes or reuses is decided by the
+content-keyed cache tiers, never by the manifest.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class Manifest:
             "digest": digest,           # content hash of inputs+params
             "code": code,               # digest of src/repro at run time
             "wall_s": round(wall_s, 4),
-            "tier": tier,               # computed | disk | manifest
+            "tier": tier,               # computed | disk
             "campaign": campaign_id,
             "ts": round(time.time(), 3),
         }
@@ -91,7 +90,7 @@ class Manifest:
 
     def status(self, current_code: Optional[str] = None
                ) -> dict[str, Any]:
-        """Queryable summary of the ledger (for ``--status``)."""
+        """Queryable summary of the manifest (for ``--status``)."""
         view = self.latest()
         by_kind: dict[str, int] = {}
         by_tier: dict[str, int] = {}

@@ -7,8 +7,8 @@ tables).  They declare no grid spec and stay out of
 runs (input1, -O0, baseline cache), which a full campaign has already
 warmed, and Ablation J also reads two prefetch-rewritten runs per
 workload, which only it asks for: the first report executes them into
-the trace store and the result tier like any session run, and a
-resumed report reads them back.  ``benchmarks/bench_ablations.py``
+the trace store and the result tier like any session run, and every
+later report over the same cache reads them back.  ``benchmarks/bench_ablations.py``
 asserts each one's expected direction.
 """
 

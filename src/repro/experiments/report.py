@@ -234,7 +234,8 @@ def render_report(results: dict[int, Table],
 
     The header names the command that regenerates it, with only the
     flags that decide the content, so every way of producing one
-    report (cold, ``--resume``, any ``--jobs``) writes one header.
+    report (over a cold or a warm cache, any ``--jobs``) writes one
+    header.
     """
     tables = [number for number in results if number in TABLE_MODULES]
     subset = "" if len(tables) == len(TABLE_MODULES) \

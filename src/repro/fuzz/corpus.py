@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Optional
 
 from repro.fuzz.generators import CASE_KINDS, FuzzCase
 
@@ -76,12 +75,3 @@ def load_corpus(directory: Path) -> list[tuple[Path, FuzzCase]]:
         return []
     return [(path, load_case(path))
             for path in sorted(directory.glob("*.json"))]
-
-
-def default_corpus_dir() -> Optional[Path]:
-    """``tests/corpus/`` when running from a source checkout."""
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / "tests" / "corpus"
-        if candidate.is_dir():
-            return candidate
-    return None

@@ -33,11 +33,11 @@ class Debugger:
                  trace_memory: bool = False):  # noqa: D401
         self.program = program
         # The closure engine is pinned: single-stepping needs one op per
-        # instruction, not one per basic block.  This deliberately
-        # overrides $REPRO_ENGINE — a blocks-engine session degrades to
-        # closures the moment it opens a debugger.  ``trace_memory``
-        # records the data-memory trace while stepping (off by default;
-        # debugging sessions rarely need it and it grows with runtime).
+        # instruction, not one per basic block, so a blocks-engine
+        # session degrades to closures the moment it opens a debugger.
+        # ``trace_memory`` records the data-memory trace while stepping
+        # (off by default; debugging sessions rarely need it and it
+        # grows with runtime).
         self.machine = Machine(program, trace_memory=trace_memory,
                                engine="closures")
         self.machine.write_data_segment()

@@ -18,8 +18,9 @@ Implementation notes
     constants folded into the source and trace columns appended in
     bulk (:mod:`repro.machine.codegen`).
 
-  Results are bit-identical by contract; pick with the ``engine``
-  keyword or the ``REPRO_ENGINE`` environment variable.
+  Results are bit-identical by contract; the ``engine`` keyword picks
+  the reference engine where one is needed (the debugger, the fuzz
+  ``engines`` oracle).
 * Registers hold unsigned 32-bit integers; float instructions reinterpret
   the bits as IEEE-754 single precision.
 * Memory is a sparse ``dict`` of word-aligned address -> 32-bit word.
@@ -40,7 +41,6 @@ Syscall convention (code in ``$v0``):
 from __future__ import annotations
 
 import logging
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -75,9 +75,9 @@ ENGINE_CLOSURES = "closures"
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Pick the execution engine: argument > ``$REPRO_ENGINE`` > blocks."""
+    """The execution engine: ``engine``, or blocks when it is None."""
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "").strip() or ENGINE_BLOCKS
+        engine = ENGINE_BLOCKS
     if engine not in (ENGINE_BLOCKS, ENGINE_CLOSURES):
         raise ValueError(
             f"unknown execution engine {engine!r} "

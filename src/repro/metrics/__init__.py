@@ -1,8 +1,5 @@
 """Evaluation measures and validation checks."""
 
-from repro.metrics.measures import (as_percent, coverage,
-                                    dynamic_load_share, ideal_delta,
-                                    precision, xi)
+from repro.metrics.measures import coverage, ideal_delta, precision, xi
 
-__all__ = ["as_percent", "coverage", "dynamic_load_share",
-           "ideal_delta", "precision", "xi"]
+__all__ = ["coverage", "ideal_delta", "precision", "xi"]

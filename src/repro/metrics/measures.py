@@ -66,24 +66,3 @@ def xi(delta: set[int], ideal: set[int],
     mislabeled = delta - ideal
     dynamic = sum(exec_counts.get(address, 0) for address in mislabeled)
     return dynamic / total
-
-
-def as_percent(value: float, digits: int = 0) -> str:
-    """Format a ratio the way the paper prints it."""
-    return f"{100.0 * value:.{digits}f}%"
-
-
-def dynamic_load_share(delta: Iterable[int], trace) -> float:
-    """Fraction of *dynamic* load executions issued by loads in ``delta``.
-
-    A trace-measured companion to :func:`xi`: instead of profile-derived
-    execution counts it tallies the memory trace directly, using the
-    load-column fast path
-    (:meth:`repro.machine.trace.MemoryTrace.load_pcs`) so the pass over
-    a multi-million-access trace stays at C speed.
-    """
-    pcs = trace.load_pcs()
-    if not pcs:
-        return 0.0
-    members = set(delta)
-    return sum(pc in members for pc in pcs) / len(pcs)

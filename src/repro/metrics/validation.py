@@ -79,13 +79,3 @@ def against_ideal(delta: set[int],
     coverage — the ground truth the paper's Table 1 constructs."""
     truth = ideal_delta(load_misses, target_rho)
     return confusion(delta, truth, all_loads)
-
-
-def miss_weighted_recall(delta: set[int],
-                         load_misses: Mapping[int, int]) -> float:
-    """Recall weighted by miss counts — identical to the paper's rho,
-    provided for symmetry with the unweighted scores."""
-    total = sum(load_misses.values())
-    if total == 0:
-        return 0.0
-    return sum(load_misses.get(a, 0) for a in delta) / total

@@ -93,15 +93,6 @@ class RunKey:
     #: prefetches in the compiled program; empty: no rewrite.
     prefetch: frozenset[int] = frozenset()
 
-    @property
-    def rewrite(self) -> str:
-        """The rewrite as the run's trace key and digest hash it;
-        empty for an unrewritten run, whose keys it leaves unchanged."""
-        if not self.prefetch:
-            return ""
-        return "prefetch " + ",".join(f"{pc:x}"
-                                      for pc in sorted(self.prefetch))
-
 
 @dataclass
 class Measurement:
@@ -139,6 +130,7 @@ class Session:
             else default_cache_dir()
         self._sources: dict[tuple[str, str], str] = {}
         self._programs: dict[RunKey, Program] = {}
+        self._rewrites: dict[RunKey, str] = {}
         self._analyses: dict[RunKey, dict[int, LoadInfo]] = {}
         self._profiles: dict[RunKey, BlockProfile] = {}
         self._steps: dict[RunKey, int] = {}
@@ -202,9 +194,16 @@ class Session:
             if key.prefetch:
                 from repro.prefetch.pass_ import apply_prefetching
                 base = (key.workload, key.input_name, key.optimize)
-                self._programs[key] = apply_prefetching(
+                rewrite = apply_prefetching(
                     self.program(*base), set(key.prefetch),
-                    self.load_infos(*base)).program
+                    self.load_infos(*base))
+                program = rewrite.program
+                kept = set(rewrite.address_map.values())
+                self._programs[key] = program
+                self._rewrites[key] = "prefetch " + ",".join(
+                    f"{address:x} {instr.text()}"
+                    for index, instr in enumerate(program.instructions)
+                    if (address := program.address_of(index)) not in kept)
             else:
                 self._programs[key] = compile_source(
                     self.source(key.workload, key.input_name),
@@ -218,9 +217,18 @@ class Session:
             self._analyses[key] = build_load_infos(self._program(key))
         return self._analyses[key]
 
+    def _rewrite(self, key: RunKey) -> str:
+        """The instructions the prefetch pass inserted, as the run's
+        trace key and result digest hash them; empty for an
+        unrewritten run, whose keys it leaves unchanged."""
+        if not key.prefetch:
+            return ""
+        self._program(key)
+        return self._rewrites[key]
+
     def _trace_key(self, key: RunKey) -> str:
         return trace_key(self.source(key.workload, key.input_name),
-                         key.optimize, self.max_steps, key.rewrite)
+                         key.optimize, self.max_steps, self._rewrite(key))
 
     def _replay(self, key: RunKey,
                 compute: Callable[[TraceSource], T]) -> T:
@@ -331,11 +339,6 @@ class Session:
             self._scenario_key(key, spec),
             lambda entry: decode_scenario(entry, spec))[0]
 
-    def _scenario_warm(self, key: RunKey, spec: ScenarioSpec) -> bool:
-        """Does the tier hold a readable entry?  A torn one is a miss,
-        as it is for :meth:`scenario`."""
-        return self._scenario_lookup(key, spec) is not None
-
     # -- analytic (trace-free) prediction -----------------------------
     def _program_digest(self, key: RunKey) -> str:
         from repro.analytic import program_digest
@@ -403,7 +406,7 @@ class Session:
         # The execution engine is deliberately NOT part of the digest:
         # both engines are bit-identical (same trace, same profile), so
         # entries warmed under either engine are interchangeable.  A
-        # rewrite is, when there is one.
+        # rewrite is, when there is one: what the pass inserted.
         parts = [
             str(_SCHEMA_VERSION),
             self.source(key.workload, key.input_name),
@@ -411,8 +414,8 @@ class Session:
             config.describe(),
             str(self.max_steps),
         ]
-        if key.rewrite:
-            parts.append(key.rewrite)
+        if key.prefetch:
+            parts.append(self._rewrite(key))
         text = "|".join(parts)
         return hashlib.sha1(text.encode()).hexdigest()
 
@@ -448,11 +451,6 @@ class Session:
         entry["block_counts"] = {str(a): c for a, c in
                                  self._profiles[key].block_counts.items()}
         self._results.put(self._entry_key(key, config), stats, entry)
-
-    def _is_warm(self, key: RunKey, config: CacheConfig) -> bool:
-        """Does the tier hold a readable entry?  A torn one is a miss,
-        as it is for :meth:`stats_multi`."""
-        return self._lookup(key, config) is not None
 
 
 @dataclass

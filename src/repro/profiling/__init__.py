@@ -1,7 +1,5 @@
 """Basic-block profiling and sampling."""
 
-from repro.profiling.profile import (HOTSPOT_CYCLE_SHARE, BlockProfile,
-                                     observed_load_exec_counts)
+from repro.profiling.profile import HOTSPOT_CYCLE_SHARE, BlockProfile
 
-__all__ = ["BlockProfile", "HOTSPOT_CYCLE_SHARE",
-           "observed_load_exec_counts"]
+__all__ = ["BlockProfile", "HOTSPOT_CYCLE_SHARE"]

@@ -174,24 +174,3 @@ class BlockProfile:
         for address, _ in self.program.loads():
             counts.setdefault(address, 0)
         return counts
-
-
-def observed_load_exec_counts(source) -> dict[int, int]:
-    """E(i) measured from a memory trace instead of block counts.
-
-    ``BlockProfile.load_exec_counts`` derives execution counts from
-    block-entry frequency (the paper's profiling model); this variant
-    counts actual trace records.  Accepts a materialized
-    :class:`~repro.machine.trace.MemoryTrace` (load-column fast path:
-    one C-speed pass over the packed pc column) or any chunk source,
-    tallied chunk by chunk with the same per-chunk fast path.
-    """
-    from collections import Counter
-    from repro.machine.trace import LOAD, MemoryTrace
-    if isinstance(source, MemoryTrace):
-        return dict(Counter(source.load_pcs()))
-    from itertools import compress
-    counts: Counter = Counter()
-    for chunk in source:
-        counts.update(compress(chunk.pcs, map(LOAD.__eq__, chunk.kinds)))
-    return dict(counts)

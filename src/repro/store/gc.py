@@ -9,8 +9,9 @@ expire on their own:
   (``service/svc-*.json``, or ``svc-*.json`` in the root of a
   ``serve --cache-dir``), ``stackdist`` sweep profiles
   (``stackdist/sd-*.json``), ``analytic`` profiles
-  (``stackdist/an-*.json``) and ``scenario`` passes
-  (``scenario/sc-*.json``);
+  (``stackdist/an-*.json``), ``scenario`` passes
+  (``scenario/sc-*.json``) and rendered ``table`` entries
+  (``table/tb-*.json``);
 * ``traces`` — the chunked trace store (``traces/tr-*.json`` meta +
   ``traces/tr-*.bin`` columns, evicted as a pair).
 

@@ -8,7 +8,9 @@ Every content-keyed result and profile cache in the package is a
 * the service's served responses
   (:class:`~repro.service.scheduler.BatchScheduler`);
 * the profile store's measured sweep profiles and its analytic profiles
-  (:class:`~repro.cache.stackdist.ProfileStore`).
+  (:class:`~repro.cache.stackdist.ProfileStore`);
+* the campaign's rendered tables
+  (:class:`~repro.campaign.engine.Campaign`).
 
 The tier owns the mechanics they share: the memory lookup, the file
 name, the version stamp, atomic publication, and treating an entry it
@@ -73,7 +75,9 @@ SWEEP = Layout("stackdist", "sd-", ("stackdist",))
 ANALYTIC = Layout("analytic", "an-", ("stackdist",))
 #: One run's dTLB, PCAX and redundancy results (see repro.scenario).
 SCENARIO = Layout("scenario", "sc-", ("scenario",))
-LAYOUTS = (PIPELINE, SERVICE, SWEEP, ANALYTIC, SCENARIO)
+#: One rendered table, keyed by its campaign cell and the code digest.
+TABLE = Layout("table", "tb-", ("table",))
+LAYOUTS = (PIPELINE, SERVICE, SWEEP, ANALYTIC, SCENARIO, TABLE)
 
 
 class JsonTier:

@@ -11,7 +11,7 @@ from repro.workloads import (
     ammp, art, compress, equake, espresso, gcc, go, gzip, ijpeg, li,
     m88ksim, mcf, parser, sc, tomcatv, twolf, vortex, vpr,
 )
-from repro.workloads.base import TEST, TRAINING, Workload
+from repro.workloads.base import Workload
 
 ALL_WORKLOADS: tuple[Workload, ...] = (
     espresso.WORKLOAD,
@@ -42,14 +42,6 @@ def get(name: str) -> Workload:
         raise KeyError(f"unknown workload {name!r}; known: "
                        f"{sorted(BY_NAME)}")
     return BY_NAME[name]
-
-
-def training_workloads() -> list[Workload]:
-    return [w for w in ALL_WORKLOADS if w.category == TRAINING]
-
-
-def test_workloads() -> list[Workload]:
-    return [w for w in ALL_WORKLOADS if w.category == TEST]
 
 
 def names(category: str | None = None) -> list[str]:

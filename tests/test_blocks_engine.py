@@ -81,22 +81,10 @@ def test_engine_equivalence_on_optimized_workload(name):
 
 
 class TestEngineSelection:
-    def test_default_is_blocks(self, sample_program, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_is_blocks(self, sample_program):
         machine = Machine(sample_program)
         assert machine.engine == ENGINE_BLOCKS
         assert machine._block_engine is not None
-
-    def test_env_override(self, sample_program, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "closures")
-        machine = Machine(sample_program)
-        assert machine.engine == ENGINE_CLOSURES
-        assert machine._block_engine is None
-
-    def test_argument_beats_env(self, sample_program, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "closures")
-        machine = Machine(sample_program, engine=ENGINE_BLOCKS)
-        assert machine.engine == ENGINE_BLOCKS
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown execution engine"):

@@ -1,11 +1,11 @@
-"""Campaign engine: grid specs, manifest, resume, and the tripwire.
+"""Campaign engine: grid specs, manifest, reuse and invalidation.
 
-The crash-resume test is the load-bearing one: a campaign subprocess is
-SIGKILLed mid-run, then resumed with every completed cell id listed in
-the ``REPRO_CAMPAIGN_FORBID`` tripwire file — if the engine ever
-*decides to compute* a completed cell, the run raises instead of
-silently redoing work — and the final tables must be byte-identical to
-an uninterrupted campaign in a separate cache directory.
+Every campaign reuses what the content-keyed tiers hold.  The
+crash-rerun test is the load-bearing one: a campaign subprocess is
+SIGKILLed mid-run, then a plain rerun runs with computing any completed
+cell patched to raise — so the rerun must read every one of them back
+— and the final tables must be byte-identical to an uninterrupted
+campaign in a separate cache directory.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from repro.experiments.grid import (CACHE_16K, GridCell, TableSpec,
                                     sweep_configs, table_specs)
 from repro.experiments.runner import run_tables
 from repro.pipeline.session import Session
-from repro.store.tier import PIPELINE, SCENARIO, JsonTier
+from repro.store.gc import scan_entries
+from repro.store.tier import PIPELINE, SCENARIO, TABLE, JsonTier
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,6 +44,31 @@ TABLES = (6, 10)        # static-only + one simulated table: fast
 
 def _session(tmp_path: Path) -> Session:
     return Session(scale=SCALE, cache_dir=tmp_path / "cache")
+
+
+def _forbid_work(monkeypatch) -> None:
+    """Make computing a cell, replaying a trace, executing a program
+    and rendering any table raise."""
+    from repro.campaign import engine
+    from repro.experiments import runner
+    from repro.machine.simulator import Machine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm campaign did work")
+    monkeypatch.setattr(engine, "_compute_cell", forbidden)
+    monkeypatch.setattr(Session, "_replay", forbidden)
+    monkeypatch.setattr(Machine, "run", forbidden)
+    monkeypatch.setattr(Machine, "run_streaming", forbidden)
+    for number, module in runner.TABLE_MODULES.items():
+        monkeypatch.setattr(module, "run", forbidden)
+        monkeypatch.setitem(runner.EXPERIMENTS, number, forbidden)
+
+
+def _tiers(campaign: Campaign, result) -> dict[str, str]:
+    """Cell id -> the tier ``result``'s run recorded for it."""
+    return {entry["cell"]: entry["tier"]
+            for entry in campaign.manifest.entries()
+            if entry["campaign"] == result.campaign_id}
 
 
 def _tear(cache: Path, pattern: str) -> list[Path]:
@@ -55,17 +81,26 @@ def _tear(cache: Path, pattern: str) -> list[Path]:
     return paths
 
 
-#: Tables 16 and 17 cut down to one program: a campaign over them has
-#: one run cell and one scenario cell.
+#: Tables 15, 16 and 17 cut down to one program: a campaign over 16
+#: and 17 has one run cell and one scenario cell, and Table 15 adds one
+#: analytic cell.
 SCENARIO_PROGRAM = "129.compress"
+
+
+#: Tier entry pattern -> the cell whose entry it is.
+_TORN = {"129_compress-*.json": f"run:{SCENARIO_PROGRAM}:input1:base",
+         "scenario/sc-129_compress-*.json":
+             f"scenario:{SCENARIO_PROGRAM}:input1:base",
+         "table/tb-*.json": "table:16"}
 
 
 @pytest.fixture
 def scenario_grid(monkeypatch):
-    """Restrict Tables 16 and 17 to :data:`SCENARIO_PROGRAM`."""
-    from repro.experiments import runner, table16, table17
+    """Restrict Tables 15, 16 and 17 to :data:`SCENARIO_PROGRAM`."""
+    from repro.experiments import runner, table15, table16, table17
     names = (SCENARIO_PROGRAM,)
-    for number, module in ((16, table16), (17, table17)):
+    for number, module in ((15, table15), (16, table16),
+                           (17, table17)):
         monkeypatch.setattr(module, "SPEC", dataclasses.replace(
             module.SPEC, names=names))
         monkeypatch.setitem(runner.EXPERIMENTS, number,
@@ -207,48 +242,66 @@ class TestCampaign:
         assert sorted(result.tables) == list(TABLES)
         assert result.computed > 0
 
-    def test_resume_recomputes_nothing(self, tmp_path):
-        session = _session(tmp_path)
-        campaign = Campaign(session, numbers=TABLES)
-        first = campaign.run(jobs=1)
-        resumed = Campaign(_session(tmp_path), numbers=TABLES)
-        second = resumed.run(resume=True)
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_resume_recomputes_nothing(self, tmp_path, monkeypatch):
+        # Every kind of cell: run, analytic, scenario and table.
+        numbers = TABLES + (15, 16)
+        first = Campaign(_session(tmp_path), numbers=numbers).run(jobs=1)
+        _forbid_work(monkeypatch)
+        again = Campaign(_session(tmp_path), numbers=numbers)
+        second = again.run(jobs=1)
         assert second.computed == 0
-        assert second.cached == 0
-        assert second.skipped == len(resumed.plan())
+        assert second.cached == len(again.plan())
+        assert {plan.kind for plan in again.plan()} \
+            == {"run", "analytic", "scenario", "table"}
+        assert set(_tiers(again, second).values()) == {"disk"}
         assert second.tables == first.tables
 
     def test_resume_survives_tripwire_on_completed_cells(
             self, tmp_path, monkeypatch):
-        session = _session(tmp_path)
-        Campaign(session, numbers=TABLES).run(jobs=1)
-        resumed = Campaign(_session(tmp_path), numbers=TABLES)
-        forbid = tmp_path / "forbid.txt"
-        forbid.write_text("\n".join(p.id for p in resumed.plan()) + "\n")
-        monkeypatch.setenv("REPRO_CAMPAIGN_FORBID", str(forbid))
-        result = resumed.run(resume=True)  # must not trip
+        # With two jobs, a warm rerun starts no pool either.
+        from repro.campaign import engine
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm campaign started a pool")
+        Campaign(_session(tmp_path), numbers=TABLES).run(jobs=1)
+        _forbid_work(monkeypatch)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        result = Campaign(_session(tmp_path), numbers=TABLES).run(jobs=2)
         assert result.computed == 0
 
     def test_code_change_invalidates_the_ledger(self, tmp_path,
                                                 monkeypatch):
-        session = _session(tmp_path)
-        Campaign(session, numbers=TABLES).run(jobs=1)
-        stale = Campaign(_session(tmp_path), numbers=TABLES)
-        stale.code = "0" * 40       # as if src/repro changed
-        forbid = tmp_path / "forbid.txt"
-        forbid.write_text("\n".join(p.id for p in stale.plan()) + "\n")
-        monkeypatch.setenv("REPRO_CAMPAIGN_FORBID", str(forbid))
-        with pytest.raises(RuntimeError, match="tripwire"):
-            stale.run(resume=True)
+        # The code digest keys the rendered-table tier: a code change
+        # renders every table again and recomputes nothing else.
+        from repro.campaign import engine
+        Campaign(_session(tmp_path), numbers=TABLES).run(jobs=1)
+        monkeypatch.setattr(engine, "code_digest", lambda: "0" * 40)
+        again = Campaign(_session(tmp_path), numbers=TABLES)
+        result = again.run(jobs=1)
+        recorded = _tiers(again, result)
+        assert {cell for cell, tier in recorded.items()
+                if tier == "computed"} \
+            == {f"table:{number:02d}" for number in TABLES}
+        assert result.computed == len(TABLES)
+        assert all(entry["code"] == "0" * 40
+                   for entry in again.manifest.entries()
+                   if entry["campaign"] == result.campaign_id)
 
     def test_without_resume_cells_recompute_from_disk_tier(
             self, tmp_path):
-        session = _session(tmp_path)
-        Campaign(session, numbers=TABLES).run(jobs=1)
+        # A fresh campaign and session over a warm directory: every
+        # cell, tables included, comes from the disk tiers, and the
+        # rendered-table tier is one the garbage collector sees.
+        Campaign(_session(tmp_path), numbers=TABLES).run(jobs=1)
         fresh = Campaign(_session(tmp_path), numbers=TABLES)
-        result = fresh.run(jobs=1)   # no resume: replans every cell
-        assert result.skipped == 0
-        assert result.cached > 0     # but the disk caches are warm
+        result = fresh.run(jobs=1)
+        assert result.cached == len(fresh.plan())
+        entries, corrupt = scan_entries(tmp_path / "cache")
+        tables = [entry for entry in entries if entry.tier == TABLE.name]
+        assert len(tables) == len(TABLES) and not corrupt
+        assert all(entry.name.startswith(TABLE.prefix)
+                   for entry in tables)
 
     @pytest.mark.usefixtures("scenario_grid")
     def test_scenario_cells_sit_between_runs_and_tables(self, tmp_path):
@@ -346,7 +399,7 @@ class TestCampaign:
             self, tmp_path):
         Campaign(_session(tmp_path), numbers=[16]).run(jobs=1)
         again = Campaign(_session(tmp_path), numbers=[16])
-        again.run(jobs=1)            # no resume: served by the disk tier
+        again.run(jobs=1)            # served by the disk tier
         cell = f"scenario:{SCENARIO_PROGRAM}:input1:base"
         entries = [entry for entry in again.manifest.entries()
                    if entry["cell"] == cell]
@@ -368,60 +421,63 @@ class TestCampaign:
         before = {plan.id: plan.digest for plan in first.plan()}
         monkeypatch.setattr(grid, "MICRO_TLB",
                             TlbConfig(page_size=256, entries=16))
-        resumed = Campaign(_session(tmp_path), numbers=[16])
-        after = {plan.id: plan.digest for plan in resumed.plan()}
+        again = Campaign(_session(tmp_path), numbers=[16])
+        after = {plan.id: plan.digest for plan in again.plan()}
         run = f"run:{SCENARIO_PROGRAM}:input1:base"
         scenario = f"scenario:{SCENARIO_PROGRAM}:input1:base"
         assert after[run] == before[run]
         assert after[scenario] != before[scenario]
         assert after["table:16"] != before["table:16"]
-        result = resumed.run(resume=True, jobs=1)
-        assert result.skipped == 1           # the run cell only
-        recorded = {entry["cell"]: entry["tier"]
-                    for entry in resumed.manifest.entries()
-                    if entry["campaign"] == result.campaign_id}
-        assert recorded == {scenario: "computed", "table:16": "computed"}
+        result = again.run(jobs=1)
+        assert _tiers(again, result) == {
+            run: "disk", scenario: "computed", "table:16": "computed"}
         assert "16-entry" in result.tables[16]
 
     @pytest.mark.usefixtures("scenario_grid")
-    @pytest.mark.parametrize("pattern", [
-        "129_compress-*.json", "scenario/sc-129_compress-*.json"])
+    @pytest.mark.parametrize("pattern", list(_TORN))
     def test_a_torn_entry_is_computed_not_disk(self, tmp_path, pattern):
         Campaign(_session(tmp_path), numbers=[16]).run(jobs=1)
         torn = _tear(tmp_path / "cache", pattern)
         again = Campaign(_session(tmp_path), numbers=[16])
-        result = again.run(jobs=1)   # no resume: replans every cell
-        recorded = {entry["cell"]: entry["tier"]
-                    for entry in again.manifest.entries()
-                    if entry["campaign"] == result.campaign_id}
-        cell = (f"scenario:{SCENARIO_PROGRAM}:input1:base"
-                if pattern.startswith("scenario/")
-                else f"run:{SCENARIO_PROGRAM}:input1:base")
-        assert recorded[cell] == "computed"
-        assert [tier for name, tier in recorded.items()
-                if name != cell] == ["disk", "computed"]
+        result = again.run(jobs=1)
+        cell = _TORN[pattern]
+        recorded = _tiers(again, result)
+        # the torn cell and its dependent table are computed
+        assert {name for name, tier in recorded.items()
+                if tier == "computed"} == {cell, "table:16"}
         # the recomputation published a whole entry again
         assert all(json.loads(path.read_text()) for path in torn)
 
     @pytest.mark.usefixtures("scenario_grid")
     def test_resume_recomputes_a_run_cell_whose_entry_is_torn(
             self, tmp_path):
+        # The table's own entry is intact, but a recomputed dependency
+        # renders it again.
         Campaign(_session(tmp_path), numbers=[16]).run(jobs=1)
         _tear(tmp_path / "cache", "129_compress-*.json")
-        resumed = Campaign(_session(tmp_path), numbers=[16])
-        result = resumed.run(resume=True, jobs=1)
+        assert len(list((tmp_path / "cache" / "table").glob("tb-*"))) == 1
+        again = Campaign(_session(tmp_path), numbers=[16])
+        result = again.run(jobs=1)
         run = f"run:{SCENARIO_PROGRAM}:input1:base"
-        recorded = {entry["cell"]: entry["tier"]
-                    for entry in resumed.manifest.entries()
-                    if entry["campaign"] == result.campaign_id}
-        assert recorded[run] == "computed"
-        assert result.skipped == 2           # the scenario and the table
+        scenario = f"scenario:{SCENARIO_PROGRAM}:input1:base"
+        assert _tiers(again, result) == {
+            run: "computed", scenario: "disk", "table:16": "computed"}
+        assert (result.computed, result.cached) == (2, 1)
 
     def test_empty_repro_jobs_means_the_default(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "")
         result = Campaign(_session(tmp_path), numbers=[6]).run()
         assert sorted(result.tables) == [6]
+
+    def test_resume_is_an_unknown_option(self, tmp_path, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--resume", "--tables", "6",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_unknown_table_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown"):
@@ -447,7 +503,6 @@ class TestReport:
         from repro.__main__ import main
         from repro.experiments import ablations
         from repro.experiments.report import render_report
-        from repro.machine.simulator import Machine
         monkeypatch.setattr(ablations, "WORKLOADS", (SCENARIO_PROGRAM,))
         monkeypatch.setattr(ablations, "PREFETCH_WORKLOADS", ("179.art",))
         monkeypatch.setattr(ablations, "ABLATIONS",
@@ -468,25 +523,18 @@ class TestReport:
         assert f"`python -m repro campaign --tables {tables} " \
                f"--scale {SCALE} --report EXPERIMENTS.md`" in expected
 
-        # resumed tables and ablations (Ablation J's prefetch-rewritten
-        # runs included) are rebuilt from the warm tiers: no trace pass
-        # and no execution
-        def no_replay(*args, **kwargs):
-            raise AssertionError("resumed report replayed a trace")
-
-        def no_execution(*args, **kwargs):
-            raise AssertionError("resumed report executed a program")
-        monkeypatch.setattr(Session, "_replay", no_replay)
-        monkeypatch.setattr(Machine, "run", no_execution)
-        monkeypatch.setattr(Machine, "run_streaming", no_execution)
-        resumed = tmp_path / "resumed.md"
-        assert main(command + ["--resume", "--report",
-                               str(resumed)]) == 0
-        assert resumed.read_text() == expected
+        # a second report reads its tables from the table tier and its
+        # ablations (Ablation J's prefetch-rewritten runs included) from
+        # the warm tiers: no cell computed, no table rendered, no trace
+        # pass and no execution
+        _forbid_work(monkeypatch)
+        again = tmp_path / "again.md"
+        assert main(command + ["--report", str(again)]) == 0
+        assert again.read_text() == expected
 
 
 # ---------------------------------------------------------------------
-# crash-resume: SIGKILL mid-campaign, resume with the tripwire armed
+# crash, then rerun: SIGKILL mid-campaign, rerun computing only the rest
 # ---------------------------------------------------------------------
 _CHILD = """
 import sys
@@ -528,24 +576,28 @@ class TestCrashResume:
                 child.kill()
                 child.wait()
 
-        completed = manifest.latest()
+        completed = set(manifest.latest())
         assert completed, "child was killed before any cell landed"
 
-        # arm the tripwire with every completed cell: resuming must
-        # never decide to compute one of them
-        forbid = tmp_path / "forbid.txt"
-        forbid.write_text("\n".join(sorted(completed)) + "\n")
-        monkeypatch.setenv("REPRO_CAMPAIGN_FORBID", str(forbid))
-        session = Session(scale=SCALE, cache_dir=cache)
-        result = Campaign(session, numbers=(10,)).run(resume=True,
-                                                      jobs=1)
-        assert result.skipped >= len([
-            cell for cell, entry in completed.items()
-            if entry.get("code") == code_digest()])
+        # a plain rerun must never compute a completed cell
+        from repro.campaign import engine
+        compute = engine._compute_cell
+
+        def compute_cold(session, plan):
+            if plan.id in completed:
+                raise AssertionError(f"recomputed completed {plan.id}")
+            return compute(session, plan)
+        monkeypatch.setattr(engine, "_compute_cell", compute_cold)
+        campaign = Campaign(Session(scale=SCALE, cache_dir=cache),
+                            numbers=(10,))
+        result = campaign.run(jobs=1)
+        recorded = _tiers(campaign, result)
+        assert {cell for cell, tier in recorded.items()
+                if tier == "disk"} >= completed
         assert sorted(result.tables) == [10]
 
         # byte-identical to a never-interrupted campaign
-        monkeypatch.delenv("REPRO_CAMPAIGN_FORBID")
+        monkeypatch.setattr(engine, "_compute_cell", compute)
         clean = Session(scale=SCALE, cache_dir=tmp_path / "clean")
         uninterrupted = Campaign(clean, numbers=(10,)).run(jobs=1)
         assert result.tables == uninterrupted.tables

@@ -136,18 +136,17 @@ class TestInspection:
 
 
 class TestEngineDegradation:
-    """Opening a debugger inside a ``$REPRO_ENGINE=blocks`` session must
-    degrade to the closure engine cleanly: same exit, same step count,
-    and a byte-identical memory trace."""
+    """Opening a debugger inside a blocks-engine session must degrade
+    to the closure engine cleanly: same exit, same step count, and a
+    byte-identical memory trace."""
 
-    def test_blocks_session_pins_closures(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "blocks")
+    def test_blocks_session_pins_closures(self):
         from repro.machine.simulator import Machine, resolve_engine
         assert resolve_engine(None) == "blocks"   # the session default
 
         program = compile_source(SRC)
         debugger = Debugger(program, trace_memory=True)
-        # the explicit engine="closures" pin overrides the environment
+        # the explicit engine="closures" pin overrides the default
         assert debugger.machine.engine == "closures"
         reason = debugger.run()
         assert reason.kind == "exit"

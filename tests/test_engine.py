@@ -191,8 +191,9 @@ class TestWarm:
         session = Session(scale=SCALE, cache_dir=tmp_path / "e")
         _warm(session, jobs=1)
         report = _warm(session, jobs=4)
-        assert (report.computed, report.cached) == (1, 2)  # the table
-        assert "2 cached" in report.describe()
+        # two run cells and the table, read from the table tier
+        assert (report.computed, report.cached) == (0, 3)
+        assert "3 cached" in report.describe()
 
     def test_fresh_session_reads_warmed_disk(self, tmp_path,
                                              monkeypatch):

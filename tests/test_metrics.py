@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.measures import (
-    as_percent, coverage, ideal_delta, precision, xi,
-)
+from repro.experiments.common import pct
+from repro.metrics.measures import coverage, ideal_delta, precision, xi
 
 
 class TestPrecision:
@@ -78,8 +77,9 @@ class TestXi:
 
 class TestFormatting:
     def test_as_percent(self):
-        assert as_percent(0.1234) == "12%"
-        assert as_percent(0.1234, 2) == "12.34%"
+        # a ratio formatted the way the paper prints it
+        assert pct(0.1234) == "12%"
+        assert pct(0.1234, 2) == "12.34%"
 
 
 # -- hypothesis -------------------------------------------------------------
@@ -114,29 +114,3 @@ def test_coverage_bounds_and_monotonicity(misses, delta):
     assert 0.0 <= rho <= 1.0
     bigger = delta | set(misses)
     assert coverage(bigger, misses) >= rho
-
-
-class TestDynamicLoadShare:
-    def _trace(self):
-        from repro.machine.trace import LOAD, STORE, MemoryTrace
-        trace = MemoryTrace()
-        trace.append(0x100, 0x1000, LOAD)
-        trace.append(0x100, 0x1004, LOAD)
-        trace.append(0x104, 0x2000, STORE)
-        trace.append(0x108, 0x3000, LOAD)
-        return trace
-
-    def test_counts_dynamic_not_static(self):
-        from repro.metrics.measures import dynamic_load_share
-        # 0x100 executes twice out of three dynamic loads; the store
-        # row must not dilute the denominator.
-        assert dynamic_load_share({0x100}, self._trace()) == 2 / 3
-
-    def test_empty_trace_is_zero(self):
-        from repro.machine.trace import MemoryTrace
-        from repro.metrics.measures import dynamic_load_share
-        assert dynamic_load_share({0x100}, MemoryTrace()) == 0.0
-
-    def test_full_delta_is_one(self):
-        from repro.metrics.measures import dynamic_load_share
-        assert dynamic_load_share({0x100, 0x108}, self._trace()) == 1.0

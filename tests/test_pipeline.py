@@ -139,6 +139,32 @@ class TestRewrittenRuns:
         assert (len(plans), hashlib.sha1(text.encode()).hexdigest()) \
             == (93, "9fe424f5b4ea62ce02dd5319fdf64a0d443dcc29")
 
+    def test_keys_follow_what_the_pass_inserts(self, tmp_path,
+                                               monkeypatch):
+        # The same prefetch set under a longer strided lookahead is
+        # another rewrite: its keys move, so a warm cache never serves
+        # the old rewrite's stats.  An unrewritten run's do not.
+        from repro.prefetch import pass_
+        key = RunKey(WL, "input1", False, frozenset(
+            self._loads(Session(scale=SCALE, cache_dir=tmp_path))))
+        base = RunKey(WL, "input1", False)
+
+        def keys():
+            session = Session(scale=SCALE, cache_dir=tmp_path)
+            return [(session._trace_key(k),
+                     session._digest(k, BASELINE_CONFIG))
+                    for k in (key, base)]
+        before = keys()
+        plan = pass_.plan_prefetches
+        monkeypatch.setattr(
+            pass_, "plan_prefetches",
+            lambda program, delta, infos, block_size, stride_blocks:
+            plan(program, delta, infos, block_size, stride_blocks=8))
+        (trace, digest), unrewritten = keys()
+        assert trace != before[0][0]
+        assert digest != before[0][1]
+        assert unrewritten == before[1]
+
     def test_rewritten_run_is_stored_and_resumed(self, tmp_path,
                                                  monkeypatch):
         from repro.machine.simulator import Machine

@@ -121,18 +121,21 @@ class TestRandomBaseline:
 
 
 class TestObservedLoadExecCounts:
+    """Per-load execution counts tallied from a trace
+    (:func:`repro.cache.model.source_access_counts`)."""
+
     def test_matches_result_load_exec_counts(self, sample_program):
+        from repro.cache.model import source_access_counts
         from repro.machine.simulator import Machine
-        from repro.profiling.profile import observed_load_exec_counts
         machine = Machine(sample_program, trace_memory=True)
         result = machine.run()
-        observed = observed_load_exec_counts(machine.trace)
+        observed = source_access_counts(machine.trace)[0]
         expected = {pc: count for pc, count in
                     result.load_exec_counts(sample_program).items()
                     if count}
         assert observed == expected
 
     def test_empty_trace(self):
+        from repro.cache.model import source_access_counts
         from repro.machine.trace import MemoryTrace
-        from repro.profiling.profile import observed_load_exec_counts
-        assert observed_load_exec_counts(MemoryTrace()) == {}
+        assert source_access_counts(MemoryTrace()) == ({}, {}, 0)

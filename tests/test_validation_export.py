@@ -12,7 +12,7 @@ from repro.export import (
     write_report_json,
 )
 from repro.metrics.validation import (
-    ConfusionMatrix, against_ideal, confusion, miss_weighted_recall,
+    ConfusionMatrix, against_ideal, confusion,
 )
 
 SRC = r"""
@@ -59,11 +59,6 @@ class TestConfusionMatrix:
         cm = ConfusionMatrix(1, 2, 3, 4)
         text = cm.describe()
         assert "TP=1" in text and "f1=" in text
-
-    def test_miss_weighted_recall_equals_rho(self):
-        misses = {1: 70, 2: 20, 3: 10}
-        assert miss_weighted_recall({1}, misses) == 0.7
-        assert miss_weighted_recall(set(), {}) == 0.0
 
 
 class TestAgainstIdeal:

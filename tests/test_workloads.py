@@ -9,7 +9,6 @@ from repro.cache.model import simulate_trace
 from repro.compiler.driver import compile_source
 from repro.machine.simulator import run_program
 from repro.workloads.base import TEST, TRAINING
-from repro.workloads import registry
 from repro.workloads.registry import ALL_WORKLOADS, BY_NAME, get, names
 
 SCALE = 0.04          # miniature instances for the test suite
@@ -34,8 +33,8 @@ class TestRegistry:
         assert len(ALL_WORKLOADS) == 18
 
     def test_split_11_training_7_test(self):
-        assert len(registry.training_workloads()) == 11
-        assert len(registry.test_workloads()) == 7
+        assert len(names(TRAINING)) == 11
+        assert len(names(TEST)) == 7
 
     def test_names_unique(self):
         assert len(BY_NAME) == 18
