@@ -10,7 +10,8 @@ service use, and the coverage from the same sweep engine.
 :class:`ProgramMemo` is the static front end (compile, then address
 patterns) kept per process: a long-lived caller such as a service
 worker passes one to ``analyze_program`` so that a program it has seen
-is not compiled or analysed again.
+is not compiled or analysed again, and every pipeline
+:class:`~repro.pipeline.session.Session` owns an unbounded one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class ProgramMemo:
     """Compiled programs and their load infos, keyed by (source, optimize).
 
     Holds at most ``capacity`` programs, least recently used evicted
-    first.  A program's default :func:`build_load_infos` result is built
+    first; ``None`` keeps every one (a pipeline session's memo).  A
+    program's default :func:`build_load_infos` result is built
     on first request and kept beside it.  A source that does not compile
     raises on every call: failures are never kept.  Programs and load
     infos are not mutated after they are built (the block engine's code
@@ -48,7 +50,7 @@ class ProgramMemo:
     computes one op at a time.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: Optional[int]):
         self._entries = BoundedCache(capacity)
 
     def __len__(self) -> int:

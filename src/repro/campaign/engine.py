@@ -38,7 +38,6 @@ parameters, wall time, tier) to the JSON-lines manifest.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import logging
 import time
@@ -57,6 +56,7 @@ from repro.experiments.grid import (GridCell, campaign_cells,
 from repro.pipeline.session import RunKey, Session, _resolve_jobs
 from repro.scenario import ScenarioSpec
 from repro.store.tier import TABLE, JsonTier
+from repro.store.tracestore import code_digest
 
 #: Block size of the analytic profiles the tables read (Table 15 uses
 #: the baseline geometry's blocks).
@@ -65,25 +65,6 @@ _ANALYTIC_BLOCK_SIZE = 32
 _TABLE_VERSION = 1
 
 _log = logging.getLogger("repro.campaign")
-
-
-@functools.cache
-def code_digest() -> str:
-    """Content hash of every ``src/repro`` Python source.
-
-    Part of each manifest entry and of each rendered table's tier key,
-    so a code change renders every table again.  Computed once per
-    process: the running code is fixed at import.
-    """
-    import repro
-    root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha1()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -116,25 +116,6 @@ class ExecutionResult:
     trace: Optional[MemoryTrace]
     output: list[int] = field(default_factory=list)
 
-    def instruction_counts(self, program: Program) -> dict[int, int]:
-        """Per-instruction execution counts E(i), keyed by address."""
-        leaders = sorted(self.block_counts)
-        counts: dict[int, int] = {}
-        for pos, leader in enumerate(leaders):
-            end = (leaders[pos + 1] if pos + 1 < len(leaders)
-                   else program.text_end)
-            count = self.block_counts[leader]
-            if count == 0:
-                continue
-            for addr in range(leader, end, 4):
-                counts[addr] = count
-        return counts
-
-    def load_exec_counts(self, program: Program) -> dict[int, int]:
-        """E(i) restricted to static load instructions."""
-        counts = self.instruction_counts(program)
-        return {addr: counts.get(addr, 0) for addr, _ in program.loads()}
-
 
 class Machine:
     """Executes one program; reusable across runs via :meth:`run`."""

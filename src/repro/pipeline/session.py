@@ -3,13 +3,20 @@
 A :class:`Session` memoizes the expensive stages so the fourteen table
 experiments can share work:
 
-* **compile** — (workload, input, optimize) -> Program (cheap, memoized),
-  rewritten with prefetches when the run key names a prefetch set;
-* **analyze** — static address patterns per program (cheap, memoized);
-* **execute** — instruction-level run producing the block profile and the
-  memory trace, acquired through a :class:`~repro.store.handle.TraceHandle`
-  (expensive; a trace-store hit executes nothing, and materialized traces
-  are held in a small LRU because they dominate memory);
+* **compile** and **analyze** — (workload, input, optimize) -> Program
+  and its static address patterns, both taken from one unbounded
+  :class:`~repro.api.ProgramMemo` the session owns (the memo the
+  service and :func:`~repro.api.analyze_program` use too); a program
+  rewritten with prefetches, when the run key names a prefetch set, is
+  kept beside it;
+* **execute** — instruction-level run producing the run's facts (step
+  and block-entry counts) and the memory trace, acquired through a
+  :class:`~repro.store.handle.TraceHandle` (expensive; a trace-store hit
+  executes nothing, and materialized traces are held in a small LRU
+  because they dominate memory).  The facts are kept as counts, read
+  from a result row or the handle; the :class:`BlockProfile` is built
+  from them, compiling the program, only when :meth:`Session.profile`
+  first asks, so a warm rerun compiles nothing;
 * **cache-simulate** — trace x cache-config -> per-load miss counts
   (moderately expensive; results are also persisted through a
   :class:`~repro.store.tier.JsonTier` keyed by a content hash, so
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Collection, Optional, Sequence, TypeVar
 
+from repro.api import ProgramMemo
 from repro.asm.program import Program
 from repro.cache.config import (BASELINE_CONFIG, TRAINING_CONFIG,
                                 CacheConfig)
@@ -40,8 +48,7 @@ from repro.cache.lru import BoundedCache
 from repro.cache.model import (CacheStats, TraceSource, stats_from_row,
                                stats_to_row)
 from repro.cache.stackdist import ProfileStore, simulate_sweep
-from repro.compiler.driver import compile_source
-from repro.patterns.builder import LoadInfo, build_load_infos
+from repro.patterns.builder import LoadInfo
 from repro.profiling.profile import BlockProfile
 from repro.scenario import (ScenarioResult, ScenarioSpec,
                             decode_scenario, encode_scenario,
@@ -129,15 +136,17 @@ class Session:
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         self._sources: dict[tuple[str, str], str] = {}
-        self._programs: dict[RunKey, Program] = {}
-        self._rewrites: dict[RunKey, str] = {}
-        self._analyses: dict[RunKey, dict[int, LoadInfo]] = {}
-        self._profiles: dict[RunKey, BlockProfile] = {}
+        self._programs = ProgramMemo(None)
+        # Prefetch-rewritten runs: (program, what the pass inserted).
+        self._rewritten: dict[RunKey, tuple[Program, str]] = {}
+        # A run's facts, kept as read; its profile is built on request.
         self._steps: dict[RunKey, int] = {}
+        self._block_counts: dict[RunKey, dict[int, int]] = {}
+        self._profiles: dict[RunKey, BlockProfile] = {}
         self._traces: OrderedDict = OrderedDict()
         # Per-(run, config) stats: every one stays in memory, and each
         # is persisted as the simulate row plus the run's block counts
-        # and steps, so a disk hit restores the profile too.
+        # and steps, so a disk hit restores the run's facts too.
         self._results = JsonTier(
             PIPELINE, _SCHEMA_VERSION,
             self.cache_dir if use_disk_cache else None,
@@ -190,45 +199,37 @@ class Session:
                                     frozenset(prefetch)))
 
     def _program(self, key: RunKey) -> Program:
-        if key not in self._programs:
-            if key.prefetch:
-                from repro.prefetch.pass_ import apply_prefetching
-                base = (key.workload, key.input_name, key.optimize)
-                rewrite = apply_prefetching(
-                    self.program(*base), set(key.prefetch),
-                    self.load_infos(*base))
-                program = rewrite.program
-                kept = set(rewrite.address_map.values())
-                self._programs[key] = program
-                self._rewrites[key] = "prefetch " + ",".join(
-                    f"{address:x} {instr.text()}"
-                    for index, instr in enumerate(program.instructions)
-                    if (address := program.address_of(index)) not in kept)
-            else:
-                self._programs[key] = compile_source(
-                    self.source(key.workload, key.input_name),
-                    optimize=key.optimize)
-        return self._programs[key]
+        if not key.prefetch:
+            return self._programs.program(
+                self.source(key.workload, key.input_name), key.optimize)
+        return self._rewritten_run(key)[0]
+
+    def _rewritten_run(self, key: RunKey) -> tuple[Program, str]:
+        """The rewritten program and the instructions the prefetch pass
+        inserted, as the run's trace key hashes them."""
+        if key not in self._rewritten:
+            from repro.prefetch.pass_ import apply_prefetching
+            base = (key.workload, key.input_name, key.optimize)
+            rewrite = apply_prefetching(
+                self.program(*base), set(key.prefetch),
+                self.load_infos(*base))
+            program = rewrite.program
+            kept = set(rewrite.address_map.values())
+            self._rewritten[key] = (program, "prefetch " + ",".join(
+                f"{address:x} {instr.text()}"
+                for index, instr in enumerate(program.instructions)
+                if (address := program.address_of(index)) not in kept))
+        return self._rewritten[key]
 
     def load_infos(self, workload: str, input_name: str = "input1",
                    optimize: bool = False) -> dict[int, LoadInfo]:
-        key = RunKey(workload, input_name, optimize)
-        if key not in self._analyses:
-            self._analyses[key] = build_load_infos(self._program(key))
-        return self._analyses[key]
-
-    def _rewrite(self, key: RunKey) -> str:
-        """The instructions the prefetch pass inserted, as the run's
-        trace key and result digest hash them; empty for an
-        unrewritten run, whose keys it leaves unchanged."""
-        if not key.prefetch:
-            return ""
-        self._program(key)
-        return self._rewrites[key]
+        return self._programs.load_infos(
+            self.source(workload, input_name), optimize)
 
     def _trace_key(self, key: RunKey) -> str:
+        rewrite = self._rewritten_run(key)[1] if key.prefetch else ""
         return trace_key(self.source(key.workload, key.input_name),
-                         key.optimize, self.max_steps, self._rewrite(key))
+                         key.optimize, self.max_steps, rewrite)
 
     def _replay(self, key: RunKey,
                 compute: Callable[[TraceSource], T]) -> T:
@@ -237,7 +238,7 @@ class Session:
         A handle holding a materialized trace is reused from the
         two-entry LRU; otherwise a fresh handle acquires the trace
         store-first (see :mod:`repro.store.handle`).  The handle's
-        execution facts become the run's block profile and step count.
+        execution facts become the run's step and block counts.
         """
         handle = self._traces.get(key)
         if handle is None:
@@ -253,23 +254,30 @@ class Session:
                 self._traces.popitem(last=False)
         return result
 
+    def _facts(self, key: RunKey) -> None:
+        """Read or acquire the run's step and block counts, once."""
+        if key not in self._steps:
+            self._lookup(key, BASELINE_CONFIG)   # a disk hit adopts them
+        if key not in self._steps:
+            self._replay(key, lambda source: None)   # acquire only
+
     def profile(self, workload: str, input_name: str = "input1",
                 optimize: bool = False,
                 prefetch: Collection[int] = frozenset()) -> BlockProfile:
         key = RunKey(workload, input_name, optimize, frozenset(prefetch))
         if key not in self._profiles:
-            self._lookup(key, BASELINE_CONFIG)   # a disk hit adopts it
-        if key not in self._profiles:
-            self._replay(key, lambda source: None)   # acquire only
+            self._facts(key)
+            self._profiles[key] = BlockProfile.from_block_counts(
+                self._program(key), self._block_counts[key])
         return self._profiles[key]
 
     def steps(self, workload: str, input_name: str = "input1",
               optimize: bool = False,
               prefetch: Collection[int] = frozenset()) -> int:
         """The run's executed instruction count."""
-        self.profile(workload, input_name, optimize, prefetch)
-        return self._steps[RunKey(workload, input_name, optimize,
-                                  frozenset(prefetch))]
+        key = RunKey(workload, input_name, optimize, frozenset(prefetch))
+        self._facts(key)
+        return self._steps[key]
 
     def stats_multi(self, workload: str, input_name: str = "input1",
                     optimize: bool = False,
@@ -403,20 +411,11 @@ class Session:
 
     # -- the result tier -----------------------------------------------
     def _digest(self, key: RunKey, config: CacheConfig) -> str:
-        # The execution engine is deliberately NOT part of the digest:
-        # both engines are bit-identical (same trace, same profile), so
-        # entries warmed under either engine are interchangeable.  A
-        # rewrite is, when there is one: what the pass inserted.
-        parts = [
-            str(_SCHEMA_VERSION),
-            self.source(key.workload, key.input_name),
-            str(key.optimize),
-            config.describe(),
-            str(self.max_steps),
-        ]
-        if key.prefetch:
-            parts.append(self._rewrite(key))
-        text = "|".join(parts)
+        # The run's trace key hashes everything that determines the
+        # run (code, source, optimize, step budget, rewrite), so the
+        # row only adds the cache geometry.
+        text = "|".join((str(_SCHEMA_VERSION), self._trace_key(key),
+                         config.describe()))
         return hashlib.sha1(text.encode()).hexdigest()
 
     def _entry_key(self, key: RunKey, config: CacheConfig) -> str:
@@ -426,10 +425,9 @@ class Session:
     def _adopt(self, key: RunKey, steps: int,
                block_counts: dict[int, int]) -> None:
         """Record the run's execution facts, once."""
-        if key not in self._profiles:
-            self._profiles[key] = BlockProfile.from_block_counts(
-                self._program(key), block_counts)
+        if key not in self._steps:
             self._steps[key] = steps
+            self._block_counts[key] = block_counts
 
     def _lookup(self, key: RunKey,
                 config: CacheConfig) -> Optional[CacheStats]:
@@ -449,7 +447,7 @@ class Session:
         entry = stats_to_row(stats)
         entry["steps"] = self._steps[key]
         entry["block_counts"] = {str(a): c for a, c in
-                                 self._profiles[key].block_counts.items()}
+                                 self._block_counts[key].items()}
         self._results.put(self._entry_key(key, config), stats, entry)
 
 

@@ -21,6 +21,21 @@ from repro.machine.simulator import ExecutionResult
 HOTSPOT_CYCLE_SHARE = 0.90
 
 
+def _hottest(cycles: Mapping[int, int], share: float) -> set[int]:
+    """The fewest blocks, hottest first (ties: lowest leader), that
+    cumulatively cover ``share`` of ``cycles``' total."""
+    total = sum(cycles.values())
+    chosen: set[int] = set()
+    covered = 0
+    for leader, weight in sorted(cycles.items(),
+                                 key=lambda item: (-item[1], item[0])):
+        if weight == 0 or covered >= share * total:
+            break
+        chosen.add(leader)
+        covered += weight
+    return chosen
+
+
 @dataclass
 class BlockProfile:
     """Execution profile of one run at basic-block granularity."""
@@ -68,19 +83,7 @@ class BlockProfile:
     def hotspot_blocks(self,
                        share: float = HOTSPOT_CYCLE_SHARE) -> set[int]:
         """Leaders of the blocks cumulatively covering ``share`` cycles."""
-        cycles = self.block_cycles
-        total = self.total_cycles
-        if total == 0:
-            return set()
-        chosen: set[int] = set()
-        covered = 0
-        for leader, weight in sorted(cycles.items(),
-                                     key=lambda item: (-item[1], item[0])):
-            if weight == 0 or covered >= share * total:
-                break
-            chosen.add(leader)
-            covered += weight
-        return chosen
+        return _hottest(self.block_cycles, share)
 
     # -- stall-aware cycle model (extension) ---------------------------
     def stall_aware_cycles(self, load_misses: Mapping[int, int],
@@ -114,20 +117,8 @@ class BlockProfile:
                                    share: float = HOTSPOT_CYCLE_SHARE
                                    ) -> set[int]:
         """Hotspot set under the stall-aware cycle model."""
-        cycles = self.stall_aware_cycles(load_misses, penalty)
-        total = sum(cycles.values())
-        if total == 0:
-            return set()
-        chosen: set[int] = set()
-        covered = 0
-        for leader, weight in sorted(cycles.items(),
-                                     key=lambda item: (-item[1],
-                                                       item[0])):
-            if weight == 0 or covered >= share * total:
-                break
-            chosen.add(leader)
-            covered += weight
-        return chosen
+        return _hottest(self.stall_aware_cycles(load_misses, penalty),
+                        share)
 
     def hotspot_loads_stall_aware(self, load_misses: Mapping[int, int],
                                   penalty: int = 20,

@@ -37,6 +37,7 @@ caller can delete the entry and fall back to re-execution.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -56,23 +57,42 @@ _FRAME = struct.Struct("<IIII")      # rows, pc blob, addr blob, kind blob
 _SWAP = sys.byteorder == "big"
 
 
+@functools.cache
+def code_digest() -> str:
+    """Content hash of every ``src/repro`` Python source.
+
+    Part of every trace key, and through it of every result, scenario
+    and rendered-table key, so a code change never serves entries the
+    old code computed.  Computed once per process, on the first key:
+    the running code is fixed at import.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha1()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def trace_key(source: str, optimize: bool, max_steps: int,
               rewrite: str = "") -> str:
     """Content key of one workload's trace.
 
-    Hashes everything that determines the access stream: the program
-    text (workload inputs are baked into the generated source), the
+    Hashes everything that determines the access stream: the code that
+    compiles and executes it (:func:`code_digest`), the program text
+    (workload inputs are baked into the generated source), the
     optimization level, the step budget, the store schema, and the
     rewrite applied to the compiled program, if any (``rewrite`` names
-    it; an empty one adds nothing to the hash, so stored unrewritten
-    traces keep their keys).  The execution engine is deliberately
-    excluded — both engines are bit-identical by contract, so entries
-    written under either are interchangeable.  The pipeline session and
-    the service share this key, so a workload executed by one is a
-    store hit for the other.
+    it; an empty one adds nothing to the hash).  The execution engine
+    is deliberately excluded — both engines are bit-identical by
+    contract, so entries written under either are interchangeable.  The
+    pipeline session and the service share this key, so a workload
+    executed by one is a store hit for the other.
     """
-    parts = ["trace", str(_SCHEMA), source, str(bool(optimize)),
-             str(max_steps)]
+    parts = ["trace", str(_SCHEMA), code_digest(), source,
+             str(bool(optimize)), str(max_steps)]
     if rewrite:
         parts.append(rewrite)
     text = "|".join(parts)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import sys
 
 import pytest
 
@@ -38,6 +39,15 @@ def small_grid(monkeypatch):
         table10.SPEC, names=SMALL_GRID_NAMES))
     monkeypatch.setitem(runner.EXPERIMENTS, 10, functools.partial(
         table10.run, names=SMALL_GRID_NAMES))
+
+
+def patch_bindings(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` in every loaded ``repro`` module binding it,
+    so a call reaches ``replacement`` whichever module makes it."""
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("repro") \
+                and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
 
 #: A program exercising arrays, structs, pointers, loops and calls —
 #: the common subject for integration-level assertions.

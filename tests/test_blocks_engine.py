@@ -54,10 +54,6 @@ def assert_equivalent(program, machines, results):
     assert out_trace.pcs.tobytes() == ref_trace.pcs.tobytes()
     assert out_trace.addresses.tobytes() == ref_trace.addresses.tobytes()
     assert out_trace.kinds.tobytes() == ref_trace.kinds.tobytes()
-    assert (out.instruction_counts(program)
-            == ref.instruction_counts(program))
-    assert (out.load_exec_counts(program)
-            == ref.load_exec_counts(program))
 
 
 @pytest.mark.parametrize("name", names())

@@ -35,6 +35,7 @@ from repro.experiments.runner import run_tables
 from repro.pipeline.session import Session
 from repro.store.gc import scan_entries
 from repro.store.tier import PIPELINE, SCENARIO, TABLE, JsonTier
+from tests.conftest import patch_bindings
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -255,6 +256,23 @@ class TestCampaign:
         assert {plan.kind for plan in again.plan()} \
             == {"run", "analytic", "scenario", "table"}
         assert set(_tiers(again, second).values()) == {"disk"}
+        assert second.tables == first.tables
+
+    @pytest.mark.usefixtures("scenario_grid")
+    def test_warm_rerun_compiles_nothing(self, tmp_path, monkeypatch):
+        # A result row carries the run's facts as counts, so reading a
+        # warm cell back neither compiles nor analyses its program.
+        from repro.compiler import driver
+        from repro.patterns import builder
+        numbers = TABLES + (15, 16, 17)
+        first = Campaign(_session(tmp_path), numbers=numbers).run(jobs=1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm campaign compiled a program")
+        for original in (driver.compile_source, builder.build_load_infos):
+            patch_bindings(monkeypatch, original, forbidden)
+        second = Campaign(_session(tmp_path), numbers=numbers).run()
+        assert second.computed == 0
         assert second.tables == first.tables
 
     def test_resume_survives_tripwire_on_completed_cells(

@@ -238,7 +238,9 @@ class TestBlockCounting:
 
     def test_instruction_counts_cover_loads(self, sample_program,
                                             sample_result):
-        counts = sample_result.load_exec_counts(sample_program)
+        from repro.profiling.profile import BlockProfile
+        counts = BlockProfile.from_execution(
+            sample_program, sample_result).load_exec_counts()
         assert set(counts) == set(sample_program.load_addresses())
 
 

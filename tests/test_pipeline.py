@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.config import BASELINE_CONFIG, CacheConfig
 from repro.pipeline.session import Measurement, RunKey, Session
+from tests.conftest import patch_bindings
 
 WL = "129.compress"
 SCALE = 0.03
@@ -48,6 +49,31 @@ class TestDiskCache:
         assert again.load_misses == stats.load_misses
         assert two.profile(WL).block_counts == profile.block_counts
         assert WL not in {k.workload for k in two._traces}
+
+    def test_result_hit_compiles_only_for_the_profile(self, tmp_path,
+                                                      monkeypatch):
+        # A result row carries the run's steps and block counts: they
+        # are read as counts, and only the profile needs the program.
+        from repro.compiler.driver import compile_source
+        cache_dir = tmp_path / "c"
+        one = Session(scale=SCALE, cache_dir=cache_dir)
+        stats = one.stats(WL)
+        steps, profile = one.steps(WL), one.profile(WL)
+        compiles = []
+
+        def counted(*args, **kwargs):
+            compiles.append(1)
+            return compile_source(*args, **kwargs)
+        patch_bindings(monkeypatch, compile_source, counted)
+        two = Session(scale=SCALE, cache_dir=cache_dir)
+        assert two.stats(WL).load_misses == stats.load_misses
+        assert two.steps(WL) == steps
+        assert compiles == []
+        again = two.profile(WL)
+        assert (again.block_counts, again.block_sizes) \
+            == (profile.block_counts, profile.block_sizes)
+        assert two.profile(WL) is again
+        assert compiles == [1]
 
     def test_different_config_misses_cache(self, tmp_path):
         cache_dir = tmp_path / "c"
@@ -121,23 +147,40 @@ class TestRewrittenRuns:
         assert session._digest(again, BASELINE_CONFIG) \
             == session._digest(keys[2], BASELINE_CONFIG)
 
-    def test_unrewritten_keys_are_unchanged(self, tmp_path):
-        # Values computed before run keys could name a rewrite: an
-        # unrewritten run's trace key, result digest and the default
-        # campaign plan must not move, so warm caches stay warm.
+    def test_unrewritten_keys_are_unchanged(self, tmp_path, monkeypatch):
+        # Under fixed code, an unrewritten run's trace key, result
+        # digest and the default campaign plan must not move, so warm
+        # caches stay warm.
         import hashlib
         from repro.campaign import Campaign
+        from repro.store import tracestore
+        monkeypatch.setattr(tracestore, "code_digest", lambda: "0" * 40)
         session = Session(scale=0.03, cache_dir=tmp_path / "cache")
         key = RunKey("179.art", "input1", False)
         assert key == RunKey("179.art", "input1", False, frozenset())
         assert session._trace_key(key) \
-            == "3031f5f22b3e31bb4ca85e1ec47b18c12d152ad7"
+            == "c8e19d0136313580bbcab28639e15e2097bfed4b"
         assert session._digest(key, BASELINE_CONFIG) \
-            == "7ad97856c2db64cd416727b31ca2a7e305b63a58"
+            == "454bc3b93e9a4039ffeb79b1746e73bbd1a97039"
         plans = Campaign(session).plan()
         text = "\n".join(f"{plan.id} {plan.digest}" for plan in plans)
         assert (len(plans), hashlib.sha1(text.encode()).hexdigest()) \
-            == (93, "9fe424f5b4ea62ce02dd5319fdf64a0d443dcc29")
+            == (93, "fe8776134eb3803d07474fde2292a945e7c4d560")
+
+    def test_keys_follow_the_code(self, tmp_path, monkeypatch):
+        # After a compiler or machine change a warm cache must not
+        # serve the old code's traces or rows.
+        from repro.store import tracestore
+        key = RunKey(WL, "input1", False)
+        keys = []
+        for code in ("0" * 40, "1" * 40):
+            monkeypatch.setattr(tracestore, "code_digest", lambda: code)
+            session = Session(scale=SCALE, cache_dir=tmp_path)
+            keys.append((session._trace_key(key),
+                         session._digest(key, BASELINE_CONFIG)))
+        (trace, digest), (other_trace, other_digest) = keys
+        assert trace != other_trace
+        assert digest != other_digest
 
     def test_keys_follow_what_the_pass_inserts(self, tmp_path,
                                                monkeypatch):

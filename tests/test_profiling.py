@@ -130,9 +130,9 @@ class TestObservedLoadExecCounts:
         machine = Machine(sample_program, trace_memory=True)
         result = machine.run()
         observed = source_access_counts(machine.trace)[0]
-        expected = {pc: count for pc, count in
-                    result.load_exec_counts(sample_program).items()
-                    if count}
+        counts = BlockProfile.from_execution(sample_program,
+                                             result).load_exec_counts()
+        expected = {pc: count for pc, count in counts.items() if count}
         assert observed == expected
 
     def test_empty_trace(self):

@@ -170,13 +170,15 @@ class TestCollect:
         from repro.cache.model import simulate_trace
         from repro.cache.config import BASELINE_CONFIG
         from repro.patterns.builder import build_load_infos
+        from repro.profiling.profile import BlockProfile
         result = run_program(sample_program)
         stats = simulate_trace(result.trace, BASELINE_CONFIG)
         infos = build_load_infos(sample_program)
         data = BenchmarkTrainingData.collect(
             name="sample",
             load_infos=infos,
-            exec_counts=result.load_exec_counts(sample_program),
+            exec_counts=BlockProfile.from_execution(
+                sample_program, result).load_exec_counts(),
             load_misses=stats.load_misses,
             hotspot_loads=set(),
         )
